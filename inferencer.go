@@ -12,8 +12,9 @@ import (
 
 // Inferencer is the serving-side view of a trained pipeline: the
 // vocabulary, mined phrase statistics, and frozen topic-word counts of
-// a Result (or a loaded snapshot), with the segmenter built once at
-// construction instead of once per call.
+// a Result (or a loaded snapshot), with the segmenter and the sparse
+// inference index (topicmodel.InferIndex) built once at construction
+// instead of once per call.
 //
 // An Inferencer is safe for concurrent use: every method reads the
 // trained artifacts without mutating them, and all randomness lives in
@@ -21,20 +22,23 @@ import (
 // and a hash of the input text. The same text therefore yields the
 // same result on every call, from any number of goroutines.
 type Inferencer struct {
-	vocab  *Corpus // vocabulary carrier; Docs may be empty (snapshot path)
-	seg    *segment.Segmenter
-	model  *Model
+	vocab *Corpus // vocabulary carrier; Docs may be empty (snapshot path)
+	seg   *segment.Segmenter
+	// index owns its copy of the trained counts and priors, so training
+	// that continues on the source Model never reaches a live
+	// Inferencer; nil for a mining-only Result.
+	index  *topicmodel.InferIndex
 	opt    Options
 	copt   CorpusOptions
 	topics []TopicSummary
 	// phrases is captured at construction so serving stats never touch
 	// the (potentially large) mined counter after startup.
 	phrases int
-	// scratch pools the per-request working memory of InferTopics —
-	// the Gibbs count/assignment/weight buffers and RNG
-	// (topicmodel.InferScratch) plus the clique headers and token
-	// arena — so a warm inference allocates only the returned mixture
-	// and the tokenised document.
+	// scratch pools the per-request working memory — the segmenter
+	// workspace every method uses, and for InferTopics the Gibbs
+	// buffers and RNG (topicmodel.InferScratch) plus the clique
+	// headers and token arena — so a warm request allocates only what
+	// it returns and the tokenised document.
 	scratch sync.Pool
 }
 
@@ -65,7 +69,8 @@ type Stats struct {
 // qualify. A Result without a trained Model (a mining-only pipeline)
 // still supports Segment and TraceText — only InferTopics needs the
 // model. The Inferencer captures the Result's artifacts at
-// construction; populate every field before the first use.
+// construction — the topic model by value, in one pass over its V·K
+// counts — so populate every field before the call.
 func NewInferencer(r *Result) (*Inferencer, error) {
 	switch {
 	case r == nil:
@@ -87,11 +92,15 @@ func NewInferencer(r *Result) (*Inferencer, error) {
 			MaxPhraseLen: r.Options.MaxPhraseLen,
 			Workers:      1,
 		}),
-		model:   r.Model,
 		opt:     r.Options,
 		copt:    r.Corpus.BuildOpts,
 		topics:  r.Topics,
 		phrases: r.Mined.Counts.Len(),
+	}
+	if r.Model != nil {
+		// A merge needs its phrase mined, so no clique the segmenter
+		// emits is longer than the longest mined phrase.
+		inf.index = topicmodel.NewInferIndex(r.Model, r.Mined.MaxPhraseLen)
 	}
 	inf.scratch.New = func() any { return new(inferScratch) }
 	return inf, nil
@@ -111,10 +120,10 @@ func (inf *Inferencer) Stats() Stats {
 // NumTopics returns K, the number of topics of the underlying model,
 // or 0 when the source Result carried no trained model.
 func (inf *Inferencer) NumTopics() int {
-	if inf.model == nil {
+	if inf.index == nil {
 		return 0
 	}
-	return inf.model.K
+	return inf.index.NumTopics()
 }
 
 // Topics returns the rendered topic summaries captured at training
@@ -161,7 +170,8 @@ func (inf *Inferencer) cliquesInto(doc *corpus.Document, sc *inferScratch) [][]i
 //
 // Note that iters counts sampling sweeps; the model runs an equal
 // burn-in first, so one call costs 2×iters sweeps (see
-// Model.InferTheta).
+// topicmodel.InferIndex.InferTheta). A sweep costs O(K_d + K_w) per
+// token — the document's and the word's non-zero topics — not O(K).
 func (inf *Inferencer) InferTopics(text string, iters int) []float64 {
 	theta, _ := inf.InferTopicsTokens(text, iters)
 	return theta
@@ -174,7 +184,7 @@ func (inf *Inferencer) InferTopics(text string, iters int) []float64 {
 // surfacing a "best topic" should treat tokens==0 as "no answer"
 // rather than a confident topic 0.
 func (inf *Inferencer) InferTopicsTokens(text string, iters int) ([]float64, int) {
-	if inf.model == nil {
+	if inf.index == nil {
 		panic("topmine: InferTopics requires a trained model; this Inferencer was built from a mining-only Result")
 	}
 	doc := corpus.MapText(text, inf.vocab.Vocab, inf.copt)
@@ -184,7 +194,7 @@ func (inf *Inferencer) InferTopicsTokens(text string, iters int) ([]float64, int
 	}
 	sc := inf.scratch.Get().(*inferScratch)
 	cliques := inf.cliquesInto(doc, sc)
-	theta := inf.model.InferThetaScratch(cliques, iters, inf.callSeed(text), &sc.ts)
+	theta := inf.index.InferTheta(cliques, iters, inf.callSeed(text), &sc.ts)
 	inf.scratch.Put(sc)
 	return theta, tokens
 }
@@ -195,15 +205,17 @@ func (inf *Inferencer) InferTopicsTokens(text string, iters int) ([]float64, int
 func (inf *Inferencer) Segment(text string) [][]string {
 	doc := corpus.MapText(text, inf.vocab.Vocab, inf.copt)
 	out := make([][]string, 0, len(doc.Segments))
+	sc := inf.scratch.Get().(*inferScratch)
 	for si := range doc.Segments {
 		words := doc.Segments[si].Words()
-		spans := inf.seg.Partition(words)
+		spans := inf.seg.PartitionWith(words, &sc.seg)
 		phrases := make([]string, len(spans))
 		for i, sp := range spans {
 			phrases[i] = inf.vocab.DisplayWords(words[sp.Start:sp.End])
 		}
 		out = append(out, phrases)
 	}
+	inf.scratch.Put(sc)
 	return out
 }
 
@@ -213,9 +225,10 @@ func (inf *Inferencer) Segment(text string) [][]string {
 func (inf *Inferencer) TraceText(text string) []SegmentTrace {
 	doc := corpus.MapText(text, inf.vocab.Vocab, inf.copt)
 	var out []SegmentTrace
+	sc := inf.scratch.Get().(*inferScratch)
 	for si := range doc.Segments {
 		words := doc.Segments[si].Words()
-		spans, steps := inf.seg.TracePartition(words)
+		spans, steps := inf.seg.TracePartitionWith(words, &sc.seg)
 		tr := SegmentTrace{Steps: steps}
 		for _, w := range words {
 			tr.Tokens = append(tr.Tokens, inf.vocab.Vocab.Unstem(w))
@@ -225,5 +238,6 @@ func (inf *Inferencer) TraceText(text string) []SegmentTrace {
 		}
 		out = append(out, tr)
 	}
+	inf.scratch.Put(sc)
 	return out
 }

@@ -156,6 +156,45 @@ func TestInferencerHonorsAllFalseBuildOptions(t *testing.T) {
 	}
 }
 
+// TestInferencerOwnsItsCounts pins "captures the artifacts at
+// construction" for the topic model: an Inferencer held across
+// continued training on the source Model — here, every count and prior
+// overwritten in place — answers exactly as it did before.
+func TestInferencerOwnsItsCounts(t *testing.T) {
+	res := trainedResult(t)
+	inf, err := NewInferencer(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(inferTexts))
+	for i, text := range inferTexts {
+		want[i] = fingerprintTheta(inf.InferTopics(text, 20))
+	}
+	m := res.Model
+	for w := range m.Nwk {
+		for k := range m.Nwk[w] {
+			m.Nwk[w][k] = int32(w+k) % 5
+		}
+	}
+	for k := range m.Nk {
+		m.Nk[k] += 1000 * int64(k+1)
+		m.Alpha[k] *= float64(k + 2)
+	}
+	m.AlphaSum, m.Beta, m.BetaSum = 99, 0.5, 0.5*float64(m.V)
+	for i, text := range inferTexts {
+		if got := fingerprintTheta(inf.InferTopics(text, 20)); got != want[i] {
+			t.Errorf("%q: θ changed after the source Model was mutated", text)
+		}
+	}
+	fresh, err := NewInferencer(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprintTheta(fresh.InferTopics(inferTexts[0], 20)) == want[0] {
+		t.Error("an Inferencer built after the mutation did not see it")
+	}
+}
+
 // fingerprintTheta renders a mixture exactly for equality comparison.
 func fingerprintTheta(theta []float64) string {
 	var b strings.Builder

@@ -137,10 +137,19 @@ func (s *Segmenter) PartitionWith(words []int32, ws *Workspace) []Span {
 // TracePartition is Partition plus the ordered list of merges it
 // performed, highest significance first (the execution order).
 func (s *Segmenter) TracePartition(words []int32) ([]Span, []MergeStep) {
-	var w workspace
-	w.trace = new([]MergeStep)
-	spans := s.partition(words, &w)
-	return spans, *w.trace
+	var ws Workspace // private, so the aliasing spans are the caller's
+	return s.TracePartitionWith(words, &ws)
+}
+
+// TracePartitionWith is TracePartition drawing its scratch from ws.
+// As with PartitionWith the spans alias the workspace; the merge list
+// is the caller's.
+func (s *Segmenter) TracePartitionWith(words []int32, ws *Workspace) ([]Span, []MergeStep) {
+	var steps []MergeStep
+	ws.w.trace = &steps
+	spans := s.partitionSpans(words, &ws.w)
+	ws.w.trace = nil
+	return spans, steps
 }
 
 // partition runs Algorithm 2 and returns freshly allocated spans.

@@ -54,7 +54,7 @@ type Options struct {
 	// DefaultIters is the sampling sweep count used when a request
 	// omits or zeroes "iters"; 0 means 50. Note one inference runs an
 	// equal burn-in first, so a request costs 2×iters total sweeps
-	// (see topicmodel.Model.InferTheta's burn-in contract).
+	// (see topicmodel.InferIndex.InferTheta's burn-in contract).
 	DefaultIters int
 	// MaxIters caps the TOTAL Gibbs sweeps (burn-in + sampling) one
 	// request may cost, so a single request cannot monopolise a core;
@@ -236,14 +236,6 @@ type inferResult struct {
 	Tokens int       `json:"tokens"`
 }
 
-// inferResponse carries pre-marshalled per-document results so cached
-// and freshly computed documents assemble into byte-identical
-// responses.
-type inferResponse struct {
-	Result  json.RawMessage   `json:"result,omitempty"`
-	Results []json.RawMessage `json:"results,omitempty"`
-}
-
 type segmentRequest struct {
 	Text  string `json:"text"`
 	Model string `json:"model,omitempty"`
@@ -283,14 +275,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeRawJSON writes an already-marshalled JSON body (the cache-hit
-// path), appending the same trailing newline json.Encoder emits so
-// hits and misses are byte-identical on the wire.
-func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
+// writeRawJSON writes a 200 response assembled from pre-marshalled
+// JSON documents (cached or freshly computed — the same bytes either
+// way): the envelope's opening text, the documents comma separated,
+// and its closing text, which ends in the newline json.Encoder emits
+// so these responses match writeJSON's framing. The documents are this
+// server's own json.Marshal output, compact and escaped by
+// construction, so they go to the wire as they are; handing them to
+// json.Encoder as RawMessage would re-scan and re-compact every byte
+// to produce the identical response.
+func writeRawJSON(w http.ResponseWriter, open, close string, docs ...json.RawMessage) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-	w.Write([]byte{'\n'})
+	w.WriteHeader(http.StatusOK)
+	io.WriteString(w, open)
+	for i, d := range docs {
+		if i > 0 {
+			io.WriteString(w, ",")
+		}
+		w.Write(d)
+	}
+	io.WriteString(w, close)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -394,7 +398,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		raw := s.inferDoc(entry, st, *req.Text, iters)
 		tm.infer = time.Since(t)
 		t = time.Now()
-		writeJSON(w, http.StatusOK, inferResponse{Result: raw})
+		writeRawJSON(w, `{"result":`, "}\n", raw)
 		tm.marshal = time.Since(t)
 	case req.Texts != nil:
 		if len(req.Texts) == 0 {
@@ -410,7 +414,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		raws := s.inferBatch(entry, st, req.Texts, iters)
 		tm.infer = time.Since(t)
 		t = time.Now()
-		writeJSON(w, http.StatusOK, inferResponse{Results: raws})
+		writeRawJSON(w, `{"results":[`, "]}\n", raws...)
 		tm.marshal = time.Since(t)
 	default:
 		writeError(w, http.StatusBadRequest, `provide "text" or "texts"`)
@@ -499,8 +503,12 @@ func (s *Server) inferBatch(entry *ModelEntry, st *modelState, texts []string, i
 		}
 		break // pool exhausted: remaining items run on this goroutine
 	}
-	work()
-	wg.Wait()
+	func() {
+		// Deferred, so a panic on this goroutine too leaves no worker
+		// behind still computing for a request that has already failed.
+		defer wg.Wait()
+		work()
+	}()
 	if p, ok := panicked.Load().(*panicBox); ok {
 		panic(p.v)
 	}
@@ -528,7 +536,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	b := s.segmentDoc(entry, st, req.Text)
 	tm.infer = time.Since(t)
 	t = time.Now()
-	writeRawJSON(w, http.StatusOK, b)
+	writeRawJSON(w, "", "\n", b)
 	tm.marshal = time.Since(t)
 }
 

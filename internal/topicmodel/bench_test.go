@@ -75,24 +75,39 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkInferTheta isolates the serve-path fold-in cost: the
-// pooled-scratch variant allocates only the returned mixture.
+// BenchmarkInferTheta isolates the serve-path fold-in cost on a sparse
+// synthetic φ — every word lives in three topics whatever K is, the
+// shape nnz_per_word has on trained models — so the readings across
+// K ∈ {20, 200, 1000} show how far a request is from K-independent:
+// what remains is clearing the scratch and building θ.
 func BenchmarkInferTheta(b *testing.B) {
-	docs, v := sweepBenchFixture(b)
-	m := Train(docs, v, Options{K: 50, Iterations: 20, Seed: 42})
 	cliques := [][]int32{{1, 2}, {3}, {4, 5, 6}, {7}, {8}, {9, 10}}
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = m.InferTheta(cliques, 20, uint64(i))
-		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		sc := &InferScratch{}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = m.InferThetaScratch(cliques, 20, uint64(i), sc)
-		}
-	})
+	for _, k := range []int{20, 200, 1000} {
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
+			ix := NewInferIndex(sparsePhiModel(k, 2000), 3)
+			sc := &InferScratch{}
+			ix.InferTheta(cliques, 20, 0, sc) // warm: the scratch is pooled in service
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchTheta = ix.InferTheta(cliques, 20, uint64(i), sc)
+			}
+		})
+	}
 }
+
+var benchTheta []float64
+
+// BenchmarkNewInferIndex is the cost a cold load and every hot reload
+// pay for the index: one scan of a V·K arena the size of a titles
+// model's (40k words × 200 topics, three non-zero cells per word).
+func BenchmarkNewInferIndex(b *testing.B) {
+	m := sparsePhiModel(200, 40000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchIndex = NewInferIndex(m, 8)
+	}
+}
+
+var benchIndex *InferIndex

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// inferTheta folds one document into m through a fresh index, the way
+// a serving layer would after loading m.
+func inferTheta(m *Model, cliques [][]int32, iters int, seed uint64) []float64 {
+	return NewInferIndex(m, 3).InferTheta(cliques, iters, seed, nil)
+}
+
 func TestInferThetaOnPlantedTopics(t *testing.T) {
 	docs := twoTopicDocs(30, 30)
 	m := Train(docs, 10, Options{K: 2, Alpha: 0.5, Iterations: 100, Seed: 71})
@@ -13,8 +19,8 @@ func TestInferThetaOnPlantedTopics(t *testing.T) {
 	if m.Nwk[0][1] > m.Nwk[0][0] {
 		topicA = 1
 	}
-	thetaA := m.InferTheta([][]int32{{0}, {1}, {2}, {3, 4}}, 40, 5)
-	thetaB := m.InferTheta([][]int32{{5}, {6}, {7}, {8, 9}}, 40, 5)
+	thetaA := inferTheta(m, [][]int32{{0}, {1}, {2}, {3, 4}}, 40, 5)
+	thetaB := inferTheta(m, [][]int32{{5}, {6}, {7}, {8, 9}}, 40, 5)
 	if BestTopic(thetaA) != topicA {
 		t.Fatalf("topic-A doc inferred %d (theta %v)", BestTopic(thetaA), thetaA)
 	}
@@ -26,7 +32,7 @@ func TestInferThetaOnPlantedTopics(t *testing.T) {
 func TestInferThetaNormalised(t *testing.T) {
 	docs := twoTopicDocs(5, 10)
 	m := Train(docs, 10, Options{K: 3, Iterations: 20, Seed: 73})
-	theta := m.InferTheta([][]int32{{0, 1}}, 10, 1)
+	theta := inferTheta(m, [][]int32{{0, 1}}, 10, 1)
 	var sum float64
 	for _, v := range theta {
 		if v < 0 {
@@ -43,7 +49,7 @@ func TestInferThetaDoesNotMutateModel(t *testing.T) {
 	docs := twoTopicDocs(5, 10)
 	m := Train(docs, 10, Options{K: 2, Iterations: 20, Seed: 79})
 	nkBefore := append([]int64(nil), m.Nk...)
-	m.InferTheta([][]int32{{0}, {5}}, 25, 2)
+	inferTheta(m, [][]int32{{0}, {5}}, 25, 2)
 	for k := range nkBefore {
 		if m.Nk[k] != nkBefore[k] {
 			t.Fatal("inference mutated model counts")
@@ -57,7 +63,7 @@ func TestInferThetaDoesNotMutateModel(t *testing.T) {
 func TestInferThetaEmptyDoc(t *testing.T) {
 	docs := twoTopicDocs(5, 10)
 	m := Train(docs, 10, Options{K: 2, Iterations: 10, Seed: 83})
-	theta := m.InferTheta(nil, 10, 3)
+	theta := inferTheta(m, nil, 10, 3)
 	var sum float64
 	for _, v := range theta {
 		sum += v

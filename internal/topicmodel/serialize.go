@@ -33,7 +33,7 @@ func (m *Model) SaveFile(path string) error {
 }
 
 // Frozen returns a serving-only view of the model: the priors and
-// topic-word counts that InferTheta and Perplexity read, without the
+// topic-word counts that NewInferIndex and Perplexity read, without the
 // per-document training state (Docs, Z, Ndk, Nd). The count slices
 // (and their flat arena) are shared with the receiver, not copied, so
 // the view stays read-only by contract. Frozen models cannot Sweep,
@@ -62,8 +62,8 @@ func (m *Model) Frozen() *Model {
 // hook migrates the decoded rows into the K-stride arenas the
 // samplers index. Any incremental sampler state (the sparse word-
 // topic index, parallel worker deltas) is dropped and will be rebuilt
-// lazily. Inference (InferTheta) and visualisation work without this
-// state, but Sweep/Train need it.
+// lazily. Inference (NewInferIndex) and visualisation work without
+// that state, but Sweep/Train need it.
 func (m *Model) ResetSampler(seed uint64) {
 	m.rng = xrand.New(seed)
 	m.weights = make([]float64, m.K)
@@ -123,6 +123,19 @@ func (m *Model) validateShapes() error {
 	for w := range m.Nwk {
 		if len(m.Nwk[w]) != m.K {
 			return fmt.Errorf("topicmodel: decoded model shapes inconsistent: Nwk[%d] has %d topics, want %d", w, len(m.Nwk[w]), m.K)
+		}
+		// A row holds a negative count exactly when the OR of its cells
+		// has the sign bit set; only then is the cell looked for.
+		row, or := m.Nwk[w], int32(0)
+		for len(row) >= 8 {
+			or |= row[0] | row[1] | row[2] | row[3] | row[4] | row[5] | row[6] | row[7]
+			row = row[8:]
+		}
+		for _, c := range row {
+			or |= c
+		}
+		if or >= 0 {
+			continue
 		}
 		for k, c := range m.Nwk[w] {
 			if c < 0 {

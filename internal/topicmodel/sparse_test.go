@@ -2,7 +2,9 @@ package topicmodel
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"topmine/internal/corpus"
@@ -260,32 +262,34 @@ func TestSweepSteadyStateAllocFree(t *testing.T) {
 
 // TestInferThetaScratchEquivalence: the pooled-scratch inference path
 // must be bit-identical to the allocating one, and reusing a scratch
-// across calls (including across different clique shapes) must not
-// leak state between calls.
+// across calls (including across different clique shapes and a model
+// of another K) must not leak state between calls.
 func TestInferThetaScratchEquivalence(t *testing.T) {
 	docs, _, v := synthPhraseDocs(t, "20conf", 200)
-	m := Train(docs, v, Options{K: 6, Iterations: 30, Seed: 19})
+	ix := NewInferIndex(Train(docs, v, Options{K: 6, Iterations: 30, Seed: 19}), 3)
+	other := NewInferIndex(Train(docs, v, Options{K: 11, Iterations: 5, Seed: 19}), 3)
 	cliqA := [][]int32{{1, 2}, {3}, {4, 5, 6}}
 	cliqB := [][]int32{{2}, {7}}
-	want := m.InferTheta(cliqA, 20, 99)
+	want := ix.InferTheta(cliqA, 20, 99, nil)
 	sc := &InferScratch{}
 	for i := 0; i < 3; i++ {
-		got := m.InferThetaScratch(cliqA, 20, 99, sc)
+		got := ix.InferTheta(cliqA, 20, 99, sc)
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("call %d: scratch path diverges at topic %d: %v vs %v", i, k, got[k], want[k])
 			}
 		}
-		// Interleave a different shape to poison any leaked state.
-		_ = m.InferThetaScratch(cliqB, 10, 5, sc)
+		// Interleave other shapes to poison any leaked state.
+		_ = ix.InferTheta(cliqB, 10, 5, sc)
+		_ = other.InferTheta(cliqA, 10, 5, sc)
 	}
 	// The returned slice must be caller-owned: mutating it and
 	// re-running must not see the mutation.
-	got := m.InferThetaScratch(cliqA, 20, 99, sc)
+	got := ix.InferTheta(cliqA, 20, 99, sc)
 	got[0] = -1
-	again := m.InferThetaScratch(cliqA, 20, 99, sc)
+	again := ix.InferTheta(cliqA, 20, 99, sc)
 	if again[0] == -1 {
-		t.Fatal("InferThetaScratch returned pooled memory")
+		t.Fatal("InferTheta returned pooled memory")
 	}
 }
 
@@ -325,6 +329,27 @@ func TestLoadRejectsCorruptCounts(t *testing.T) {
 	}
 	if _, err := Load(&buf, 1); err == nil {
 		t.Fatal("Load accepted a stream with counts inconsistent with assignments")
+	}
+}
+
+// TestValidateNamesNegativeCount: a frozen model with one negative
+// topic-word count is rejected with the cell named, wherever in the row
+// it sits (the sign check ORs eight cells at a time, then the rest).
+func TestValidateNamesNegativeCount(t *testing.T) {
+	for _, k := range []int{0, 5, 8, 10} {
+		m := sparsePhiModel(11, 4)
+		m.Nwk = make([][]int32, m.V)
+		for w := range m.Nwk {
+			m.Nwk[w] = m.nwk[w*m.K : (w+1)*m.K]
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("sound model rejected: %v", err)
+		}
+		m.Nwk[2][k] = -3
+		want := fmt.Sprintf("Nwk[2][%d] = -3", k)
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate = %v, want an error naming %s", err, want)
+		}
 	}
 }
 
