@@ -120,7 +120,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		"(host:port): Prometheus /metrics, /v1/progress JSON and /debug/pprof/; purely observational, the trained model is unchanged")
 	trainTrace := fs.String("trace", "", "with -train-coordinator: append one JSON event per sweep, worker delta, checkpoint and "+
 		"recovery to this file; replay it with toptrace for a barrier timeline with straggler attribution")
-	verbose := fs.Bool("v", false, "verbose training logs: per-sweep sample/reconcile timing for parallel (-topic-workers) and distributed training")
+	verbose := fs.Bool("v", false, "verbose training logs: per-sweep sample/reconcile timing and, for in-process training, where the sampler's draws landed")
 	topN := fs.Int("top", 10, "phrases and unigrams to display per topic")
 	noHyper := fs.Bool("nohyper", false, "disable hyperparameter optimisation")
 	filterBG := fs.Bool("filterbg", false, "filter background phrases from topic lists")
@@ -461,7 +461,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	t0 := time.Now()
 	var model *topmine.Model
-	if *verbose && opt.TopicWorkers > 1 {
+	if *verbose {
 		model = topmine.TrainModelWithSweepStats(c, segs, opt, sweepStatsLogger(stderr))
 	} else {
 		model = topmine.TrainModel(c, segs, opt)
@@ -494,6 +494,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 // checkpoint, and every sweep after an elastic recovery), keeping -v
 // readable over thousand-sweep runs while still showing the
 // sample/reconcile split, checkpoint cost and elastic recoveries.
+// In-process sweeps also report sampler health: the share of unigram
+// draws that landed in the smoothing (s), document (r) and word (q)
+// buckets, and of phrase draws that landed on a candidate topic.
 // Checkpoint and recovery sweeps log unconditionally: they used to be
 // dropped when they fell between 25-sweep multiples, which hid exactly
 // the events worth watching for.
@@ -523,6 +526,12 @@ func sweepStatsLogger(stderr io.Writer) func(topmine.SweepStats) {
 		line += ")"
 		if st.Checkpoint > 0 {
 			line += fmt.Sprintf(", checkpoint %v", st.Checkpoint.Round(10*time.Microsecond))
+		}
+		dr := st.Draws
+		if uni := dr.Smooth + dr.Doc + dr.Word; uni > 0 {
+			pct := func(n, of int64) float64 { return 100 * float64(n) / float64(max(of, 1)) }
+			line += fmt.Sprintf("; draws s %.1f%% r %.1f%% q %.1f%%, phrase on candidates %.1f%%, exact %d",
+				pct(dr.Smooth, uni), pct(dr.Doc, uni), pct(dr.Word, uni), pct(dr.Cand, dr.Cand+dr.Rest), dr.Exact)
 		}
 		fmt.Fprintln(stderr, line)
 	}

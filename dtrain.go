@@ -31,12 +31,13 @@ import (
 //	err := topmine.ServeTrainingWorker("127.0.0.1:7600",
 //	    topmine.TrainingWorkerOptions{})
 
-// SweepStats is one sweep's timing breakdown from parallel or
-// distributed training: Sample is the barrier wait for the slowest
-// worker, Reconcile the delta fold + (for distributed runs) the
-// rebroadcast, WorkerSample the per-worker sample times, Checkpoint
-// the barrier's .tpd write (zero when none happened), Recovered the
-// cumulative count of workers re-accepted after failures.
+// SweepStats is one sweep's breakdown: Sample is the barrier wait for
+// the slowest worker, Reconcile the delta fold + (for distributed
+// runs) the rebroadcast, WorkerSample the per-worker sample times,
+// Draws where the sampler's draws landed (in-process training only),
+// Checkpoint the barrier's .tpd write (zero when none happened),
+// Recovered the cumulative count of workers re-accepted after
+// failures. A serial sweep reports as one worker with no reconcile.
 type SweepStats = topicmodel.SweepStats
 
 // CheckpointSpec configures barrier checkpointing of a distributed
@@ -317,9 +318,9 @@ func ServeTrainingWorker(addr string, wopt TrainingWorkerOptions) error {
 	}
 }
 
-// TrainModelWithSweepStats is TrainModel with a per-sweep timing hook.
-// Only parallel training (opt.TopicWorkers > 1) reports — the serial
-// sampler has no barrier to break down.
+// TrainModelWithSweepStats is TrainModel with a per-sweep hook: timing
+// (serial training has no barrier, so only Sample is set) and where
+// the sampler's draws landed.
 func TrainModelWithSweepStats(c *Corpus, segs []*SegmentedDoc, opt Options, stats func(SweepStats)) *Model {
 	cfg := toCoreConfig(opt, nil)
 	cfg.SweepStats = stats

@@ -40,8 +40,8 @@ type Config struct {
 	TopicWorkers int
 	// OnIteration, when set, observes every Gibbs sweep.
 	OnIteration func(int, *topicmodel.Model)
-	// SweepStats, when set, receives per-sweep timing breakdowns from
-	// parallel training (TopicWorkers > 1); serial sweeps do not report.
+	// SweepStats, when set, receives one breakdown per sweep: timing
+	// and where the sampler's draws landed.
 	SweepStats func(topicmodel.SweepStats)
 }
 

@@ -185,7 +185,6 @@ func serveShard(fr *framer, payload []byte, opt WorkerOptions, logf func(string,
 			if err := fr.send(fDelta, out); err != nil {
 				return nil, coordErr("delta", err)
 			}
-			m.ResetShardDelta()
 			if wantZ {
 				out = appendShardZ(out[:0], m, len(docs))
 				if err := fr.send(fCkpt, out); err != nil {

@@ -21,7 +21,13 @@ var (
 	benchFixtureOnce sync.Once
 	benchFixtureDocs []Doc
 	benchFixtureV    int
+
+	benchShortOnce sync.Once
+	benchShortDocs []Doc
 )
+
+// benchShortV is the short-document fixture's vocabulary.
+const benchShortV = 10000
 
 const benchWarmupSweeps = 30
 
@@ -34,25 +40,44 @@ func sweepBenchFixture(b *testing.B) ([]Doc, int) {
 	return benchFixtureDocs, benchFixtureV
 }
 
+// shortBenchFixture is the titles shape (about seven tokens and six
+// cliques per document): the long-abstract fixture above amortises
+// per-document work over hundreds of cliques, so only this one shows
+// what document entry costs as K grows.
+func shortBenchFixture() []Doc {
+	benchShortOnce.Do(func() { benchShortDocs = shortDocs(30000, benchShortV, 42) })
+	return benchShortDocs
+}
+
+// benchSweeps warms a model and times one sweep per op.
+func benchSweeps(b *testing.B, docs []Doc, v int, opt Options, sweep func(*Model)) {
+	opt.Iterations, opt.Seed = 1, 42
+	m := NewModel(docs, v, opt)
+	for i := 0; i < benchWarmupSweeps; i++ {
+		sweep(m)
+	}
+	tokens := float64(m.TotalTokens())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep(m)
+	}
+	b.ReportMetric(tokens*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
+}
+
 func BenchmarkSweep(b *testing.B) {
 	docs, v := sweepBenchFixture(b)
 	for _, k := range []int{50, 200, 1000} {
 		for _, mode := range []string{"sparse", "dense"} {
 			b.Run(fmt.Sprintf("K%d/%s", k, mode), func(b *testing.B) {
-				m := NewModel(docs, v, Options{K: k, Iterations: 1, Seed: 42,
-					DenseSampler: mode == "dense"})
-				for i := 0; i < benchWarmupSweeps; i++ {
-					m.Sweep()
-				}
-				tokens := float64(m.TotalTokens())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.Sweep()
-				}
-				b.ReportMetric(tokens*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
+				benchSweeps(b, docs, v, Options{K: k, DenseSampler: mode == "dense"}, (*Model).Sweep)
 			})
 		}
+	}
+	for _, k := range []int{100, 200} {
+		b.Run(fmt.Sprintf("short/K%d/sparse", k), func(b *testing.B) {
+			benchSweeps(b, shortBenchFixture(), benchShortV, Options{K: k}, (*Model).Sweep)
+		})
 	}
 }
 
@@ -60,18 +85,16 @@ func BenchmarkSweepParallel(b *testing.B) {
 	docs, v := sweepBenchFixture(b)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("K200/workers%d", workers), func(b *testing.B) {
-			m := NewModel(docs, v, Options{K: 200, Iterations: 1, Seed: 42})
-			for i := 0; i < benchWarmupSweeps; i++ {
-				m.SweepParallel(workers)
-			}
-			tokens := float64(m.TotalTokens())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.SweepParallel(workers)
-			}
-			b.ReportMetric(tokens*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
+			benchSweeps(b, docs, v, Options{K: 200}, func(m *Model) { m.SweepParallel(workers) })
 		})
+	}
+	for _, k := range []int{100, 200} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("short/K%d/workers%d", k, workers), func(b *testing.B) {
+				benchSweeps(b, shortBenchFixture(), benchShortV, Options{K: k},
+					func(m *Model) { m.SweepParallel(workers) })
+			})
+		}
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Distributed AD-LDA support: the pieces of the sweep barrier that
@@ -180,61 +183,120 @@ func (m *Model) SetPriors(alpha []float64, alphaSum, beta, betaSum float64) erro
 }
 
 // ShardSweep runs one sweep of this (shard) model as distributed
-// worker workerIndex: the same RNG stream, visit order and per-clique
-// math as the corresponding SweepParallel goroutine. It returns the
-// shard's sparse N_wk delta; the rows alias reusable worker buffers,
-// so the caller must encode (or copy) the delta and then call
-// ResetShardDelta before the next sweep.
+// worker workerIndex: the same RNG stream, visit order and kernel as
+// the corresponding SweepParallel goroutine. It returns the shard's
+// sparse N_wk delta for the coordinator to fold (the worker receives
+// the folded row values back via SetGlobalRows); the rows alias
+// reusable worker buffers and are valid until the next ShardSweep.
 func (m *Model) ShardSweep(workerIndex int, base uint64) *CountRows {
-	ps := m.ensurePar(1)
-	ws := ps.workers[0]
-	ws.rng.Seed(base + uint64(workerIndex)*workerSeedStride)
-	for d := range m.Docs {
-		for g := range m.Docs[d].Cliques {
-			m.sampleCliqueDelta(ws, d, g)
-		}
-	}
-	cr := &CountRows{
-		K:     m.K,
-		Words: ws.touched,
-		Rows:  make([][]int32, len(ws.touched)),
-		Nk:    ws.nk,
-	}
-	for i, w := range ws.touched {
-		cr.Rows[i] = ws.rows[ws.rowOf[w]]
-	}
-	return cr
+	m.ensureSparse()
+	ws := m.ensurePar(1).workers[0]
+	ws.sweepShard(0, len(m.Docs), base+uint64(workerIndex)*workerSeedStride)
+	cr := ws.delta()
+	return &cr
 }
 
-// ResetShardDelta zeroes the worker delta produced by the last
-// ShardSweep without applying it — the coordinator owns the fold; the
-// worker instead receives the folded row values back via
-// SetGlobalRows.
-func (m *Model) ResetShardDelta() {
-	if m.par == nil || len(m.par.workers) != 1 {
-		return
-	}
-	ws := m.par.workers[0]
-	for _, w := range ws.touched {
-		row := ws.rows[ws.rowOf[w]]
-		for k := range row {
-			row[k] = 0
-		}
-		ws.rowOf[w] = -1
-	}
-	ws.touched = ws.touched[:0]
-	ws.used = 0
-	for k := range ws.nk {
-		ws.nk[k] = 0
-	}
-}
-
-// foldState is the coordinator's reusable scratch for FoldShardDeltas:
-// an O(V) index of rows touched in the current fold plus the touch
-// order, mirroring parWorker's sparse-delta bookkeeping.
+// foldState is the reusable scratch of a barrier fold.
 type foldState struct {
-	rowOf []int32 // [V], -1 = untouched this fold
-	words []int32 // touched words in first-touch order
+	pending []int32 // [V] deltas of the current fold still to add to the word's row; 0 between folds
+	words   []int32 // rows the current fold touches, in first-touch order
+}
+
+// foldDeltas adds every delta to the global counts: the reconcile step
+// of SweepParallel and of the distributed barrier. It leaves the words
+// whose rows it touched in m.fold.words, in first-touch order. The
+// caller has checked the deltas' shapes. Folding is integer addition,
+// so the result is independent of delta order.
+//
+// The last delta to reach a row closes it while it is still in cache:
+// the row is checked for negative counts — those can only come from a
+// corrupted or mismatched delta, caught here at the barrier instead of
+// training on garbage — and, when the global word-topic index is live,
+// re-listed in sorted packed order. A word's list is then a pure
+// function of its counts, which is what keeps a distributed or
+// recovered run on the in-process one's random stream.
+//
+// Every touched row is a K-stride walk on both sides, so the fold is
+// split by word id over as many goroutines as there are deltas and
+// CPUs; rows of different words share nothing.
+func (m *Model) foldDeltas(deltas []*CountRows) error {
+	if m.fold == nil {
+		m.fold = &foldState{pending: make([]int32, m.V)}
+	}
+	f := m.fold
+	f.words = f.words[:0]
+	for _, cr := range deltas {
+		for _, w := range cr.Words {
+			if f.pending[w] == 0 {
+				f.words = append(f.words, w)
+			}
+			f.pending[w]++
+		}
+		for k, v := range cr.Nk {
+			m.Nk[k] += v
+		}
+	}
+	var lists [][]uint64
+	if sp := m.sp; sp != nil && sp.valid {
+		lists = sp.wt
+	}
+	var bad atomic.Int32 // a word whose folded row holds a negative count
+	bad.Store(-1)
+	parts := int32(min(len(deltas), runtime.GOMAXPROCS(0)))
+	foldPart := func(part int32) {
+		for _, cr := range deltas {
+			for i, w := range cr.Words {
+				if w%parts != part {
+					continue
+				}
+				src := cr.Rows[i]
+				dst := m.nwkRow(w)[:len(src)]
+				for k, v := range src {
+					dst[k] += v
+				}
+				if f.pending[w]--; f.pending[w] > 0 {
+					continue
+				}
+				var negative bool
+				if lists != nil {
+					lists[w], negative = packRow(lists[w][:0], dst)
+				} else {
+					var or int32
+					for _, c := range dst {
+						or |= c
+					}
+					negative = or < 0
+				}
+				if negative {
+					bad.Store(w)
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for part := int32(1); part < parts; part++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			foldPart(part)
+		}()
+	}
+	foldPart(0)
+	wg.Wait()
+
+	if w := bad.Load(); w >= 0 {
+		for k, v := range m.nwkRow(w) {
+			if v < 0 {
+				return fmt.Errorf("topicmodel: fold drove Nwk[%d][%d] negative (%d)", w, k, v)
+			}
+		}
+	}
+	for k, v := range m.Nk {
+		if v < 0 {
+			return fmt.Errorf("topicmodel: fold drove Nk[%d] negative (%d)", k, v)
+		}
+	}
+	return nil
 }
 
 // FoldShardDeltas applies every worker's sweep delta to the global
@@ -245,19 +307,6 @@ type foldState struct {
 // the next mutation of the model. Folding is integer addition, so the
 // result is independent of delta order.
 func (m *Model) FoldShardDeltas(deltas []*CountRows) (*CountRows, error) {
-	if m.fold == nil {
-		f := &foldState{rowOf: make([]int32, m.V)}
-		for w := range f.rowOf {
-			f.rowOf[w] = -1
-		}
-		m.fold = f
-	}
-	f := m.fold
-	for _, w := range f.words {
-		f.rowOf[w] = -1
-	}
-	f.words = f.words[:0]
-
 	for di, cr := range deltas {
 		if cr.K != m.K {
 			return nil, fmt.Errorf("topicmodel: delta %d has K=%d, want %d", di, cr.K, m.K)
@@ -265,41 +314,20 @@ func (m *Model) FoldShardDeltas(deltas []*CountRows) (*CountRows, error) {
 		if len(cr.Nk) != m.K {
 			return nil, fmt.Errorf("topicmodel: delta %d has %d topic totals, want %d", di, len(cr.Nk), m.K)
 		}
-		for i, w := range cr.Words {
+		for _, w := range cr.Words {
 			if w < 0 || int(w) >= m.V {
 				return nil, fmt.Errorf("topicmodel: delta %d touches word %d outside vocab %d", di, w, m.V)
 			}
-			if f.rowOf[w] < 0 {
-				f.rowOf[w] = int32(len(f.words))
-				f.words = append(f.words, w)
-			}
-			dst := m.nwkRow(w)
-			for k, v := range cr.Rows[i] {
-				dst[k] += v
-			}
-		}
-		for k, v := range cr.Nk {
-			m.Nk[k] += v
 		}
 	}
-	// A negative count can only come from a corrupted or mismatched
-	// delta; catch it at the barrier instead of training on garbage.
-	out := &CountRows{K: m.K, Words: f.words, Rows: make([][]int32, len(f.words)), Nk: m.Nk}
-	for i, w := range f.words {
-		row := m.nwkRow(w)
-		for k, v := range row {
-			if v < 0 {
-				return nil, fmt.Errorf("topicmodel: fold drove Nwk[%d][%d] negative (%d)", w, k, v)
-			}
-		}
-		out.Rows[i] = row
+	if err := m.foldDeltas(deltas); err != nil {
+		return nil, err
 	}
-	for k, v := range m.Nk {
-		if v < 0 {
-			return nil, fmt.Errorf("topicmodel: fold drove Nk[%d] negative (%d)", k, v)
-		}
+	words := m.fold.words
+	out := &CountRows{K: m.K, Words: words, Rows: make([][]int32, len(words)), Nk: m.Nk}
+	for i, w := range words {
+		out.Rows[i] = m.nwkRow(w)
 	}
-	m.invalidateSparse()
 	return out, nil
 }
 
@@ -318,10 +346,13 @@ func (m *Model) SetGlobalRows(cr *CountRows) error {
 		if w < 0 || int(w) >= m.V {
 			return fmt.Errorf("topicmodel: global row word %d outside vocab %d", w, m.V)
 		}
-		copy(m.nwkRow(w), cr.Rows[i])
+		row := m.nwkRow(w)
+		copy(row, cr.Rows[i])
+		if sp := m.sp; sp != nil && sp.valid {
+			sp.wt[w], _ = packRow(sp.wt[w][:0], row)
+		}
 	}
 	copy(m.Nk, cr.Nk)
-	m.invalidateSparse()
 	return nil
 }
 
@@ -350,7 +381,6 @@ func (m *Model) InstallShardState(lo int, z [][]int32) error {
 		}
 		copy(m.Z[d], zr)
 	}
-	m.invalidateSparse()
 	return nil
 }
 

@@ -71,7 +71,6 @@ func distSimulate(t *testing.T, docs []Doc, v int, opt Options, workers int) *Mo
 				t.Fatalf("delta codec round trip: n=%d len=%d err=%v", n, len(wire), err)
 			}
 			deltas[wi] = dec
-			sm.ResetShardDelta()
 		}
 		combined, err := cm.FoldShardDeltas(deltas)
 		if err != nil {

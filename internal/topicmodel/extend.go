@@ -18,8 +18,8 @@ import (
 // the grown V in the β denominator), driven by a fresh RNG seeded with
 // seed — so extension is deterministic for a fixed seed regardless of
 // how the model was trained. The incremental sampler state (sparse
-// word-topic index, parallel worker deltas) is dropped and rebuilt
-// lazily by the next sweep.
+// word-topic index, parallel workers, barrier fold scratch — all sized
+// to the old V) is dropped and rebuilt lazily by the next sweep.
 func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 	if newV < m.V {
 		return fmt.Errorf("topicmodel: Extend: vocabulary cannot shrink (have %d, got %d); ids are append-only", m.V, newV)
@@ -40,6 +40,7 @@ func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 	m.weights = make([]float64, m.K)
 	m.sp = nil
 	m.par = nil
+	m.fold = nil
 	m.compactCounts()
 
 	// Grow the word-topic arena to newV rows; existing rows keep their

@@ -54,6 +54,49 @@ func TestExtendInvariants(t *testing.T) {
 	}
 }
 
+// TestExtendDropsBarrierScratch: every piece of sampler state sized to
+// the old vocabulary goes with Extend — the sparse index, the parallel
+// workers and the coordinator-side fold scratch — so a parallel sweep
+// and a distributed fold can touch the new word ids straight away.
+func TestExtendDropsBarrierScratch(t *testing.T) {
+	m := NewModel(twoTopicDocs(5, 15), 10, Options{K: 3, Iterations: 1, Seed: 5})
+	m.SweepParallel(2) // arms the sparse index, the workers and the fold scratch at V=10
+	if err := m.Extend(grownDocs(4, 12, 6), 16, 99); err != nil {
+		t.Fatal(err)
+	}
+	m.SweepParallel(2)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// A delta that moves one token of a new word between two topics.
+	const w = 15
+	from := -1
+	for k, c := range m.Nwk[w] {
+		if c > 0 {
+			from = k
+		}
+	}
+	if from < 0 {
+		t.Fatalf("word %d has no tokens after Extend", w)
+	}
+	to := (from + 1) % m.K
+	row := make([]int32, m.K)
+	nk := make([]int64, m.K)
+	row[from], row[to] = -1, 1
+	nk[from], nk[to] = -1, 1
+	want := m.Nwk[w][to] + 1
+	out, err := m.FoldShardDeltas([]*CountRows{{K: m.K, Words: []int32{w}, Rows: [][]int32{row}, Nk: nk}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Words) != 1 || out.Words[0] != w || out.Rows[0][to] != want {
+		t.Fatalf("fold of a new word id returned %+v", out)
+	}
+	if err := m.sp.checkWordLists(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExtendDeterministic(t *testing.T) {
 	build := func() *Model {
 		m := Train(twoTopicDocs(5, 15), 10, Options{K: 3, Iterations: 10, Seed: 5})

@@ -245,24 +245,7 @@ func TestInferKernelExactPosterior(t *testing.T) {
 		}
 		hist[code]++
 	}
-	// Pool the states too rare for the χ² approximation into one bin.
-	var chi, poolObs, poolExp float64
-	bins := 0
-	for code, obs := range hist {
-		exp := n * p[code] / norm
-		if exp < 10 {
-			poolObs, poolExp = poolObs+obs, poolExp+exp
-			continue
-		}
-		chi += (obs - exp) * (obs - exp) / exp
-		bins++
-	}
-	if poolExp > 0 {
-		chi += (poolObs - poolExp) * (poolObs - poolExp) / poolExp
-		bins++
-	}
-	df := float64(bins - 1)
-	if limit := df + 4*math.Sqrt(2*df); chi > limit {
+	if chi, limit, bins := chiSquareFit(hist, p, norm, n); chi > limit {
 		t.Errorf("χ² = %.1f over %d bins, limit %.1f: the kernel's chain does not fit the exact posterior", chi, bins, limit)
 	} else {
 		t.Logf("χ² = %.1f over %d bins (limit %.1f)", chi, bins, limit)

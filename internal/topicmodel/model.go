@@ -2,6 +2,7 @@ package topicmodel
 
 import (
 	"fmt"
+	"time"
 
 	"topmine/internal/xrand"
 )
@@ -36,9 +37,9 @@ type Options struct {
 	// OnIteration, when set, runs after each sweep (1-based); used for
 	// perplexity curves and runtime instrumentation.
 	OnIteration func(iter int, m *Model)
-	// SweepStats, when set, receives a per-sweep timing breakdown from
-	// the parallel and distributed sweep paths (sample vs. barrier/
-	// reconcile wait). Serial sweeps do not report.
+	// SweepStats, when set, receives a per-sweep breakdown: sample vs.
+	// barrier/reconcile time from the parallel and distributed sweep
+	// paths, and from every in-process sweep where its draws landed.
 	SweepStats func(SweepStats)
 }
 
@@ -128,7 +129,7 @@ type Model struct {
 	sp         *sparseSampler
 	par        *parState
 	sweepStats func(SweepStats) // optional timing hook; never serialised
-	sweepSeq   int              // SweepParallel calls since construction; never serialised
+	sweepSeq   int              // sweeps since construction; never serialised
 	fold       *foldState       // coordinator-side delta fold scratch (dist.go)
 }
 
@@ -244,36 +245,42 @@ func (m *Model) denseCliqueWeights(d int, clique []int32) []float64 {
 }
 
 // cliqueWeightsInto is denseCliqueWeights against an explicit
-// document count row — the sparse sampler's fallback reuses it with
-// its cached row.
+// document count row (Extend initialises new documents with it).
 func (m *Model) cliqueWeightsInto(ndk []int32, clique []int32) []float64 {
-	w := m.weights
-	if len(clique) == 1 {
+	rows := m.denseRows[:0]
+	for _, word := range clique {
+		rows = append(rows, m.nwkRow(word))
+	}
+	m.denseRows = rows
+	m.eq7Weights(m.weights, ndk, rows, m.Nk)
+	return m.weights
+}
+
+// eq7Weights fills w with Equation 7 for a removed clique whose words
+// have the count rows `rows`, in a document with count row ndk, under
+// topic totals nk. The dense reference sampler evaluates it over the
+// model's counts; the sparse sampler's guard over its own view.
+func (m *Model) eq7Weights(w []float64, ndk []int32, rows [][]int32, nk []int64) {
+	if len(rows) == 1 {
 		// LDA fast path (W = 1).
-		row := m.nwkRow(clique[0])
+		row := rows[0]
 		for k := 0; k < m.K; k++ {
 			w[k] = (m.Alpha[k] + float64(ndk[k])) *
 				(m.Beta + float64(row[k])) /
-				(m.BetaSum + float64(m.Nk[k]))
+				(m.BetaSum + float64(nk[k]))
 		}
-	} else {
-		rows := m.denseRows[:0]
-		for _, word := range clique {
-			rows = append(rows, m.nwkRow(word))
-		}
-		m.denseRows = rows
-		for k := 0; k < m.K; k++ {
-			p := 1.0
-			ak := m.Alpha[k] + float64(ndk[k])
-			denom := m.BetaSum + float64(m.Nk[k])
-			for j := range clique {
-				fj := float64(j)
-				p *= (ak + fj) * (m.Beta + float64(rows[j][k])) / (denom + fj)
-			}
-			w[k] = p
-		}
+		return
 	}
-	return w
+	for k := 0; k < m.K; k++ {
+		p := 1.0
+		ak := m.Alpha[k] + float64(ndk[k])
+		denom := m.BetaSum + float64(nk[k])
+		for j := range rows {
+			fj := float64(j)
+			p *= (ak + fj) * (m.Beta + float64(rows[j][k])) / (denom + fj)
+		}
+		w[k] = p
+	}
 }
 
 // sampleCliqueDense resamples the topic of clique g of document d from
@@ -291,13 +298,25 @@ func (m *Model) sampleCliqueDense(d, g int) {
 // Sweep runs one full Gibbs pass over all cliques. By default it uses
 // the sparse bucketed sampler (amortised O(K_d + K_w) per clique, see
 // sparse.go); models built with Options.DenseSampler use the dense
-// O(K) reference path. Both sample from the exact conditional.
+// O(K) reference path. Both sample from the exact conditional. With a
+// SweepStats hook set, the sweep reports its wall time and where its
+// draws landed as a one-worker sweep with no reconcile.
 func (m *Model) Sweep() {
+	m.sweepSeq++
+	stats := m.sweepStats
+	var t0 time.Time
+	if stats != nil {
+		t0 = time.Now()
+	}
+	var draws DrawStats
 	if m.DenseSampler {
 		m.SweepDense()
-		return
+	} else {
+		draws = m.sweepSparse()
 	}
-	m.sweepSparse()
+	if stats != nil {
+		stats(SweepStats{Sweep: m.sweepSeq, Workers: 1, Sample: time.Since(t0), Draws: draws})
+	}
 }
 
 // SweepDense runs one full Gibbs pass with the reference dense

@@ -13,7 +13,7 @@ import (
 // of the topic-modeling stage. Documents are sharded across workers;
 // each sweep, every worker samples its shard against the global
 // topic-word counts frozen at the sweep barrier plus its own private
-// delta, and the deltas are reconciled at the barrier:
+// changes, and the changes are reconciled at the barrier:
 //
 //	global' = global + Σ_w delta_w
 //
@@ -24,15 +24,27 @@ import (
 // approximation. Results are deterministic for a fixed worker count
 // but differ from the serial sampler's.
 //
-// Memory: a worker's delta is sparse — one reusable K-stride row per
-// word its shard actually touched, plus an O(V) row index — so a
-// sweep's footprint is O(cells touched) instead of the V×K count copy
-// per worker the first implementation snapshotted (4·V·K bytes per
-// worker per sweep). The buffers persist across sweeps: after the
-// first sweep of a training run, SweepParallel allocates nothing
+// A worker is the sparse sampler of sparse.go — the same apply,
+// drawUnigram, drawPhrase and catchUp the serial sweep runs, O(K_d +
+// K_w) per clique — bound to a copy-on-touch overlay instead of the
+// model's arenas: the first time a sweep touches word w the worker
+// copies w's frozen global K-stride row and packed list into its row
+// pool and from then on reads and edits the copy, so its view of w is
+// always "frozen global + own changes" in one row. It keeps a private
+// copy of N_k with its own reciprocals, smoothing masses and journal,
+// and draws from its own RNG stream. When its shard is done the worker
+// subtracts the global row back out of each overlay row, still on its
+// own goroutine, which leaves exactly the sparse delta the barrier
+// folds (and the distributed wire frames and checkpoints carry).
+//
+// Memory: one reusable K-stride row and short packed list per word the
+// shard actually touched, plus an O(V) row index — O(cells touched),
+// not a V×K copy per worker. The buffers persist across sweeps: after
+// the first sweep of a training run, SweepParallel allocates nothing
 // proportional to the model. Reconciliation likewise walks only the
-// touched rows, worker-outermost, each row one contiguous K-stride
-// block of the arena.
+// touched rows, each one contiguous K-stride block of the arena, and
+// rebuilds the global packed list of every row it changed, so the
+// index stays live from one sweep to the next.
 
 // workerSeedStride separates the per-worker RNG streams derived from a
 // sweep's base draw. The distributed worker (dist.go) must use the
@@ -69,23 +81,28 @@ func ShardRanges(docs []Doc, workers int) [][2]int {
 	return ranges
 }
 
-// SweepStats is one parallel (or distributed) sweep's timing breakdown,
-// delivered through the hook installed by Options.SweepStats or
-// SetSweepStats. Sample is the barrier wait — sweep start to the
-// slowest worker finishing (for a distributed run, to its delta frame
-// arriving) — and Reconcile covers folding the deltas back into the
-// global counts (plus the rebroadcast, when distributed).
+// SweepStats is one sweep's breakdown, delivered through the hook
+// installed by Options.SweepStats or SetSweepStats. Sample is the
+// barrier wait — sweep start to the slowest worker finishing (for a
+// distributed run, to its delta frame arriving) — and Reconcile covers
+// folding the deltas back into the global counts (plus the rebroadcast,
+// when distributed). A serial sweep reports as one worker with no
+// reconcile.
 type SweepStats struct {
 	// Sweep is the 1-based sweep this breakdown describes. In-process
-	// parallel training counts SweepParallel calls since the model was
-	// built; a distributed run reports the coordinator's schedule
-	// iteration, which rewinds with the rollback after an elastic
-	// recovery (so the same sweep number can be reported twice).
+	// training counts sweeps since the model was built; a distributed
+	// run reports the coordinator's schedule iteration, which rewinds
+	// with the rollback after an elastic recovery (so the same sweep
+	// number can be reported twice).
 	Sweep        int
 	Workers      int
 	Sample       time.Duration
 	Reconcile    time.Duration
 	WorkerSample []time.Duration // per-worker sample wall time
+	// Draws counts where the sweep's draws landed, summed over workers.
+	// In-process sweeps only: the distributed wire format does not carry
+	// it.
+	Draws DrawStats
 	// Checkpoint is the time spent writing this barrier's on-disk
 	// checkpoint; zero on barriers that did not write one. Distributed
 	// runs only.
@@ -96,9 +113,8 @@ type SweepStats struct {
 	Recovered int
 }
 
-// SetSweepStats installs (or clears) the per-sweep timing hook. Only
-// the parallel and distributed sweep paths report; timing is not
-// measured when no hook is set.
+// SetSweepStats installs (or clears) the per-sweep hook. Nothing is
+// timed when no hook is set.
 func (m *Model) SetSweepStats(fn func(SweepStats)) { m.sweepStats = fn }
 
 // NextSweepBase draws the per-sweep RNG base exactly as SweepParallel
@@ -109,12 +125,13 @@ func (m *Model) NextSweepBase() uint64 { return m.rng.Uint64() }
 // SweepParallel runs one Gibbs pass with the given number of workers.
 // workers <= 1 falls back to the exact serial sweep.
 func (m *Model) SweepParallel(workers int) {
-	m.sweepSeq++
 	if workers <= 1 || len(m.Docs) < 2*workers {
 		m.Sweep()
 		return
 	}
+	m.sweepSeq++
 	base := m.NextSweepBase()
+	m.ensureSparse() // the global lists the overlays copy from
 	ps := m.ensurePar(workers)
 
 	stats := m.sweepStats
@@ -126,28 +143,20 @@ func (m *Model) SweepParallel(workers int) {
 	}
 
 	var wg sync.WaitGroup
-	for wi, r := range ShardRanges(m.Docs, workers) {
-		lo, hi := r[0], r[1]
-		if lo >= hi {
-			continue
-		}
+	for wi, ws := range ps.workers {
 		wg.Add(1)
-		go func(ws *parWorker, wi, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			var start time.Time
 			if stats != nil {
 				start = time.Now()
 			}
-			ws.rng.Seed(base + uint64(wi)*workerSeedStride)
-			for d := lo; d < hi; d++ {
-				for g := range m.Docs[d].Cliques {
-					m.sampleCliqueDelta(ws, d, g)
-				}
-			}
+			r := ps.ranges[wi]
+			ws.sweepShard(r[0], r[1], base+uint64(wi)*workerSeedStride)
 			if stats != nil {
 				perWorker[wi] = time.Since(start)
 			}
-		}(ps.workers[wi], wi, lo, hi)
+		}()
 	}
 	wg.Wait()
 
@@ -158,29 +167,16 @@ func (m *Model) SweepParallel(workers int) {
 		t1 = time.Now()
 	}
 
-	// Reconcile worker-outermost: each worker's touched rows are
-	// contiguous K-stride blocks, applied and re-zeroed in one pass,
+	// Reconcile: fold every worker's delta into the global counts,
 	// O(touched rows × K) total.
-	for _, ws := range ps.workers {
-		for _, w := range ws.touched {
-			row := ws.rows[ws.rowOf[w]]
-			dst := m.nwkRow(w)
-			for k, v := range row {
-				dst[k] += v
-				row[k] = 0
-			}
-			ws.rowOf[w] = -1
-		}
-		ws.touched = ws.touched[:0]
-		ws.used = 0
-		for k, v := range ws.nk {
-			m.Nk[k] += v
-			ws.nk[k] = 0
-		}
+	var draws DrawStats
+	for wi, ws := range ps.workers {
+		*ps.deltas[wi] = ws.delta()
+		draws.add(ws.draws)
 	}
-	// The bulk count update bypassed the sparse sampler's word-topic
-	// index; rebuild it lazily on the next serial sparse sweep.
-	m.invalidateSparse()
+	if err := m.foldDeltas(ps.deltas); err != nil {
+		panic(err) // a worker's own delta cannot drive a count negative
+	}
 
 	if stats != nil {
 		stats(SweepStats{
@@ -189,120 +185,129 @@ func (m *Model) SweepParallel(workers int) {
 			Sample:       sampleDur,
 			Reconcile:    time.Since(t1),
 			WorkerSample: perWorker,
+			Draws:        draws,
 		})
 	}
 }
 
-// parState holds the reusable worker buffers across sweeps.
+// parState holds the workers and their shard ranges across sweeps.
 type parState struct {
-	workers []*parWorker
+	workers []*sparseSampler
+	deltas  []*CountRows // the workers' last sweeps, refilled for each fold
+	ranges  [][2]int     // ShardRanges(m.Docs, len(workers)) for ndocs documents
+	ndocs   int
 }
 
-// parWorker is one worker's sparse delta against the frozen global
-// counts, plus its sampling scratch. All buffers are reused; rows are
-// zeroed during reconciliation so a sweep starts clean.
-type parWorker struct {
-	rowOf   []int32   // [V] index into rows, -1 = word untouched
-	rows    [][]int32 // row pool, each K entries
-	used    int       // rows handed out this sweep
-	touched []int32   // words with a live row, in first-touch order
-	nk      []int64   // [K] topic-total delta
-	weights []float64 // [K] sampling scratch
-	rowPtr  [][]int32 // per-clique delta-row cache (phrase cliques)
-	gRowPtr [][]int32 // per-clique global-row cache (phrase cliques)
-	rng     *xrand.RNG
+// overlay is a worker's copy-on-touch view of the word-topic counts:
+// the rows and packed lists of the words its shard has touched this
+// sweep, each started as a copy of the frozen global one. All buffers
+// are reused from sweep to sweep; rows outside touched are all zero.
+type overlay struct {
+	rowOf   []int32    // [V] index into rows and lists, -1 = word untouched
+	rows    [][]int32  // row pool, each K entries; rows[i] is touched[i]'s
+	lists   [][]uint64 // packed list of rows[i]
+	touched []int32    // words with a live row, in first-touch order
+}
+
+// overlayChunk is how many pool rows one allocation holds: rows are
+// carved from chunks so that the pool, the largest thing a worker owns,
+// carries no per-row allocator slack.
+const overlayChunk = 256
+
+// touch gives word w a live overlay slot holding a copy of m's global
+// row and list. The slot's row is all zero and a global row is nonzero
+// exactly on its packed list, so the copy writes K_w cells, not K.
+func (ov *overlay) touch(m *Model, w int32) int32 {
+	ri := len(ov.touched)
+	if ri == len(ov.rows) {
+		chunk := make([]int32, overlayChunk*m.K)
+		for i := 0; i < overlayChunk; i++ {
+			ov.rows = append(ov.rows, chunk[i*m.K:(i+1)*m.K:(i+1)*m.K])
+		}
+		ov.lists = append(ov.lists, make([][]uint64, overlayChunk)...)
+	}
+	row, global := ov.rows[ri], m.sp.wt[w]
+	for _, e := range global {
+		row[uint32(e)] = int32(e >> 32)
+	}
+	ov.lists[ri] = append(ov.lists[ri][:0], global...)
+	ov.rowOf[w] = int32(ri)
+	ov.touched = append(ov.touched, w)
+	return int32(ri)
 }
 
 // ensurePar returns reusable worker state for the given worker count,
 // building it when the count changes (determinism is only promised
 // for a fixed count, so a rebuild never mixes streams).
 func (m *Model) ensurePar(workers int) *parState {
-	if m.par != nil && len(m.par.workers) == workers {
-		return m.par
-	}
-	ps := &parState{workers: make([]*parWorker, workers)}
-	for i := range ps.workers {
-		ws := &parWorker{
-			rowOf:   make([]int32, m.V),
-			nk:      make([]int64, m.K),
-			weights: make([]float64, m.K),
-			rng:     xrand.New(0),
+	ps := m.par
+	if ps == nil || len(ps.workers) != workers {
+		ps = &parState{workers: make([]*sparseSampler, workers), deltas: make([]*CountRows, workers)}
+		lengths := m.ensureSparse().lengths
+		for i := range ps.workers {
+			ps.deltas[i] = new(CountRows)
+			ws := newSparseSampler(m, lengths)
+			ws.nk = make([]int64, m.K)
+			ws.rng = xrand.New(0)
+			ws.ov = &overlay{rowOf: make([]int32, m.V)}
+			for w := range ws.ov.rowOf {
+				ws.ov.rowOf[w] = -1
+			}
+			ps.workers[i] = ws
 		}
-		for w := range ws.rowOf {
-			ws.rowOf[w] = -1
-		}
-		ps.workers[i] = ws
+		m.par = ps
 	}
-	m.par = ps
+	if ps.ranges == nil || ps.ndocs != len(m.Docs) {
+		ps.ranges, ps.ndocs = ShardRanges(m.Docs, workers), len(m.Docs)
+	}
 	return ps
 }
 
-// deltaRow returns the worker's delta row for word w, creating (or
-// recycling) one on first touch.
-func (ws *parWorker) deltaRow(w int32, k int) []int32 {
-	if ri := ws.rowOf[w]; ri >= 0 {
-		return ws.rows[ri]
-	}
-	if ws.used == len(ws.rows) {
-		ws.rows = append(ws.rows, make([]int32, k))
-	}
-	row := ws.rows[ws.used]
-	ws.rowOf[w] = int32(ws.used)
-	ws.used++
-	ws.touched = append(ws.touched, w)
-	return row
+// sweepShard is one worker's sweep over documents [lo, hi). It leaves
+// the overlay holding the shard's delta, valid until the worker's next
+// sweep.
+func (sp *sparseSampler) sweepShard(lo, hi int, seed uint64) {
+	sp.beginShard(seed)
+	sp.sweepDocs(lo, hi)
+	sp.toDelta()
 }
 
-// sampleCliqueDelta is the dense clique draw against the worker's view
-// of the counts: frozen global + private delta. Ndk/Nd rows are owned
-// by the document's worker, so they mutate in place.
-func (m *Model) sampleCliqueDelta(ws *parWorker, d, g int) {
-	clique := m.Docs[d].Cliques[g]
-	old := m.Z[d][g]
-	ndk := m.ndkRow(d)
-	ndk[old] -= int32(len(clique))
-	for _, w := range clique {
-		ws.deltaRow(w, m.K)[old]--
+// beginShard forgets the previous sweep's overlay, so the view is the
+// frozen global counts again, binds the private N_k to the global
+// totals and seeds the worker's stream.
+func (sp *sparseSampler) beginShard(seed uint64) {
+	ov := sp.ov
+	for i, w := range ov.touched {
+		clear(ov.rows[i])
+		ov.rowOf[w] = -1
 	}
-	ws.nk[old] -= int64(len(clique))
+	ov.touched = ov.touched[:0]
+	copy(sp.nk, sp.m.Nk)
+	sp.rng.Seed(seed)
+}
 
-	wts := ws.weights
-	if len(clique) == 1 {
-		word := clique[0]
-		gRow := m.nwkRow(word)
-		dRow := ws.rows[ws.rowOf[word]] // live: the removal above touched it
-		for k := 0; k < m.K; k++ {
-			wts[k] = (m.Alpha[k] + float64(ndk[k])) *
-				(m.Beta + float64(gRow[k]+dRow[k])) /
-				(m.BetaSum + float64(m.Nk[k]+ws.nk[k]))
-		}
-	} else {
-		dRows := ws.rowPtr[:0]
-		gRows := ws.gRowPtr[:0]
-		for _, w := range clique {
-			dRows = append(dRows, ws.rows[ws.rowOf[w]])
-			gRows = append(gRows, m.nwkRow(w))
-		}
-		ws.rowPtr, ws.gRowPtr = dRows, gRows
-		for k := 0; k < m.K; k++ {
-			p := 1.0
-			ak := m.Alpha[k] + float64(ndk[k])
-			denom := m.BetaSum + float64(m.Nk[k]+ws.nk[k])
-			for j := range clique {
-				fj := float64(j)
-				nw := gRows[j][k] + dRows[j][k]
-				p *= (ak + fj) * (m.Beta + float64(nw)) / (denom + fj)
-			}
-			wts[k] = p
+// toDelta turns every overlay row (and the private N_k) into its
+// difference from the global one: the sparse delta delta() hands to
+// the fold. A global row is nonzero exactly on its packed list, so the
+// subtraction walks that instead of K cells.
+func (sp *sparseSampler) toDelta() {
+	m := sp.m
+	for i, w := range sp.ov.touched {
+		row := sp.ov.rows[i]
+		for _, e := range m.sp.wt[w] {
+			row[uint32(e)] -= int32(e >> 32)
 		}
 	}
-	k := int32(ws.rng.Categorical(wts))
-	m.Z[d][g] = k
-	ndk[k] += int32(len(clique))
-	for _, w := range clique {
-		ws.deltaRow(w, m.K)[k]++
+	for k, g := range m.Nk {
+		sp.nk[k] -= g
 	}
-	ws.nk[k] += int64(len(clique))
+}
+
+// delta returns the worker's last sweep as a sparse delta whose rows
+// alias the overlay's buffers.
+func (sp *sparseSampler) delta() CountRows {
+	ov := sp.ov
+	return CountRows{K: sp.m.K, Words: ov.touched, Rows: ov.rows[:len(ov.touched)], Nk: sp.nk}
 }
 
 // TrainParallel is Train with SweepParallel; see the package-level

@@ -97,9 +97,9 @@ func TestSweepParallelSkewedDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepStatsHook pins the per-sweep timing hook: parallel sweeps
-// report worker count and per-worker sample durations; clearing the
-// hook stops reporting.
+// TestSweepStatsHook pins the per-sweep hook: parallel sweeps report
+// worker count and per-worker sample durations; clearing the hook
+// stops reporting.
 func TestSweepStatsHook(t *testing.T) {
 	docs := twoTopicDocs(20, 20)
 	m := NewModel(docs, 10, Options{K: 2, Iterations: 1, Seed: 13})
@@ -125,6 +125,50 @@ func TestSweepStatsHook(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSweepStatsObservational pins that the hook only watches: the
+// sampled assignments are identical with and without one, serial and
+// 2-worker, and every draw of a sweep is counted in exactly one bucket.
+func TestSweepStatsObservational(t *testing.T) {
+	docs, _, v := synthPhraseDocs(t, "dblp-abstracts", 80)
+	var unigrams, phrases int64
+	for _, doc := range docs {
+		for _, c := range doc.Cliques {
+			if len(c) == 1 {
+				unigrams++
+			} else {
+				phrases++
+			}
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		run := func(hook func(SweepStats)) string {
+			m := NewModel(docs, v, Options{K: 12, Iterations: 1, Seed: 61, SweepStats: hook})
+			for i := 0; i < 4; i++ {
+				m.SweepParallel(workers)
+			}
+			return zHash(m)
+		}
+		var got []SweepStats
+		with := run(func(st SweepStats) { got = append(got, st) })
+		if without := run(nil); with != without {
+			t.Errorf("%d workers: assignments differ with a stats hook installed", workers)
+		}
+		if len(got) != 4 {
+			t.Fatalf("%d workers: %d reports for 4 sweeps", workers, len(got))
+		}
+		for i, st := range got {
+			dr := st.Draws
+			if st.Sweep != i+1 || st.Workers != workers || st.Sample <= 0 {
+				t.Errorf("%d workers: report %d is %+v", workers, i, st)
+			}
+			if dr.Smooth+dr.Doc+dr.Word != unigrams || dr.Cand+dr.Rest != phrases || dr.Exact != 0 {
+				t.Errorf("%d workers: sweep %d draws %+v, corpus has %d unigram and %d phrase cliques",
+					workers, st.Sweep, dr, unigrams, phrases)
+			}
+		}
 	}
 }
 

@@ -1,29 +1,36 @@
 package topicmodel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+
+	"topmine/internal/xrand"
 )
 
 // Sparse bucketed Gibbs sampling in the style of SparseLDA (Yao,
 // Mimno, McCallum: "Efficient Methods for Topic Model Inference on
 // Streaming Document Collections", KDD 2009), generalised to
-// PhraseLDA's clique conditional (Eq. 7 of the paper).
+// PhraseLDA's clique conditional (Eq. 7 of the paper). This is the one
+// sampling kernel of the package: Sweep, SweepParallel and ShardSweep
+// all draw through it.
 //
 // For a unigram clique the conditional factors into three buckets
 //
-//	p(k) ∝ α_k·β/(Σβ+N_k)            smoothing: dense but tiny mass
-//	     + N_dk·β/(Σβ+N_k)           document: nonzero only on K_d topics
-//	     + (α_k+N_dk)·N_wk/(Σβ+N_k)  word: nonzero only on K_w topics
+//	p(k) ∝ α_k·β/(Σβ+N_k)            s, smoothing: dense but tiny mass
+//	     + N_dk·β/(Σβ+N_k)           r, document: nonzero only on K_d topics
+//	     + (α_k+N_dk)·N_wk/(Σβ+N_k)  q, word: nonzero only on K_w topics
 //
 // so a draw costs O(K_d + K_w) after maintaining the bucket masses
 // incrementally: the smoothing mass changes only through N_k (two
-// topics per draw), the document mass and the q-coefficients
-// (α_k+N_dk)/(Σβ+N_k) are rebuilt in O(K) once per document and
-// patched per draw, and the word bucket walks word w's nonzero topic
-// list, kept as packed (count<<32|topic) entries in decreasing count
-// order so the walk usually stops after one or two entries.
+// topics per draw); the document mass is summed over the document's
+// own topics on entry — found from its assignments and visited in
+// ascending order, O(K_d log K_d), no loop over K — and patched per
+// draw; and the word bucket walks word w's nonzero topic list, kept as
+// packed (count<<32|topic) entries in decreasing count order so the
+// walk usually stops after one or two entries, computing each
+// coefficient (α_k+N_dk)/(Σβ+N_k) where it reads it.
 //
 // A phrase clique of length W keeps the exact Eq. 7 product but only
 // evaluates it on the candidate topics where it can differ from the
@@ -43,14 +50,27 @@ import (
 // All masses are floating-point accumulators, so they are recomputed
 // at every sweep start (which also absorbs hyperparameter updates)
 // and guarded during sampling: a draw whose total mass is not a
-// positive finite number falls back to the dense O(K) path, which is
-// always exact.
+// positive finite number is answered by exactDraw, one dense O(K)
+// evaluation of Eq. 7 over the same counts, which is always exact.
+//
+// The sampler reads and writes counts through a view. The model's own
+// sampler (the serial sweep) is bound to the model's arenas, packed
+// lists, N_k and RNG. A parallel worker is the same sampler over a
+// copy-on-touch overlay with a private N_k and its own RNG stream; see
+// parallel.go.
 
-// sparseSampler carries the incremental state of the sparse sweep. It
-// lives on the Model but is rebuilt on demand: parallel sweeps and
-// deserialisation invalidate the word-topic index wholesale.
+// sparseSampler carries the incremental state of a sparse sweep over
+// one view of the counts.
 type sparseSampler struct {
-	m     *Model
+	m   *Model
+	rng *xrand.RNG // the stream draws consume: the model's, or a worker's own
+	nk  []int64    // N_k of the view: the model's Nk, or a worker's private copy
+	ov  *overlay   // nil: the view is the model's arenas and wt
+
+	// The global word-topic index, on the model's own sampler only. It
+	// stays live across parallel and distributed barriers (the fold
+	// rebuilds the lists of the rows it walks); paths that edit Nwk
+	// behind it call invalidateSparse.
 	valid bool       // wt mirrors Nwk
 	wt    [][]uint64 // per word: packed (count<<32 | topic), count-descending
 
@@ -63,57 +83,96 @@ type sparseSampler struct {
 	nkLog   []int32     // journal of topics whose N_k changed this sweep
 	cursor  []int       // [W] nkLog prefix already folded into smooth[W]
 
-	// Per-document state, rebuilt by beginDoc in O(K).
-	ndkRow    []int32   // current doc's count row
-	qcoef     []float64 // [k] (α_k + N_dk) / (Σβ + N_k)
-	docR      float64   // document-bucket mass (unigram cliques)
-	docTopics []int32   // topics with N_dk > 0
-	docPos    []int32   // [k] index into docTopics, or -1
+	// Per-document state, set by beginDoc in O(K_d).
+	ndkRow    []int32 // current doc's count row
+	docR      float64 // document-bucket mass (unigram cliques)
+	docTopics []int32 // topics with N_dk > 0
+	docPos    []int32 // [k] index into docTopics; meaningful for its members only
 
-	// Phrase-clique scratch.
-	rows  [][]int32 // per-word count rows of the clique at hand
-	cand  []int32
-	cw    []float64
-	mark  []int64 // [k] stamp marks
-	stamp int64
+	// The clique at hand, resolved in the view once per draw by bind.
+	rows  [][]int32  // per-word count rows
+	slots []int32    // per-word index into lists
+	lists [][]uint64 // the view's packed lists: wt, or the overlay's
+
+	// Per-draw scratch.
+	cand    []int32
+	cw      []float64
+	mark    []int64 // [k] stamp marks
+	stamp   int64
+	weights []float64 // [k] exactDraw's dense weights, allocated on first use
+
+	draws DrawStats // where this sweep's draws landed
 }
 
-// ensureSparse returns a sampler whose word-topic index is in sync
-// with the count matrices, building whatever is stale.
+// DrawStats counts where one sweep's draws landed: the sampler-health
+// reading behind SweepStats. A unigram draw lands in the smoothing (s),
+// document (r) or word (q) bucket; a phrase draw on a candidate topic
+// or in the rest mass; Exact counts draws of either kind answered by
+// the dense guard instead.
+type DrawStats struct {
+	Smooth, Doc, Word int64
+	Cand, Rest        int64
+	Exact             int64
+}
+
+func (a *DrawStats) add(b DrawStats) {
+	a.Smooth += b.Smooth
+	a.Doc += b.Doc
+	a.Word += b.Word
+	a.Cand += b.Cand
+	a.Rest += b.Rest
+	a.Exact += b.Exact
+}
+
+// cliqueLengths returns the distinct clique lengths in docs, ascending.
+func cliqueLengths(docs []Doc) []int {
+	seen := make(map[int]bool)
+	for d := range docs {
+		for _, c := range docs[d].Cliques {
+			seen[len(c)] = true
+		}
+	}
+	lengths := make([]int, 0, len(seen))
+	for l := range seen {
+		lengths = append(lengths, l)
+	}
+	slices.Sort(lengths)
+	return lengths
+}
+
+// newSparseSampler allocates a sampler for m's shape and the given
+// clique lengths, bound to no view yet.
+func newSparseSampler(m *Model, lengths []int) *sparseSampler {
+	sp := &sparseSampler{
+		m:       m,
+		lengths: lengths,
+		invden:  make([]float64, m.K),
+		docPos:  make([]int32, m.K),
+		mark:    make([]int64, m.K),
+	}
+	maxW := 0
+	if n := len(lengths); n > 0 {
+		maxW = lengths[n-1]
+	}
+	sp.smooth = make([]float64, maxW+1)
+	sp.betaPow = make([]float64, maxW+1)
+	sp.aprod = make([][]float64, maxW+1)
+	sp.term = make([][]float64, maxW+1)
+	sp.cursor = make([]int, maxW+1)
+	for _, l := range lengths {
+		sp.aprod[l] = make([]float64, m.K)
+		sp.term[l] = make([]float64, m.K)
+	}
+	sp.rows = make([][]int32, maxW)
+	sp.slots = make([]int32, maxW)
+	return sp
+}
+
+// ensureSparse returns the model's own sampler with its word-topic
+// index in sync with the count matrices, building whatever is stale.
 func (m *Model) ensureSparse() *sparseSampler {
 	if m.sp == nil {
-		sp := &sparseSampler{
-			m:      m,
-			qcoef:  make([]float64, m.K),
-			invden: make([]float64, m.K),
-			docPos: make([]int32, m.K),
-			mark:   make([]int64, m.K),
-		}
-		seen := make(map[int]bool)
-		for d := range m.Docs {
-			for _, c := range m.Docs[d].Cliques {
-				seen[len(c)] = true
-			}
-		}
-		for l := range seen {
-			sp.lengths = append(sp.lengths, l)
-		}
-		sort.Ints(sp.lengths)
-		maxW := 0
-		if n := len(sp.lengths); n > 0 {
-			maxW = sp.lengths[n-1]
-		}
-		sp.smooth = make([]float64, maxW+1)
-		sp.betaPow = make([]float64, maxW+1)
-		sp.aprod = make([][]float64, maxW+1)
-		sp.term = make([][]float64, maxW+1)
-		sp.cursor = make([]int, maxW+1)
-		for _, l := range sp.lengths {
-			sp.aprod[l] = make([]float64, m.K)
-			sp.term[l] = make([]float64, m.K)
-		}
-		sp.rows = make([][]int32, maxW)
-		m.sp = sp
+		m.sp = newSparseSampler(m, cliqueLengths(m.Docs))
 	}
 	if !m.sp.valid {
 		m.sp.buildWordLists()
@@ -130,32 +189,40 @@ func (m *Model) invalidateSparse() {
 }
 
 // buildWordLists materialises the packed per-word nonzero topic lists
-// from the count matrix: one O(V·K) scan, paid only after the index
-// was invalidated (first sparse sweep, or a sparse sweep following
-// parallel training).
+// from the count matrix: one O(V·K) scan, paid on the first sparse or
+// parallel sweep and after a path that edited Nwk behind the index.
 func (sp *sparseSampler) buildWordLists() {
 	m := sp.m
 	if sp.wt == nil {
 		sp.wt = make([][]uint64, m.V)
 	}
-	for w := 0; w < m.V; w++ {
-		list := sp.wt[w][:0]
-		row := m.nwkRow(int32(w))
-		for k, c := range row {
-			if c > 0 {
-				list = append(list, uint64(c)<<32|uint64(k))
-			}
-		}
-		// Descending packed order = descending count order; frequent
-		// topics come first so bucket walks exit early.
-		sort.Slice(list, func(i, j int) bool { return list[i] > list[j] })
-		sp.wt[w] = list
+	for w := range sp.wt {
+		sp.wt[w], _ = packRow(sp.wt[w][:0], m.nwkRow(int32(w)))
 	}
 	sp.valid = true
 }
 
-// checkWordLists verifies the packed index against the count matrix;
-// used by Model.CheckInvariants.
+// packRow appends row's positive cells to list as packed entries in
+// descending packed order — descending count, frequent topics first so
+// bucket walks exit early — and reports whether any cell is negative.
+// Entries are distinct, so the order is a pure function of the counts:
+// a list rebuilt at a barrier is the same in every process that holds
+// the same row.
+func packRow(list []uint64, row []int32) ([]uint64, bool) {
+	var or int32
+	for k, c := range row {
+		or |= c
+		if c > 0 {
+			list = append(list, uint64(c)<<32|uint64(k))
+		}
+	}
+	slices.SortFunc(list, func(a, b uint64) int { return cmp.Compare(b, a) })
+	return list, or < 0
+}
+
+// checkWordLists verifies the packed index against the count matrix:
+// every list holds exactly its row's positive cells, in non-increasing
+// count order. Used by Model.CheckInvariants.
 func (sp *sparseSampler) checkWordLists() error {
 	m := sp.m
 	for w := 0; w < m.V; w++ {
@@ -169,11 +236,14 @@ func (sp *sparseSampler) checkWordLists() error {
 		if nnz != len(sp.wt[w]) {
 			return fmt.Errorf("sparse index: word %d has %d entries, counts say %d", w, len(sp.wt[w]), nnz)
 		}
-		for _, e := range sp.wt[w] {
+		for i, e := range sp.wt[w] {
 			k := uint32(e)
 			if int(k) >= m.K || row[k] != int32(e>>32) {
 				return fmt.Errorf("sparse index: word %d topic %d listed as %d, counts say %d",
 					w, k, e>>32, row[k])
+			}
+			if i > 0 && e>>32 > sp.wt[w][i-1]>>32 {
+				return fmt.Errorf("sparse index: word %d lists count %d after %d", w, e>>32, sp.wt[w][i-1]>>32)
 			}
 		}
 	}
@@ -186,9 +256,10 @@ func (sp *sparseSampler) checkWordLists() error {
 func (sp *sparseSampler) refresh() {
 	m := sp.m
 	for k := 0; k < m.K; k++ {
-		sp.invden[k] = 1 / (m.BetaSum + float64(m.Nk[k]))
+		sp.invden[k] = 1 / (m.BetaSum + float64(sp.nk[k]))
 	}
 	sp.nkLog = sp.nkLog[:0]
+	sp.draws = DrawStats{}
 	for _, W := range sp.lengths {
 		bp := 1.0
 		for j := 0; j < W; j++ {
@@ -221,7 +292,7 @@ func (sp *sparseSampler) recomputeSmooth(W int) {
 		}
 	} else {
 		for k := 0; k < m.K; k++ {
-			t := ap[k] * bp / denProd(m.BetaSum+float64(m.Nk[k]), W)
+			t := ap[k] * bp / denProd(m.BetaSum+float64(sp.nk[k]), W)
 			tm[k] = t
 			total += t
 		}
@@ -254,7 +325,7 @@ func (sp *sparseSampler) catchUp(W int) {
 		}
 	} else {
 		for _, k := range sp.nkLog[cur:] {
-			t := ap[k] * bp / denProd(m.BetaSum+float64(m.Nk[k]), W)
+			t := ap[k] * bp / denProd(m.BetaSum+float64(sp.nk[k]), W)
 			s += t - tm[k]
 			tm[k] = t
 		}
@@ -272,81 +343,122 @@ func denProd(den float64, W int) float64 {
 	return p
 }
 
-// sweepSparse is Model.Sweep's default implementation.
-func (m *Model) sweepSparse() {
+// sweepSparse is Model.Sweep's default implementation: the model's own
+// sampler over the model's own counts.
+func (m *Model) sweepSparse() DrawStats {
 	sp := m.ensureSparse()
+	sp.nk, sp.rng = m.Nk, m.rng
+	sp.sweepDocs(0, len(m.Docs))
+	return sp.draws
+}
+
+// sweepDocs resamples every clique of documents [lo, hi) once, in
+// order, against the view the sampler is bound to.
+func (sp *sparseSampler) sweepDocs(lo, hi int) {
 	sp.refresh()
-	for d := range m.Docs {
-		if len(m.Docs[d].Cliques) == 0 {
+	for d := lo; d < hi; d++ {
+		if len(sp.m.Docs[d].Cliques) == 0 {
 			continue
 		}
 		sp.beginDoc(d)
-		for g := range m.Docs[d].Cliques {
+		for g := range sp.m.Docs[d].Cliques {
 			sp.sample(d, g)
 		}
 	}
 }
 
-// beginDoc rebuilds the per-document state in O(K), amortised over
-// the document's cliques.
+// beginDoc sets the per-document state in O(K_d): the document's
+// topics are collected from its assignments, not found by a scan of its
+// count row, and visited in ascending order — the order (and so the
+// floating-point sum) a scan over all K topics would produce.
 func (sp *sparseSampler) beginDoc(d int) {
 	m := sp.m
 	sp.ndkRow = m.ndkRow(d)
-	sp.docTopics = sp.docTopics[:0]
-	r := 0.0
-	for k := 0; k < m.K; k++ {
-		inv := sp.invden[k]
-		n := sp.ndkRow[k]
-		sp.qcoef[k] = (m.Alpha[k] + float64(n)) * inv
-		sp.docPos[k] = -1
-		if n > 0 {
-			sp.docPos[k] = int32(len(sp.docTopics))
-			sp.docTopics = append(sp.docTopics, int32(k))
-			r += float64(n) * m.Beta * inv
+	sp.stamp++
+	topics := sp.docTopics[:0]
+	for _, k := range m.Z[d] {
+		// (N_dk can be 0 for an assigned topic: an empty clique.)
+		if sp.mark[k] != sp.stamp && sp.ndkRow[k] > 0 {
+			sp.mark[k] = sp.stamp
+			topics = append(topics, k)
 		}
 	}
-	sp.docR = r
+	slices.Sort(topics)
+	r := 0.0
+	for i, k := range topics {
+		sp.docPos[k] = int32(i)
+		r += float64(sp.ndkRow[k]) * m.Beta * sp.invden[k]
+	}
+	sp.docTopics, sp.docR = topics, r
 }
 
 // sample resamples clique g of the current document d.
 func (sp *sparseSampler) sample(d, g int) {
 	m := sp.m
 	clique := m.Docs[d].Cliques[g]
-	old := m.Z[d][g]
-	sp.apply(clique, old, -1)
+	sp.bind(clique)
+	sp.apply(m.Z[d][g], -1)
 	var k int32
 	if len(clique) == 1 {
-		k = sp.drawUnigram(clique)
+		k = sp.drawUnigram()
 	} else {
-		k = sp.drawPhrase(clique)
+		k = sp.drawPhrase()
 	}
 	m.Z[d][g] = k
-	sp.apply(clique, k, 1)
+	sp.apply(k, 1)
 }
 
-// apply adds (sign=+1) or removes (sign=-1) a clique's counts for
-// topic k in the current document, patching the count matrices, the
-// word-topic index, the reciprocal denominator, the document bucket,
-// and the q-coefficient of k, and journaling the N_k change for the
-// lazily maintained smoothing masses. Cost: O(W) plus one division.
-func (sp *sparseSampler) apply(clique []int32, k int32, sign int32) {
+// bind resolves the clique's words in the sampler's view — count row
+// and packed-list slot of each — for the removal, the draw and the
+// re-insertion that follow. A worker copies the frozen global row and
+// list of a word into its overlay the first time a sweep binds it, so
+// every row a draw reads or edits is the worker's own.
+func (sp *sparseSampler) bind(clique []int32) {
+	rows, slots := sp.rows[:0], sp.slots[:0]
+	if ov := sp.ov; ov != nil {
+		for _, w := range clique {
+			ri := ov.rowOf[w]
+			if ri < 0 {
+				ri = ov.touch(sp.m, w)
+			}
+			rows = append(rows, ov.rows[ri])
+			slots = append(slots, ri)
+		}
+		sp.lists = ov.lists // after the touches: they may have grown it
+	} else {
+		for _, w := range clique {
+			rows = append(rows, sp.m.nwkRow(w))
+			slots = append(slots, w)
+		}
+		sp.lists = sp.wt
+	}
+	sp.rows, sp.slots = rows, slots
+}
+
+// apply adds (sign=+1) or removes (sign=-1) the bound clique's counts
+// for topic k in the current document, patching the view's counts and
+// packed lists, the reciprocal denominator and the document bucket,
+// and journaling the N_k change for the lazily maintained smoothing
+// masses. Cost: O(W) plus one division.
+func (sp *sparseSampler) apply(k int32, sign int32) {
 	m := sp.m
 	ki := int(k)
-	w := int32(len(clique))
+	w := int32(len(sp.rows))
 	oldNdk := sp.ndkRow[ki]
 	newNdk := oldNdk + sign*w
 
 	sp.ndkRow[ki] = newNdk
-	m.Nk[ki] += int64(sign) * int64(w)
+	sp.nk[ki] += int64(sign) * int64(w)
+	lists := sp.lists
 	if sign > 0 {
-		for _, word := range clique {
-			m.nwkRow(word)[ki]++
-			sp.wt[word] = wtInc(sp.wt[word], uint32(k))
+		for j, row := range sp.rows {
+			row[ki]++
+			lists[sp.slots[j]] = wtInc(lists[sp.slots[j]], uint32(k))
 		}
 	} else {
-		for _, word := range clique {
-			m.nwkRow(word)[ki]--
-			sp.wt[word] = wtDec(sp.wt[word], uint32(k))
+		for j, row := range sp.rows {
+			row[ki]--
+			lists[sp.slots[j]] = wtDec(lists[sp.slots[j]], uint32(k))
 		}
 	}
 
@@ -362,18 +474,16 @@ func (sp *sparseSampler) apply(clique []int32, k int32, sign int32) {
 		sp.docTopics[pos] = moved
 		sp.docPos[moved] = pos
 		sp.docTopics = sp.docTopics[:last]
-		sp.docPos[ki] = -1
 	}
 
 	oldInv := sp.invden[ki]
-	newInv := 1 / (m.BetaSum + float64(m.Nk[ki]))
+	newInv := 1 / (m.BetaSum + float64(sp.nk[ki]))
 	sp.invden[ki] = newInv
 	sp.nkLog = append(sp.nkLog, k)
 	if len(sp.nkLog) >= 4*m.K {
 		sp.compactLog()
 	}
 	sp.docR += float64(newNdk)*m.Beta*newInv - float64(oldNdk)*m.Beta*oldInv
-	sp.qcoef[ki] = (m.Alpha[ki] + float64(newNdk)) * newInv
 }
 
 // compactLog bounds the journal: entries more than K behind every
@@ -396,31 +506,37 @@ func (sp *sparseSampler) compactLog() {
 // conditional. Cost: O(K_w) for the word-bucket mass plus the walk of
 // whichever bucket the uniform lands in; the O(K) smoothing walk is
 // hit with probability s/(s+r+q), which is tiny on trained models.
-func (sp *sparseSampler) drawUnigram(clique []int32) int32 {
+func (sp *sparseSampler) drawUnigram() int32 {
 	m := sp.m
-	w := clique[0]
 	sp.catchUp(1)
-	list := sp.wt[w]
+	list := sp.lists[sp.slots[0]]
+	cw := sp.cw[:0]
 	var q float64
 	for _, e := range list {
-		q += float64(e>>32) * sp.qcoef[uint32(e)]
+		k := uint32(e)
+		c := float64(e>>32) * ((m.Alpha[k] + float64(sp.ndkRow[k])) * sp.invden[k])
+		cw = append(cw, c)
+		q += c
 	}
+	sp.cw = cw
 	total := q + sp.docR + sp.smooth[1]
 	if !(total > 0) || math.IsInf(total, 1) || math.IsNaN(total) {
-		return m.denseDraw(clique)
+		return sp.exactDraw()
 	}
-	u := m.rng.Float64() * total
+	u := sp.rng.Float64() * total
 	if u < q {
-		for _, e := range list {
-			u -= float64(e>>32) * sp.qcoef[uint32(e)]
+		sp.draws.Word++
+		for i, c := range cw {
+			u -= c
 			if u < 0 {
-				return int32(uint32(e))
+				return int32(uint32(list[i]))
 			}
 		}
 		return int32(uint32(list[len(list)-1])) // float slack
 	}
 	u -= q
 	if u < sp.docR && len(sp.docTopics) > 0 {
+		sp.draws.Doc++
 		for _, k := range sp.docTopics {
 			u -= float64(sp.ndkRow[k]) * m.Beta * sp.invden[k]
 			if u < 0 {
@@ -429,6 +545,7 @@ func (sp *sparseSampler) drawUnigram(clique []int32) int32 {
 		}
 		return sp.docTopics[len(sp.docTopics)-1] // float slack
 	}
+	sp.draws.Smooth++
 	u -= sp.docR
 	tm := sp.term[1]
 	for k := 0; k < m.K; k++ {
@@ -443,21 +560,20 @@ func (sp *sparseSampler) drawUnigram(clique []int32) int32 {
 // drawPhrase draws a W>1 clique's topic: the exact Eq. 7 product on
 // the candidate topics (document nonzeros ∪ each word's nonzeros),
 // the caught-up smoothing mass S_W for everything else.
-func (sp *sparseSampler) drawPhrase(clique []int32) int32 {
+func (sp *sparseSampler) drawPhrase() int32 {
 	m := sp.m
-	W := len(clique)
+	rows := sp.rows
+	W := len(rows)
 	sp.catchUp(W)
 	sp.stamp++
 	st := sp.stamp
 	cand := sp.cand[:0]
-	rows := sp.rows[:0]
 	for _, k := range sp.docTopics {
 		sp.mark[k] = st
 		cand = append(cand, k)
 	}
-	for _, word := range clique {
-		rows = append(rows, m.nwkRow(word))
-		for _, e := range sp.wt[word] {
+	for _, slot := range sp.slots {
+		for _, e := range sp.lists[slot] {
 			k := int32(uint32(e))
 			if sp.mark[k] != st {
 				sp.mark[k] = st
@@ -465,16 +581,16 @@ func (sp *sparseSampler) drawPhrase(clique []int32) int32 {
 			}
 		}
 	}
-	sp.cand, sp.rows = cand, rows
+	sp.cand = cand
 
 	tm := sp.term[W]
 	cw := sp.cw[:0]
 	var psum, corr float64
 	for _, k := range cand {
 		akn := m.Alpha[k] + float64(sp.ndkRow[k])
-		den := m.BetaSum + float64(m.Nk[k])
+		den := m.BetaSum + float64(sp.nk[k])
 		p := 1.0
-		for j := range clique {
+		for j := range rows {
 			fj := float64(j)
 			p *= (akn + fj) * (m.Beta + float64(rows[j][k])) / (den + fj)
 		}
@@ -489,10 +605,11 @@ func (sp *sparseSampler) drawPhrase(clique []int32) int32 {
 	}
 	total := psum + rest
 	if !(total > 0) || math.IsInf(total, 1) || math.IsNaN(total) {
-		return m.denseDraw(clique)
+		return sp.exactDraw()
 	}
-	u := m.rng.Float64() * total
+	u := sp.rng.Float64() * total
 	if u < psum {
+		sp.draws.Cand++
 		for i, p := range cw {
 			u -= p
 			if u < 0 {
@@ -501,6 +618,7 @@ func (sp *sparseSampler) drawPhrase(clique []int32) int32 {
 		}
 		return cand[len(cand)-1] // float slack
 	}
+	sp.draws.Rest++
 	u -= psum
 	for k := 0; k < m.K; k++ {
 		if sp.mark[k] == st {
@@ -519,12 +637,19 @@ func (sp *sparseSampler) drawPhrase(clique []int32) int32 {
 	return cand[len(cand)-1] // every topic was a candidate
 }
 
-// denseDraw is the exact fallback: the full O(K) conditional of the
-// (already removed) clique in the current document. It is reached
-// only when the maintained masses cannot produce a positive finite
-// total — degenerate priors, drift at the edge of float range.
-func (m *Model) denseDraw(clique []int32) int32 {
-	return int32(m.rng.Categorical(m.cliqueWeightsInto(m.sp.ndkRow, clique)))
+// exactDraw is the guard: one draw from the full O(K) conditional of
+// the bound (already removed) clique in the current document,
+// evaluated over the sampler's own view — its count rows, its N_k —
+// with its own RNG. It is reached only when the maintained masses
+// cannot produce a positive finite total: degenerate priors, drift at
+// the edge of float range.
+func (sp *sparseSampler) exactDraw() int32 {
+	sp.draws.Exact++
+	if sp.weights == nil {
+		sp.weights = make([]float64, sp.m.K)
+	}
+	sp.m.eq7Weights(sp.weights, sp.ndkRow, sp.rows, sp.nk)
+	return int32(sp.rng.Categorical(sp.weights))
 }
 
 // wtInc bumps topic k in a packed word-topic list, inserting it at

@@ -74,75 +74,148 @@ func TestSparseDensePerplexityEquivalence(t *testing.T) {
 	}
 }
 
-// TestSparseMatchesDenseConditional walks a real training run and, at
-// every draw point, reassembles the sparse sampler's per-topic
-// probability from its buckets (smoothing term + document bucket +
-// word bucket for unigrams; caught-up S_W term or exact Eq. 7 product
-// for phrase cliques) and compares it against the dense conditional.
-// This pins the tentpole's exactness claim draw-by-draw, so the
-// perplexity equivalence test above only has to absorb chain noise.
+// samplerMasses reassembles, bucket by bucket, the per-topic mass the
+// sampler would draw its bound (already removed) clique from: smoothing
+// term + document bucket + word bucket for a unigram; the caught-up S_W
+// term, or the exact Eq. 7 product on a candidate, for a phrase.
+func samplerMasses(sp *sparseSampler) []float64 {
+	m := sp.m
+	W := len(sp.rows)
+	sp.catchUp(W)
+	out := append([]float64(nil), sp.term[W]...)
+	if W == 1 {
+		for k := range out {
+			out[k] += float64(sp.ndkRow[k]) * m.Beta * sp.invden[k]
+		}
+		for _, e := range sp.lists[sp.slots[0]] {
+			k := uint32(e)
+			out[k] += float64(e>>32) * ((m.Alpha[k] + float64(sp.ndkRow[k])) * sp.invden[k])
+		}
+		return out
+	}
+	cands := make(map[int32]bool)
+	for _, k := range sp.docTopics {
+		cands[k] = true
+	}
+	for _, slot := range sp.slots {
+		for _, e := range sp.lists[slot] {
+			cands[int32(uint32(e))] = true
+		}
+	}
+	for k := range cands {
+		akn := m.Alpha[k] + float64(sp.ndkRow[k])
+		den := m.BetaSum + float64(sp.nk[k])
+		p := 1.0
+		for j, row := range sp.rows {
+			fj := float64(j)
+			p *= (akn + fj) * (m.Beta + float64(row[k])) / (den + fj)
+		}
+		out[k] = p
+	}
+	return out
+}
+
+// TestSparseMatchesDenseConditional walks real training runs and, at
+// every draw point, compares the masses the sparse kernel would draw
+// from against the dense conditional, to 1e-9 relative per topic — so
+// the perplexity equivalence tests only have to absorb chain noise.
+// The serial view is held to Eq. 7 over the model's counts; the worker
+// view, mid-sweep with a non-empty private delta on each of two
+// shards, to the dense "frozen global + private delta" weights of the
+// oracle kernel. The chain itself moves by the dense draw.
 func TestSparseMatchesDenseConditional(t *testing.T) {
 	docs, _, v := synthPhraseDocs(t, "dblp-abstracts", 60)
-	m := NewModel(docs, v, Options{K: 7, Iterations: 1, Seed: 5})
-	sp := m.ensureSparse()
-	sparse := make([]float64, m.K)
-	for sweep := 0; sweep < 3; sweep++ {
+	// walk resamples documents [lo, hi) through sp, checking every draw
+	// point against dense(d, clique); moved is told of every count change.
+	walk := func(t *testing.T, m *Model, sp *sparseSampler, lo, hi int,
+		dense func(d int, clique []int32) []float64, moved func(clique []int32, k, sign int32)) {
+		seen := map[bool]int{}
 		sp.refresh()
-		for d := range m.Docs {
+		for d := lo; d < hi; d++ {
 			if len(m.Docs[d].Cliques) == 0 {
 				continue
 			}
 			sp.beginDoc(d)
-			for g := range m.Docs[d].Cliques {
-				clique := m.Docs[d].Cliques[g]
-				sp.apply(clique, m.Z[d][g], -1)
-				dense := m.denseCliqueWeights(d, clique)
-				if W := len(clique); W == 1 {
-					sp.catchUp(1)
-					for k := 0; k < m.K; k++ {
-						sparse[k] = sp.term[1][k] + float64(sp.ndkRow[k])*m.Beta*sp.invden[k]
-					}
-					for _, e := range sp.wt[clique[0]] {
-						k := uint32(e)
-						sparse[k] += float64(e>>32) * sp.qcoef[k]
-					}
-				} else {
-					sp.catchUp(W)
-					cands := make(map[int32]bool)
-					for _, k := range sp.docTopics {
-						cands[k] = true
-					}
-					for _, word := range clique {
-						for _, e := range sp.wt[word] {
-							cands[int32(uint32(e))] = true
-						}
-					}
-					for k := 0; k < m.K; k++ {
-						sparse[k] = sp.term[W][k]
-					}
-					for k := range cands {
-						akn := m.Alpha[k] + float64(sp.ndkRow[k])
-						den := m.BetaSum + float64(m.Nk[k])
-						p := 1.0
-						for j, word := range clique {
-							fj := float64(j)
-							p *= (akn + fj) * (m.Beta + float64(m.nwkRow(word)[k])) / (den + fj)
-						}
-						sparse[k] = p
+			for g, clique := range m.Docs[d].Cliques {
+				sp.bind(clique)
+				sp.apply(m.Z[d][g], -1)
+				moved(clique, m.Z[d][g], -1)
+				want := dense(d, clique)
+				for k, got := range samplerMasses(sp) {
+					if math.Abs(got-want[k]) > 1e-9*want[k] {
+						t.Fatalf("doc %d clique %d (W=%d) topic %d: sparse %.17g dense %.17g",
+							d, g, len(clique), k, got, want[k])
 					}
 				}
-				for k := 0; k < m.K; k++ {
-					if math.Abs(sparse[k]-dense[k]) > 1e-9*dense[k] {
-						t.Fatalf("sweep %d doc %d clique %d (W=%d) topic %d: sparse %.17g dense %.17g",
-							sweep, d, g, len(clique), k, sparse[k], dense[k])
-					}
-				}
-				k := int32(m.rng.Categorical(dense))
+				seen[len(clique) == 1]++
+				k := int32(m.rng.Categorical(want))
 				m.Z[d][g] = k
-				sp.apply(clique, k, 1)
+				sp.apply(k, 1)
+				moved(clique, k, 1)
 			}
 		}
+		if seen[true] == 0 || seen[false] == 0 {
+			t.Fatalf("draws checked: %d unigram, %d phrase; want both", seen[true], seen[false])
+		}
 	}
+
+	t.Run("serial", func(t *testing.T) {
+		m := NewModel(docs, v, Options{K: 7, Iterations: 1, Seed: 5})
+		sp := m.ensureSparse()
+		sp.nk, sp.rng = m.Nk, m.rng
+		for sweep := 0; sweep < 3; sweep++ {
+			walk(t, m, sp, 0, len(m.Docs), m.denseCliqueWeights, func([]int32, int32, int32) {})
+		}
+	})
+
+	t.Run("workers", func(t *testing.T) {
+		m := NewModel(docs, v, Options{K: 7, Iterations: 1, Seed: 5})
+		m.ensureSparse()
+		ps := m.ensurePar(2)
+		for sweep := 0; sweep < 3; sweep++ {
+			for wi, ws := range ps.workers {
+				ws.beginShard(uint64(wi))
+				dd := newDenseDelta(m)
+				walk(t, m, ws, ps.ranges[wi][0], ps.ranges[wi][1],
+					func(d int, clique []int32) []float64 { return dd.weights(m, m.ndkRow(d), clique) },
+					func(clique []int32, k, sign int32) { dd.add(m, clique, k, sign) })
+				// The overlay, turned into a delta, is the oracle's delta.
+				ws.toDelta()
+				delta := ws.delta()
+				live := 0
+				for i, w := range delta.Words {
+					if !int32SlicesEq(delta.Rows[i], dd.nwk[int(w)*m.K:(int(w)+1)*m.K]) {
+						t.Fatalf("worker %d word %d: delta row %v, oracle %v", wi, w, delta.Rows[i], dd.nwk[int(w)*m.K:(int(w)+1)*m.K])
+					}
+					for _, c := range delta.Rows[i] {
+						if c != 0 {
+							live++
+						}
+					}
+				}
+				for _, c := range dd.nwk {
+					if c != 0 {
+						live--
+					}
+				}
+				if live != 0 {
+					t.Fatalf("worker %d: the oracle's delta has %d nonzero cells outside the overlay", wi, -live)
+				}
+				for k := range delta.Nk {
+					if delta.Nk[k] != dd.nk[k] {
+						t.Fatalf("worker %d: N_k delta %v, oracle %v", wi, delta.Nk, dd.nk)
+					}
+				}
+				*ps.deltas[wi] = delta
+			}
+			if err := m.foldDeltas(ps.deltas); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("after sweep %d: %v", sweep, err)
+			}
+		}
+	})
 }
 
 // TestSparseSweepInvariants runs serial sparse sweeps over a clique-
