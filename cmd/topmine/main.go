@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"topmine"
+	"topmine/internal/core"
 )
 
 func main() {
@@ -141,6 +142,32 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return errUsage
 	}
 
+	// flagOptions is the one translation of the pipeline flags into
+	// library Options. It normalises and validates exactly as the
+	// library entry points do: zero selects documented defaults (-alpha
+	// 0 -> 5), negative priors are rejected here instead of silently
+	// corrupting training, and — critically — the direct path
+	// mines/segments under the very same effective parameters that
+	// -preprocess stores and -corpus matches against, keeping all three
+	// routes byte-identical.
+	flagOptions := func() (topmine.Options, error) {
+		opt := topmine.DefaultOptions()
+		opt.Topics = *k
+		opt.Iterations = *iters
+		opt.MinSupport = *minSupport
+		opt.RelativeSupport = *relSupport
+		opt.SigThreshold = *sig
+		opt.MaxPhraseLen = *maxLen
+		opt.Seed = *seed
+		opt.Workers = *workers
+		opt.TopicWorkers = *topicWorkers
+		opt.TopPhrases = *topN
+		opt.TopUnigrams = *topN
+		opt.OptimizeHyper = !*noHyper
+		opt.FilterBackground = *filterBG
+		return opt, opt.Normalize()
+	}
+
 	if *saveState && *saveModel == "" {
 		return fmt.Errorf("-save-state needs -save")
 	}
@@ -215,19 +242,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 				return fmt.Errorf("-resume takes the training schedule and sampler state from the checkpoint; %s would be ignored", strings.Join(clash, ", "))
 			}
 		}
-		opt := topmine.DefaultOptions()
-		opt.Topics = *k
-		opt.Iterations = *iters
-		opt.MinSupport = *minSupport
-		opt.RelativeSupport = *relSupport
-		opt.SigThreshold = *sig
-		opt.MaxPhraseLen = *maxLen
-		opt.Seed = *seed
-		opt.TopPhrases = *topN
-		opt.TopUnigrams = *topN
-		opt.OptimizeHyper = !*noHyper
-		opt.FilterBackground = *filterBG
-		if err := opt.Normalize(); err != nil {
+		opt, err := flagOptions()
+		if err != nil {
 			return err
 		}
 		return runCoordinator(*trainCoordinator, *corpusFile, *trainWorkers, *trainTimeout,
@@ -311,27 +327,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-preprocess writes a corpus file and exits; do not combine it with -corpus, -save, -infer, -phrases-only or -segment")
 	}
 
-	opt := topmine.DefaultOptions()
-	opt.Topics = *k
-	opt.Iterations = *iters
-	opt.MinSupport = *minSupport
-	opt.RelativeSupport = *relSupport
-	opt.SigThreshold = *sig
-	opt.MaxPhraseLen = *maxLen
-	opt.Seed = *seed
-	opt.Workers = *workers
-	opt.TopicWorkers = *topicWorkers
-	opt.TopPhrases = *topN
-	opt.TopUnigrams = *topN
-	opt.OptimizeHyper = !*noHyper
-	opt.FilterBackground = *filterBG
-	// Normalise and validate once, exactly as the library entry points
-	// do: zero selects documented defaults (-alpha 0 -> 5), negative
-	// priors are rejected here instead of silently corrupting training,
-	// and — critically — the direct path mines/segments under the very
-	// same effective parameters that -preprocess stores and -corpus
-	// matches against, keeping all three routes byte-identical.
-	if err := opt.Normalize(); err != nil {
+	opt, err := flagOptions()
+	if err != nil {
 		return err
 	}
 
@@ -469,9 +466,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "topic modeling: %v (%d sweeps)\n",
 		time.Since(t0).Round(time.Millisecond), opt.Iterations)
 
-	sums := model.Visualize(c, topmine.VisualizeOptions{
-		TopUnigrams: *topN, TopPhrases: *topN, FilterBackground: *filterBG,
-	})
+	// Render exactly as the library's Run, RunCorpusFile and the
+	// distributed coordinator do.
+	sums := model.Visualize(c, core.VisualizeOptions(opt))
 	fmt.Fprint(stdout, topmine.FormatTopics(sums))
 
 	res := &topmine.Result{

@@ -554,3 +554,54 @@ func TestBadFlagCombos(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterBGMatchesLibrary pins that the CLI renders topics through
+// the library's rendering: -filterbg output equals FormatTopics of
+// RunCorpus over the same corpus and options. The corpus has a phrase
+// in more than a quarter of its documents, which the library's
+// document-frequency background filter drops.
+func TestFilterBGMatchesLibrary(t *testing.T) {
+	const domain, docs, seed = "yelp-reviews", 150, 7
+	var out, errb bytes.Buffer
+	args := []string{"-synth", domain, "-docs", fmt.Sprint(docs), "-seed", fmt.Sprint(seed),
+		"-k", "4", "-iters", "30", "-filterbg"}
+	if err := run(args, strings.NewReader(""), &out, &errb); err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, errb.String())
+	}
+
+	raw, err := topmine.GenerateExampleCorpus(domain, docs, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := topmine.BuildCorpus(raw, topmine.DefaultCorpusOptions())
+	opt := topmine.DefaultOptions()
+	opt.Topics, opt.Iterations, opt.Seed, opt.FilterBackground = 4, 30, seed, true
+	res, err := topmine.RunCorpus(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	df := map[string]int{}
+	maxDF := 0
+	for _, sd := range res.Segmented {
+		seen := map[string]bool{}
+		for si, spans := range sd.Spans {
+			for _, sp := range spans {
+				if sp.End-sp.Start < 2 {
+					continue
+				}
+				p := c.DisplayPhrase(&c.Docs[sd.DocID].Segments[si], sp.Start, sp.End)
+				if !seen[p] {
+					seen[p] = true
+					df[p]++
+					maxDF = max(maxDF, df[p])
+				}
+			}
+		}
+	}
+	if 4*maxDF <= docs {
+		t.Fatalf("no phrase occurs in more than a quarter of the %d documents (max %d)", docs, maxDF)
+	}
+	if got, want := out.String(), topmine.FormatTopics(res.Topics); got != want {
+		t.Errorf("CLI -filterbg topics differ from the library's:\n%s\nvs\n%s", got, want)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"topmine/internal/core"
 	"topmine/internal/corpus"
 	"topmine/internal/corpusfile"
 )
@@ -46,12 +45,11 @@ func PreprocessCorpus(c *Corpus, opt Options) (*Result, error) {
 	if opt.Topics <= 0 {
 		opt.Topics = 10 // irrelevant to mining/segmentation; satisfy validation
 	}
-	if err := opt.fill(); err != nil {
+	if err := opt.Normalize(); err != nil {
 		return nil, err
 	}
 	res := &Result{Corpus: c, Options: opt}
-	res.Mined = core.Mine(c, toCoreConfig(opt, nil))
-	res.Segmented = core.Segment(c, res.Mined, toCoreConfig(opt, nil))
+	res.Mined, res.Segmented = artifacts(c, nil, opt)
 	return res, nil
 }
 
@@ -63,11 +61,17 @@ func PreprocessCorpus(c *Corpus, opt Options) (*Result, error) {
 // a corpus-only file; training jobs then redo mining and segmentation
 // (still skipping ingest).
 func SaveCorpusFile(path string, r *Result) error {
+	return saveCorpusFile("SaveCorpusFile", path, r, false)
+}
+
+// saveCorpusFile is the body of SaveCorpusFile and (with sketched)
+// SaveCorpusFileSketched; caller names the entry point in errors.
+func saveCorpusFile(caller, path string, r *Result, sketched bool) error {
 	switch {
 	case r == nil:
-		return fmt.Errorf("topmine: SaveCorpusFile: nil Result")
+		return fmt.Errorf("topmine: %s: nil Result", caller)
 	case r.Corpus == nil || r.Corpus.Vocab == nil:
-		return fmt.Errorf("topmine: SaveCorpusFile: Result has no corpus")
+		return fmt.Errorf("topmine: %s: Result has no corpus", caller)
 	}
 	var art *corpusfile.Artifacts
 	if r.Mined != nil {
@@ -76,6 +80,9 @@ func SaveCorpusFile(path string, r *Result) error {
 			Mined:  r.Mined,
 			Segs:   r.Segmented,
 		}
+	}
+	if sketched {
+		return corpusfile.WriteFileSketched(path, r.Corpus, art, corpusfile.ComputeSketches(r.Corpus, 0))
 	}
 	return corpusfile.WriteFile(path, r.Corpus, art)
 }
@@ -189,7 +196,7 @@ func (cf *CorpusFile) CanReuseArtifacts(opt Options) bool {
 	if opt.Topics <= 0 {
 		opt.Topics = 10
 	}
-	if err := opt.fill(); err != nil {
+	if err := opt.Normalize(); err != nil {
 		return false
 	}
 	return cf.f.Params() == artifactParams(opt)
@@ -206,7 +213,7 @@ func (cf *CorpusFile) CanReuseArtifacts(opt Options) bool {
 // the mapping, released by Result.Close. The region is unmapped when
 // the handle and all Results are closed.
 func (cf *CorpusFile) Run(opt Options) (*Result, error) {
-	if err := opt.fill(); err != nil {
+	if err := opt.Normalize(); err != nil {
 		return nil, err
 	}
 	// Hold a reference for the whole run: training reads the mmap'd
@@ -215,19 +222,8 @@ func (cf *CorpusFile) Run(opt Options) (*Result, error) {
 		return nil, fmt.Errorf("topmine: CorpusFile.Run: corpus file is closed (mapping released)")
 	}
 	c := cf.f.Corpus()
-	var mined *MinedPhrases
-	var segs []*SegmentedDoc
-	if cf.CanReuseArtifacts(opt) {
-		mined = cf.f.Mined()
-		segs = cf.f.Segmented()
-	}
-	if mined == nil {
-		mined = core.Mine(c, toCoreConfig(opt, nil))
-	}
-	if segs == nil {
-		segs = core.Segment(c, mined, toCoreConfig(opt, nil))
-	}
-	res := trainAndVisualize(c, mined, segs, opt)
+	mined, segs := artifacts(c, cf, opt)
+	res := trained(c, mined, segs, TrainModel(c, segs, opt), opt)
 	res.closer = &resultCloser{cf: cf} // adopts the reference taken above
 	return res, nil
 }

@@ -211,7 +211,7 @@ func ResumeDistributed(path, ckptPath string, opt Options, dopt DistributedOptio
 // plane when requested, run the protocol via train, wrap the trained
 // model into a Result.
 func runDistributed(path string, opt Options, dopt DistributedOptions, train func(net.Listener, dtrain.Job, dtrain.Options) (*topicmodel.Model, error)) (*Result, error) {
-	if err := opt.fill(); err != nil {
+	if err := opt.Normalize(); err != nil {
 		return nil, err
 	}
 	if opt.TopicWorkers > 1 {
@@ -224,18 +224,7 @@ func runDistributed(path string, opt Options, dopt DistributedOptions, train fun
 	// The handle's reference transfers to the Result on success; every
 	// earlier exit must release it.
 	c := cf.Corpus()
-	var mined *MinedPhrases
-	var segs []*SegmentedDoc
-	if cf.CanReuseArtifacts(opt) {
-		mined = cf.Mined()
-		segs = cf.Segmented()
-	}
-	if mined == nil {
-		mined = core.Mine(c, toCoreConfig(opt, nil))
-	}
-	if segs == nil {
-		segs = core.Segment(c, mined, toCoreConfig(opt, nil))
-	}
+	mined, segs := artifacts(c, cf, opt)
 	docs := topicmodel.DocsFromSegmentation(c, segs)
 
 	ln, err := net.Listen("tcp", dopt.Addr)
@@ -273,14 +262,13 @@ func runDistributed(path string, opt Options, dopt DistributedOptions, train fun
 		Mined:        mined,
 		SigAlpha:     opt.SigThreshold,
 		MaxPhraseLen: opt.MaxPhraseLen,
-		Model:        toModelOptions(opt, nil),
+		Model:        core.ModelOptions(opt),
 	}, iopt)
 	if err != nil {
 		cf.Close()
 		return nil, err
 	}
-	res := &Result{Corpus: c, Mined: mined, Segmented: segs, Model: model, Options: opt}
-	res.Topics = model.Visualize(c, visualizeOptions(opt))
+	res := trained(c, mined, segs, model, opt)
 	res.closer = &resultCloser{cf: cf} // adopts the open handle's reference
 	return res, nil
 }
@@ -316,14 +304,4 @@ func ServeTrainingWorker(addr string, wopt TrainingWorkerOptions) error {
 		// a coordinator that stays down ends the worker when it closes.
 		dialTimeout = wopt.Reconnect
 	}
-}
-
-// TrainModelWithSweepStats is TrainModel with a per-sweep hook: timing
-// (serial training has no barrier, so only Sample is set) and where
-// the sampler's draws landed.
-func TrainModelWithSweepStats(c *Corpus, segs []*SegmentedDoc, opt Options, stats func(SweepStats)) *Model {
-	cfg := toCoreConfig(opt, nil)
-	cfg.SweepStats = stats
-	_, m := core.Train(c, segs, cfg)
-	return m
 }

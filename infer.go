@@ -73,7 +73,7 @@ func SelectTopics(c *Corpus, ks []int, opt Options, holdout float64) (KSelection
 	if opt.Topics <= 0 && len(ks) > 0 && ks[0] > 0 {
 		opt.Topics = ks[0] // Topics is overridden per candidate anyway
 	}
-	if err := opt.fill(); err != nil {
+	if err := opt.Normalize(); err != nil {
 		return sel, err
 	}
 	if holdout <= 0 || holdout >= 1 {

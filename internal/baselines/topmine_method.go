@@ -49,11 +49,11 @@ func (t ToPMine) Run(c *corpus.Corpus, opt Options) []TopicPhrases {
 	if workers <= 0 {
 		workers = 1
 	}
-	a := core.Run(c, core.Config{
+	a := core.Run(c, core.Options{
 		MinSupport:    minSup,
 		MaxPhraseLen:  maxLen,
-		SigAlpha:      sigAlpha,
-		K:             opt.K,
+		SigThreshold:  sigAlpha,
+		Topics:        opt.K,
 		Iterations:    opt.Iterations,
 		OptimizeHyper: opt.OptimizeHyper,
 		Seed:          opt.Seed,

@@ -2,47 +2,156 @@
 // primary contribution: frequent contiguous phrase mining (Algorithm
 // 1), significance-guided agglomerative segmentation (Algorithm 2) and
 // phrase-constrained topic modeling (PhraseLDA) chained into one
-// pipeline (§3). The public topmine package and the comparison
-// harness both delegate here, so there is exactly one definition of
-// "running ToPMine".
+// pipeline (§3).
+//
+// It also defines the one config every entry point runs from: Options,
+// which the public topmine package re-exports unchanged. Each stage
+// reads its parameters straight out of it — Mine and Segment here,
+// PhraseLDA through ModelOptions, rendering through VisualizeOptions —
+// so there is exactly one definition of "running ToPMine" and no
+// per-layer copy of its settings.
 package core
 
 import (
+	"fmt"
+
 	"topmine/internal/corpus"
 	"topmine/internal/phrasemine"
 	"topmine/internal/segment"
 	"topmine/internal/topicmodel"
 )
 
-// Config is the complete parameterisation of the framework.
-type Config struct {
-	// MinSupport is the paper's ε; RelativeSupport, when positive,
-	// raises it to that fraction of the corpus tokens (the paper's
-	// "minimum support that grows linearly with corpus size", §4.1).
+// Options configures the full ToPMine pipeline.
+type Options struct {
+	// MinSupport is the minimum corpus frequency for a phrase (the
+	// paper's ε). When RelativeSupport is set, the effective support is
+	// max(MinSupport, RelativeSupport × corpus tokens), implementing
+	// the paper's advice that support grow linearly with corpus size.
 	MinSupport      int
 	RelativeSupport float64
-	// MaxPhraseLen bounds phrases (0 = unbounded).
+	// MaxPhraseLen bounds phrase length (0 = unbounded).
 	MaxPhraseLen int
-	// SigAlpha is Algorithm 2's merge threshold α.
-	SigAlpha float64
-	// Score overrides the significance measure (nil = Eq. 1 t-stat).
-	Score segment.ScoreFunc
-	// K, Iterations, Alpha, Beta, OptimizeHyper parameterise PhraseLDA.
-	K             int
-	Iterations    int
-	Alpha, Beta   float64
+	// SigThreshold is the significance threshold α of Algorithm 2.
+	SigThreshold float64
+	// Topics is K, the number of latent topics.
+	Topics int
+	// Iterations is the number of collapsed Gibbs sweeps.
+	Iterations int
+	// Alpha and Beta are the Dirichlet priors (0 = 50/K and 0.01).
+	Alpha, Beta float64
+	// OptimizeHyper enables Minka fixed-point hyperparameter updates.
 	OptimizeHyper bool
-	// Seed drives all randomness; Workers parallelises mining and
-	// segmentation; TopicWorkers > 1 selects the approximate parallel
-	// Gibbs sampler.
-	Seed         uint64
-	Workers      int
+	// FilterBackground removes corpus-wide background phrases from the
+	// topic visualisations (§8 of the paper).
+	FilterBackground bool
+	// TopUnigrams / TopPhrases bound the visualisation lists.
+	TopUnigrams, TopPhrases int
+	// Seed drives every random choice.
+	Seed uint64
+	// Workers parallelises corpus ingestion (Run/RunSource), mining
+	// and segmentation (0 = GOMAXPROCS). It never changes any output.
+	Workers int
+	// TopicWorkers > 1 trains the topic model with the approximate
+	// AD-LDA-style distributed sampler (see internal/topicmodel's
+	// parallel notes): deterministic for a fixed worker count, held-out
+	// quality comparable to the serial sampler, sweeps up to
+	// TopicWorkers times faster. Workers accumulate sparse count deltas
+	// into buffers reused across sweeps, so the per-sweep memory
+	// overhead is O(cells touched by the worker's shard) — not the
+	// O(V×K) per-worker count copy of earlier releases. 0 or 1 selects
+	// the exact serial sampler (sparse bucketed Gibbs) used for all
+	// paper-reproduction experiments.
 	TopicWorkers int
-	// OnIteration, when set, observes every Gibbs sweep.
-	OnIteration func(int, *topicmodel.Model)
-	// SweepStats, when set, receives one breakdown per sweep: timing
-	// and where the sampler's draws landed.
-	SweepStats func(topicmodel.SweepStats)
+}
+
+// Normalize validates the options and substitutes the documented
+// defaults for zero values (SigThreshold 0 → 5, Iterations 0 → 1000,
+// …) — the same normalisation every Run/Train entry point applies
+// internally. Callers that orchestrate pipeline stages individually
+// (e.g. the CLI) normalise once up front so mining, segmentation and
+// stored-artifact parameter matching all see identical effective
+// values.
+func (o *Options) Normalize() error {
+	if o.Topics <= 0 {
+		return fmt.Errorf("topmine: Topics must be positive, got %d", o.Topics)
+	}
+	if o.MinSupport <= 0 && o.RelativeSupport <= 0 {
+		o.MinSupport = 5
+	}
+	if o.MaxPhraseLen < 0 {
+		return fmt.Errorf("topmine: MaxPhraseLen must be >= 0")
+	}
+	// Negative priors are never meaningful: a negative significance
+	// threshold accepts every adjacent merge (each candidate pair's
+	// score starts at 0), and negative Dirichlet priors turn Gibbs
+	// sampling weights negative, corrupting the categorical draw.
+	// Reject them instead of training a silently broken model.
+	if o.SigThreshold < 0 {
+		return fmt.Errorf("topmine: SigThreshold must be >= 0 (0 selects the default 5), got %v", o.SigThreshold)
+	}
+	if o.Alpha < 0 {
+		return fmt.Errorf("topmine: Alpha must be >= 0 (0 selects the default 50/K), got %v", o.Alpha)
+	}
+	if o.Beta < 0 {
+		return fmt.Errorf("topmine: Beta must be >= 0 (0 selects the default 0.01), got %v", o.Beta)
+	}
+	if o.SigThreshold == 0 {
+		o.SigThreshold = 5
+	}
+	if o.Iterations <= 0 {
+		o.Iterations = 1000
+	}
+	if o.TopUnigrams <= 0 {
+		o.TopUnigrams = 10
+	}
+	if o.TopPhrases <= 0 {
+		o.TopPhrases = 10
+	}
+	return nil
+}
+
+// effectiveSupport resolves the support threshold for a corpus.
+func (o Options) effectiveSupport(c *corpus.Corpus) int {
+	sup := o.MinSupport
+	if o.RelativeSupport > 0 {
+		if rs := int(o.RelativeSupport * float64(c.TotalTokens)); rs > sup {
+			sup = rs
+		}
+	}
+	if sup < 1 {
+		sup = 1
+	}
+	return sup
+}
+
+// ModelOptions is the PhraseLDA schedule the options describe. It is a
+// function rather than a method so that it stays out of the public
+// method set of the re-exported Options.
+func ModelOptions(o Options) topicmodel.Options {
+	return topicmodel.Options{
+		K:             o.Topics,
+		Alpha:         o.Alpha,
+		Beta:          o.Beta,
+		Iterations:    o.Iterations,
+		OptimizeHyper: o.OptimizeHyper,
+		Seed:          o.Seed,
+		Workers:       o.TopicWorkers,
+	}
+}
+
+// VisualizeOptions is how the options render a trained model's topics.
+func VisualizeOptions(o Options) topicmodel.VisualizeOptions {
+	vis := topicmodel.VisualizeOptions{
+		TopUnigrams:      o.TopUnigrams,
+		TopPhrases:       o.TopPhrases,
+		FilterBackground: o.FilterBackground,
+	}
+	if o.FilterBackground {
+		// Catch background phrases that collect in a dedicated topic
+		// under the optimised asymmetric prior (see VisualizeOptions).
+		vis.BackgroundMaxDocFrac = 0.25
+	}
+	return vis
 }
 
 // Artifacts carries every intermediate and final product of a run.
@@ -53,63 +162,44 @@ type Artifacts struct {
 	Model *topicmodel.Model
 }
 
-// EffectiveSupport resolves the support threshold for a corpus.
-func (cfg Config) EffectiveSupport(c *corpus.Corpus) int {
-	sup := cfg.MinSupport
-	if cfg.RelativeSupport > 0 {
-		if rs := int(cfg.RelativeSupport * float64(c.TotalTokens)); rs > sup {
-			sup = rs
-		}
-	}
-	if sup < 1 {
-		sup = 1
-	}
-	return sup
-}
-
 // Mine runs Algorithm 1.
-func Mine(c *corpus.Corpus, cfg Config) *phrasemine.Result {
+func Mine(c *corpus.Corpus, opt Options) *phrasemine.Result {
 	return phrasemine.Mine(c, phrasemine.Options{
-		MinSupport: cfg.EffectiveSupport(c),
-		MaxLen:     cfg.MaxPhraseLen,
-		Workers:    cfg.Workers,
+		MinSupport: opt.effectiveSupport(c),
+		MaxLen:     opt.MaxPhraseLen,
+		Workers:    opt.Workers,
 	})
 }
 
 // Segment runs Algorithm 2 on mined counts.
-func Segment(c *corpus.Corpus, mined *phrasemine.Result, cfg Config) []*segment.SegmentedDoc {
+func Segment(c *corpus.Corpus, mined *phrasemine.Result, opt Options) []*segment.SegmentedDoc {
 	return segment.NewSegmenter(mined, segment.Options{
-		Alpha:        cfg.SigAlpha,
-		MaxPhraseLen: cfg.MaxPhraseLen,
-		Score:        cfg.Score,
-		Workers:      cfg.Workers,
+		Alpha:        opt.SigThreshold,
+		MaxPhraseLen: opt.MaxPhraseLen,
+		Workers:      opt.Workers,
 	}).SegmentCorpus(c)
 }
 
-// Train fits PhraseLDA to a segmented corpus.
-func Train(c *corpus.Corpus, segs []*segment.SegmentedDoc, cfg Config) ([]topicmodel.Doc, *topicmodel.Model) {
-	docs := topicmodel.DocsFromSegmentation(c, segs)
-	opt := topicmodel.Options{
-		K:             cfg.K,
-		Alpha:         cfg.Alpha,
-		Beta:          cfg.Beta,
-		Iterations:    cfg.Iterations,
-		OptimizeHyper: cfg.OptimizeHyper,
-		Seed:          cfg.Seed,
-		OnIteration:   cfg.OnIteration,
-		SweepStats:    cfg.SweepStats,
+// Train fits the topic model to docs — PhraseLDA over
+// topicmodel.DocsFromSegmentation, LDA over topicmodel.DocsUnigram. The
+// optional hooks observe every sweep: onIter with the model after it,
+// stats with its timing and where its draws landed. Invalid options
+// panic, as the library's Train entry points document.
+func Train(c *corpus.Corpus, docs []topicmodel.Doc, opt Options, onIter func(int, *topicmodel.Model), stats func(topicmodel.SweepStats)) *topicmodel.Model {
+	if err := opt.Normalize(); err != nil {
+		panic(err)
 	}
-	if cfg.TopicWorkers > 1 {
-		return docs, topicmodel.TrainParallel(docs, c.Vocab.Size(), opt, cfg.TopicWorkers)
-	}
-	return docs, topicmodel.Train(docs, c.Vocab.Size(), opt)
+	mopt := ModelOptions(opt)
+	mopt.OnIteration, mopt.SweepStats = onIter, stats
+	return topicmodel.Train(docs, c.Vocab.Size(), mopt)
 }
 
 // Run executes the full framework.
-func Run(c *corpus.Corpus, cfg Config) *Artifacts {
+func Run(c *corpus.Corpus, opt Options) *Artifacts {
 	a := &Artifacts{}
-	a.Mined = Mine(c, cfg)
-	a.Segs = Segment(c, a.Mined, cfg)
-	a.Docs, a.Model = Train(c, a.Segs, cfg)
+	a.Mined = Mine(c, opt)
+	a.Segs = Segment(c, a.Mined, opt)
+	a.Docs = topicmodel.DocsFromSegmentation(c, a.Segs)
+	a.Model = Train(c, a.Docs, opt, nil, nil)
 	return a
 }

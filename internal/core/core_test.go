@@ -8,10 +8,10 @@ import (
 	"topmine/internal/topicmodel"
 )
 
-func testConfig() Config {
-	return Config{
-		MinSupport: 5, MaxPhraseLen: 6, SigAlpha: 3,
-		K: 5, Iterations: 40, Seed: 42, Workers: 1,
+func testOptions() Options {
+	return Options{
+		MinSupport: 5, MaxPhraseLen: 6, SigThreshold: 3,
+		Topics: 5, Iterations: 40, Seed: 42, Workers: 1,
 	}
 }
 
@@ -23,7 +23,7 @@ func testCorpus(t *testing.T) *corpus.Corpus {
 
 func TestRunProducesAllArtifacts(t *testing.T) {
 	c := testCorpus(t)
-	a := Run(c, testConfig())
+	a := Run(c, testOptions())
 	if a.Mined == nil || a.Mined.Counts.Len() == 0 {
 		t.Fatal("no mined phrases")
 	}
@@ -43,26 +43,26 @@ func TestRunProducesAllArtifacts(t *testing.T) {
 
 func TestEffectiveSupport(t *testing.T) {
 	c := testCorpus(t)
-	cfg := testConfig()
-	if got := cfg.EffectiveSupport(c); got != 5 {
+	opt := testOptions()
+	if got := opt.effectiveSupport(c); got != 5 {
 		t.Fatalf("absolute support = %d, want 5", got)
 	}
-	cfg.RelativeSupport = 0.01
-	if got := cfg.EffectiveSupport(c); got <= 5 {
+	opt.RelativeSupport = 0.01
+	if got := opt.effectiveSupport(c); got <= 5 {
 		t.Fatalf("relative support not applied: %d", got)
 	}
-	cfg = Config{}
-	if got := cfg.EffectiveSupport(c); got != 1 {
+	opt = Options{}
+	if got := opt.effectiveSupport(c); got != 1 {
 		t.Fatalf("support floor = %d, want 1", got)
 	}
 }
 
 func TestOnIterationObserved(t *testing.T) {
 	c := testCorpus(t)
-	cfg := testConfig()
-	cfg.Iterations = 7
+	opt := testOptions()
+	opt.Iterations = 7
 	count := 0
-	cfg.OnIteration = func(it int, m *topicmodel.Model) {
+	onIter := func(it int, m *topicmodel.Model) {
 		count++
 		if it != count {
 			t.Fatalf("iteration %d reported as %d", count, it)
@@ -71,7 +71,7 @@ func TestOnIterationObserved(t *testing.T) {
 			t.Fatal("nil model in callback")
 		}
 	}
-	Run(c, cfg)
+	Train(c, topicmodel.DocsFromSegmentation(c, Segment(c, Mine(c, opt), opt)), opt, onIter, nil)
 	if count != 7 {
 		t.Fatalf("callback ran %d times, want 7", count)
 	}
@@ -79,10 +79,10 @@ func TestOnIterationObserved(t *testing.T) {
 
 func TestParallelWorkersMatchSerialMining(t *testing.T) {
 	c := testCorpus(t)
-	cfg := testConfig()
-	serial := Mine(c, cfg)
-	cfg.Workers = 4
-	parallel := Mine(c, cfg)
+	opt := testOptions()
+	serial := Mine(c, opt)
+	opt.Workers = 4
+	parallel := Mine(c, opt)
 	if serial.Counts.Len() != parallel.Counts.Len() {
 		t.Fatal("parallel mining diverges")
 	}

@@ -11,8 +11,10 @@ package dtrain
 // divergence.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
@@ -51,32 +53,45 @@ func namedCkptErr(err error) bool {
 func TestCheckpointRoundTrip(t *testing.T) {
 	fix := buildFixture(t, "20conf", 20)
 	opt := topicmodel.Options{K: 3, Iterations: 8, Seed: 2, OptimizeHyper: true, HyperEvery: 4, BurnIn: 2}
-	m := topicmodel.TrainParallel(fix.docs, fix.v, opt, 1)
+	m := topicmodel.Train(fix.docs, fix.v, withWorkers(opt, 1))
 	ck := captureCheckpoint(m, opt.Filled(), 8, topicmodel.DocsChecksum(fix.docs))
 
-	path := filepath.Join(t.TempDir(), "ck.tpd")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.tpd")
 	if err := WriteCheckpointFile(path, ck); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, err := ReadCheckpointFile(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
+	// Older builds set meta flag bit 1 on runs of the dense reference
+	// sampler. Such a file still reads, and restores the same model.
+	old := ck.encode()
+	meta := old[ckptHeaderSize+4*ckptEntrySize:]
+	meta[36] |= 2
+	binary.LittleEndian.PutUint32(old[ckptHeaderSize+4:], crc32.ChecksumIEEE(meta[:ckptMetaSize]))
+	oldPath := filepath.Join(dir, "dense.tpd")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got.K != ck.K || got.V != ck.V || got.Sweep != ck.Sweep ||
-		got.Iterations != ck.Iterations || got.HyperEvery != ck.HyperEvery ||
-		got.BurnIn != ck.BurnIn || got.OptimizeHyper != ck.OptimizeHyper ||
-		got.DenseSampler != ck.DenseSampler || got.CorpusChecksum != ck.CorpusChecksum ||
-		got.TotalTokens != ck.TotalTokens || got.RNG != ck.RNG ||
-		got.AlphaSum != ck.AlphaSum || got.Beta != ck.Beta || got.BetaSum != ck.BetaSum {
-		t.Fatalf("scalar fields did not round-trip:\ngot  %+v\nwant %+v", got, ck)
-	}
-	rm, err := got.restoreModel(fix.docs, fix.v)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	assertModelsIdentical(t, rm, m)
-	if rm.SamplerState() != m.SamplerState() {
-		t.Fatalf("RNG position did not round-trip: %v vs %v", rm.SamplerState(), m.SamplerState())
+	for _, p := range []string{path, oldPath} {
+		got, err := ReadCheckpointFile(p)
+		if err != nil {
+			t.Fatalf("read %s: %v", filepath.Base(p), err)
+		}
+		if got.K != ck.K || got.V != ck.V || got.Sweep != ck.Sweep ||
+			got.Iterations != ck.Iterations || got.HyperEvery != ck.HyperEvery ||
+			got.BurnIn != ck.BurnIn || got.OptimizeHyper != ck.OptimizeHyper ||
+			got.CorpusChecksum != ck.CorpusChecksum ||
+			got.TotalTokens != ck.TotalTokens || got.RNG != ck.RNG ||
+			got.AlphaSum != ck.AlphaSum || got.Beta != ck.Beta || got.BetaSum != ck.BetaSum {
+			t.Fatalf("%s: scalar fields did not round-trip:\ngot  %+v\nwant %+v", filepath.Base(p), got, ck)
+		}
+		rm, err := got.restoreModel(fix.docs, fix.v)
+		if err != nil {
+			t.Fatalf("restore %s: %v", filepath.Base(p), err)
+		}
+		assertModelsIdentical(t, rm, m)
+		if rm.SamplerState() != m.SamplerState() {
+			t.Fatalf("%s: RNG position did not round-trip: %v vs %v", filepath.Base(p), rm.SamplerState(), m.SamplerState())
+		}
 	}
 }
 
@@ -89,7 +104,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointCorruption(t *testing.T) {
 	fix := buildFixture(t, "20conf", 20)
 	opt := topicmodel.Options{K: 3, Iterations: 5, Seed: 2}
-	m := topicmodel.TrainParallel(fix.docs, fix.v, opt, 1)
+	m := topicmodel.Train(fix.docs, fix.v, withWorkers(opt, 1))
 	ck := captureCheckpoint(m, opt.Filled(), 3, topicmodel.DocsChecksum(fix.docs))
 	path := filepath.Join(t.TempDir(), "ck.tpd")
 	if err := WriteCheckpointFile(path, ck); err != nil {
@@ -173,7 +188,7 @@ func drainWorkers(t *testing.T, chs []chan error, within time.Duration) []error 
 func TestResumeFromCheckpoint(t *testing.T) {
 	fix := buildFixture(t, "20conf", 120)
 	opt := trainOpts()
-	want := topicmodel.TrainParallel(fix.docs, fix.v, opt, 2)
+	want := topicmodel.Train(fix.docs, fix.v, withWorkers(opt, 2))
 	ckpt := filepath.Join(t.TempDir(), "run.tpd")
 
 	// Run 1 crashes: worker 0 dies around sweep 14, without Elastic, so
@@ -246,7 +261,7 @@ func TestResumeFromCheckpoint(t *testing.T) {
 func TestElasticRecovery(t *testing.T) {
 	fix := buildFixture(t, "20conf", 120)
 	opt := trainOpts()
-	want := topicmodel.TrainParallel(fix.docs, fix.v, opt, 2)
+	want := topicmodel.Train(fix.docs, fix.v, withWorkers(opt, 2))
 
 	ln := listen(t)
 	addr := ln.Addr().String()
@@ -387,7 +402,7 @@ func chaosProxy(t *testing.T, target, fault string, after int) string {
 func TestChaosMatrix(t *testing.T) {
 	fix := buildFixture(t, "20conf", 120)
 	opt := trainOpts()
-	want := topicmodel.TrainParallel(fix.docs, fix.v, opt, 2)
+	want := topicmodel.Train(fix.docs, fix.v, withWorkers(opt, 2))
 
 	cases := []struct {
 		fault string

@@ -65,11 +65,10 @@ const (
 // (u32), RNG state (4×u64), total tokens (u64).
 const ckptMetaSize = 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 32 + 8
 
-// Meta flag bits.
-const (
-	ckptFlagOptimizeHyper uint32 = 1 << iota
-	ckptFlagDenseSampler
-)
+// Meta flag bits. Bit 1 marked a run on the dense reference sampler,
+// which no longer ships: writers leave it clear, and readers accept it
+// and continue on the sparse sampler.
+const ckptFlagOptimizeHyper uint32 = 1
 
 // Named checkpoint error conditions. Every failure returned by
 // ReadCheckpointFile (and the corpus validation in Resume) wraps
@@ -112,7 +111,7 @@ type Checkpoint struct {
 	// remaining barriers (hyper cadence is a function of the absolute
 	// sweep number).
 	Iterations, HyperEvery, BurnIn int
-	OptimizeHyper, DenseSampler    bool
+	OptimizeHyper                  bool
 	// CorpusChecksum is DocsChecksum over the full modeling document
 	// set; Resume verifies the rebuilt documents against it.
 	CorpusChecksum uint32
@@ -143,7 +142,6 @@ func captureCheckpoint(m *topicmodel.Model, mopt topicmodel.Options, sweep int, 
 		HyperEvery:     mopt.HyperEvery,
 		BurnIn:         mopt.BurnIn,
 		OptimizeHyper:  mopt.OptimizeHyper,
-		DenseSampler:   mopt.DenseSampler,
 		CorpusChecksum: corpusSum,
 		TotalTokens:    m.TotalTokens(),
 		RNG:            m.SamplerState(),
@@ -171,7 +169,6 @@ func (ck *Checkpoint) schedule() topicmodel.Options {
 		HyperEvery:    ck.HyperEvery,
 		BurnIn:        ck.BurnIn,
 		OptimizeHyper: ck.OptimizeHyper,
-		DenseSampler:  ck.DenseSampler,
 	}
 }
 
@@ -195,7 +192,6 @@ func (ck *Checkpoint) restoreModel(docs []topicmodel.Doc, vocabSize int) (*topic
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCkptFormat, err)
 	}
-	m.DenseSampler = ck.DenseSampler
 	if len(ck.Nk) != ck.K {
 		return nil, fmt.Errorf("%w: %d topic totals for K=%d", ErrCkptFormat, len(ck.Nk), ck.K)
 	}
@@ -231,9 +227,6 @@ func (ck *Checkpoint) encode() []byte {
 	var flags uint32
 	if ck.OptimizeHyper {
 		flags |= ckptFlagOptimizeHyper
-	}
-	if ck.DenseSampler {
-		flags |= ckptFlagDenseSampler
 	}
 	meta := make([]byte, 0, ckptMetaSize)
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(ck.K))
@@ -385,7 +378,6 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	ck.TotalTokens = int(r.u64())
 	ck.OptimizeHyper = flags&ckptFlagOptimizeHyper != 0
-	ck.DenseSampler = flags&ckptFlagDenseSampler != 0
 	if ck.K <= 0 || ck.K > 1<<20 || ck.V <= 0 || ndocs < 0 || ck.Sweep < 0 ||
 		ck.Iterations <= 0 || ck.Sweep > ck.Iterations || ck.HyperEvery <= 0 || ck.BurnIn < 0 {
 		return nil, fmt.Errorf("%w: meta holds K=%d V=%d docs=%d sweep=%d/%d hyperEvery=%d burnIn=%d",

@@ -352,7 +352,7 @@ func (c *coordinator) epoch(ws []*wconn) (*topicmodel.Model, *wconn, error) {
 	deltaRows := make([]int64, len(ws))
 	for it := c.recov.Sweep + 1; it <= c.mopt.Iterations; it++ {
 		base := m.NextSweepBase()
-		hyper := c.mopt.OptimizeHyper && it > c.mopt.BurnIn && it%c.mopt.HyperEvery == 0
+		hyper := c.mopt.HyperDue(it)
 		ckptDue := c.opt.Checkpoint.Path != "" && it%c.opt.Checkpoint.Every == 0
 		// wantZ barriers pull every shard's assignments up: hyper
 		// optimization needs the document-topic rows, and snapshots need

@@ -34,6 +34,13 @@ const (
 	fixMaxLen   = 8
 )
 
+// withWorkers is opt for in-process training on the given number of
+// topic workers, the run a distributed one must reproduce.
+func withWorkers(opt topicmodel.Options, workers int) topicmodel.Options {
+	opt.Workers = workers
+	return opt
+}
+
 func buildFixture(tb testing.TB, domain string, nDocs int) *fixture {
 	tb.Helper()
 	c := synth.GenerateCorpus(synth.Domains()[domain](),
@@ -152,7 +159,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 				K: 4, Iterations: 40, Seed: 11,
 				OptimizeHyper: true, HyperEvery: 10, BurnIn: 5,
 			}
-			want := topicmodel.TrainParallel(fix.docs, fix.v, opt, workers)
+			want := topicmodel.Train(fix.docs, fix.v, withWorkers(opt, workers))
 
 			ln := listen(t)
 			chs := startWorkers(t, ln.Addr().String(), workers, WorkerOptions{}, nil)

@@ -108,7 +108,7 @@ func TestTelemetryPlane(t *testing.T) {
 	fix := buildFixture(t, "20conf", 120)
 	opt := trainOpts()
 	const workers = 2
-	want := topicmodel.TrainParallel(fix.docs, fix.v, opt, workers)
+	want := topicmodel.Train(fix.docs, fix.v, withWorkers(opt, workers))
 
 	// Baseline: same distributed run with no telemetry at all.
 	{
@@ -279,7 +279,7 @@ func TestTelemetryPlane(t *testing.T) {
 func TestTelemetryElastic(t *testing.T) {
 	fix := buildFixture(t, "20conf", 120)
 	opt := trainOpts()
-	want := topicmodel.TrainParallel(fix.docs, fix.v, opt, 2)
+	want := topicmodel.Train(fix.docs, fix.v, withWorkers(opt, 2))
 
 	var trace syncBuffer
 	tel := NewTelemetry(&trace)

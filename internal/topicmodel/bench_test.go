@@ -70,7 +70,11 @@ func BenchmarkSweep(b *testing.B) {
 	for _, k := range []int{50, 200, 1000} {
 		for _, mode := range []string{"sparse", "dense"} {
 			b.Run(fmt.Sprintf("K%d/%s", k, mode), func(b *testing.B) {
-				benchSweeps(b, docs, v, Options{K: k, DenseSampler: mode == "dense"}, (*Model).Sweep)
+				sweep := (*Model).Sweep
+				if mode == "dense" {
+					sweep = (*Model).sweepDense // the test-only reference
+				}
+				benchSweeps(b, docs, v, Options{K: k}, sweep)
 			})
 		}
 	}

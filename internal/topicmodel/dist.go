@@ -141,7 +141,6 @@ func NewShardModel(docs []Doc, vocabSize, k int, alpha []float64, alphaSum, beta
 		Z:        z,
 		Nk:       nk,
 		nwk:      nwk,
-		weights:  make([]float64, k),
 	}
 	m.Nwk = make([][]int32, vocabSize)
 	for w := range m.Nwk {

@@ -154,15 +154,15 @@ func int32SlicesEq(a, b []int32) bool {
 // TestDistBarrierMatchesSweepParallel is the core byte-identity pin:
 // the distributed barrier protocol (shard models + wire codec + value
 // rebroadcast), driven with the same topology, reproduces
-// TrainParallel's final state exactly — including across hyperparameter
+// parallel Train's final state exactly — including across hyperparameter
 // optimisation barriers.
 func TestDistBarrierMatchesSweepParallel(t *testing.T) {
 	// workers >= 2: SweepParallel(1) falls back to the serial sampler,
 	// which the distributed protocol deliberately does not mimic.
 	docs := mixedCliqueDocs(60)
 	for _, workers := range []int{2, 3} {
-		opt := Options{K: 3, Iterations: 40, OptimizeHyper: true, HyperEvery: 10, BurnIn: 5, Seed: 77}
-		want := TrainParallel(docs, 10, opt, workers)
+		opt := Options{K: 3, Iterations: 40, OptimizeHyper: true, HyperEvery: 10, BurnIn: 5, Seed: 77, Workers: workers}
+		want := Train(docs, 10, opt)
 		got := distSimulate(t, docs, 10, opt, workers)
 		assertModelsIdentical(t, want, got)
 		if err := got.CheckInvariants(); err != nil {
@@ -175,8 +175,8 @@ func TestDistBarrierMatchesSweepParallel(t *testing.T) {
 // where one shard is a single giant document.
 func TestDistBarrierSkewedCorpus(t *testing.T) {
 	docs := skewedDocs(40, 100)
-	opt := Options{K: 3, Iterations: 15, Seed: 19}
-	want := TrainParallel(docs, 10, opt, 2)
+	opt := Options{K: 3, Iterations: 15, Seed: 19, Workers: 2}
+	want := Train(docs, 10, opt)
 	got := distSimulate(t, docs, 10, opt, 2)
 	assertModelsIdentical(t, want, got)
 }

@@ -37,7 +37,6 @@ func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 	// Arm scratch state first: compactCounts migrates a decoded model's
 	// rows into the flat arenas the grow step below copies from.
 	m.rng = xrand.New(seed)
-	m.weights = make([]float64, m.K)
 	m.sp = nil
 	m.par = nil
 	m.fold = nil
@@ -71,11 +70,17 @@ func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 	m.Z = append(m.Z, make([][]int32, len(newDocs))...)
 	m.Nd = append(m.Nd, make([]int32, len(newDocs))...)
 
+	w := make([]float64, m.K)
+	var rows [][]int32
 	for d := oldD; d < nD; d++ {
 		cliques := m.Docs[d].Cliques
 		m.Z[d] = make([]int32, len(cliques))
 		for g, clique := range cliques {
-			w := m.cliqueWeightsInto(m.ndkRow(d), clique)
+			rows = rows[:0]
+			for _, word := range clique {
+				rows = append(rows, m.nwkRow(word))
+			}
+			m.eq7Weights(w, m.ndkRow(d), rows, m.Nk)
 			k := int32(m.rng.Categorical(w))
 			m.Z[d][g] = k
 			m.addClique(d, clique, k, 1)

@@ -48,7 +48,7 @@ func TestExtendInvariants(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.Sweep()
 	}
-	m.SweepDense()
+	m.sweepDense()
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -117,9 +117,9 @@ func TestParallelMatchesOraclePerplexity(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		var kernel, oracle float64
 		for _, seed := range seeds {
-			opt := Options{K: k, Iterations: iters, Seed: seed}
+			opt := Options{K: k, Iterations: iters, Seed: seed, Workers: workers}
 			docs, _, _ := synthPhraseDocs(t, domain, n)
-			kernel += Perplexity(TrainParallel(docs, v, opt, workers), test)
+			kernel += Perplexity(Train(docs, v, opt), test)
 
 			docs, _, _ = synthPhraseDocs(t, domain, n)
 			m := NewModel(docs, v, opt)

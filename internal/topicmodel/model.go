@@ -29,11 +29,10 @@ type Options struct {
 	BurnIn int
 	// Seed drives the sampler deterministically.
 	Seed uint64
-	// DenseSampler selects the reference O(K)-per-clique dense sampler
-	// instead of the default sparse bucketed one. Both draw from the
-	// exact conditional of Eq. 7; the dense path exists as the
-	// correctness baseline for equivalence tests and benchmarks.
-	DenseSampler bool
+	// Workers > 1 sweeps with SweepParallel on that many goroutines
+	// (the AD-LDA approximation, see parallel.go); 0 or 1 sweeps with
+	// the exact serial sampler.
+	Workers int
 	// OnIteration, when set, runs after each sweep (1-based); used for
 	// perplexity curves and runtime instrumentation.
 	OnIteration func(iter int, m *Model)
@@ -79,6 +78,13 @@ func (o Options) Filled() Options {
 	return o
 }
 
+// HyperDue reports whether sweep it (1-based) of the schedule ends at
+// a hyperparameter barrier. o must be filled. Train, Resume and the
+// distributed coordinator all place their barriers with it.
+func (o Options) HyperDue(it int) bool {
+	return o.OptimizeHyper && it > o.BurnIn && it%o.HyperEvery == 0
+}
+
 // Model is a (Phrase)LDA model trained by collapsed Gibbs sampling.
 // Exported fields support gob serialisation.
 type Model struct {
@@ -110,12 +116,9 @@ type Model struct {
 	Nk []int64
 	// Nd[d]: tokens in doc d.
 	Nd []int32
-	// DenseSampler records Options.DenseSampler so the choice survives
-	// a Save/Load round trip (resumed training must consume the same
-	// sampler's RNG stream to stay reproducible). Gob skips unknown
-	// fields, so snapshots stay loadable in both directions across
-	// this addition.
-	DenseSampler bool
+	// Snapshots written while the dense reference sampler still shipped
+	// may carry a flag selecting it; gob skips the field, and such a
+	// model trains on with the sparse sampler.
 
 	// Flat count arenas backing the exported row views. nwk has V×K
 	// entries (row w at nwk[w*K:]), ndk has len(Docs)×K. They are nil
@@ -124,8 +127,6 @@ type Model struct {
 	ndk []int32
 
 	rng        *xrand.RNG
-	weights    []float64 // scratch for dense sampling
-	denseRows  [][]int32 // per-clique row cache for the dense path
 	sp         *sparseSampler
 	par        *parState
 	sweepStats func(SweepStats) // optional timing hook; never serialised
@@ -137,15 +138,13 @@ type Model struct {
 func NewModel(docs []Doc, vocabSize int, opt Options) *Model {
 	opt.fill()
 	m := &Model{
-		K:            opt.K,
-		V:            vocabSize,
-		Beta:         opt.Beta,
-		BetaSum:      opt.Beta * float64(vocabSize),
-		Docs:         docs,
-		rng:          xrand.New(opt.Seed),
-		weights:      make([]float64, opt.K),
-		DenseSampler: opt.DenseSampler,
-		sweepStats:   opt.SweepStats,
+		K:          opt.K,
+		V:          vocabSize,
+		Beta:       opt.Beta,
+		BetaSum:    opt.Beta * float64(vocabSize),
+		Docs:       docs,
+		rng:        xrand.New(opt.Seed),
+		sweepStats: opt.SweepStats,
 	}
 	m.Alpha = make([]float64, opt.K)
 	for k := range m.Alpha {
@@ -234,32 +233,15 @@ func (m *Model) addClique(d int, clique []int32, k int32, sign int32) {
 	m.Nk[k] += int64(sign) * int64(len(clique))
 }
 
-// denseCliqueWeights fills m.weights with the unnormalised conditional
-// posterior of a (removed) clique in document d, Equation 7 of the
-// paper:
+// eq7Weights fills w with the unnormalised conditional posterior of a
+// removed clique, Equation 7 of the paper:
 //
 //	p(C = k | ·) ∝ Π_{j=1..W} (α_k + N_dk^-  + j−1) ·
 //	               (β_wj + N_{wj,k}^-) / (Σβ + N_k^- + j−1)
-func (m *Model) denseCliqueWeights(d int, clique []int32) []float64 {
-	return m.cliqueWeightsInto(m.ndkRow(d), clique)
-}
-
-// cliqueWeightsInto is denseCliqueWeights against an explicit
-// document count row (Extend initialises new documents with it).
-func (m *Model) cliqueWeightsInto(ndk []int32, clique []int32) []float64 {
-	rows := m.denseRows[:0]
-	for _, word := range clique {
-		rows = append(rows, m.nwkRow(word))
-	}
-	m.denseRows = rows
-	m.eq7Weights(m.weights, ndk, rows, m.Nk)
-	return m.weights
-}
-
-// eq7Weights fills w with Equation 7 for a removed clique whose words
-// have the count rows `rows`, in a document with count row ndk, under
-// topic totals nk. The dense reference sampler evaluates it over the
-// model's counts; the sparse sampler's guard over its own view.
+//
+// for a clique whose words have the count rows `rows`, in a document
+// with count row ndk, under topic totals nk. Extend evaluates it over
+// the model's counts; the sparse sampler's guard over its own view.
 func (m *Model) eq7Weights(w []float64, ndk []int32, rows [][]int32, nk []int64) {
 	if len(rows) == 1 {
 		// LDA fast path (W = 1).
@@ -283,24 +265,11 @@ func (m *Model) eq7Weights(w []float64, ndk []int32, rows [][]int32, nk []int64)
 	}
 }
 
-// sampleCliqueDense resamples the topic of clique g of document d from
-// its full conditional with the O(K) dense scan — the reference
-// sampler the sparse bucketed path is tested against.
-func (m *Model) sampleCliqueDense(d, g int) {
-	clique := m.Docs[d].Cliques[g]
-	old := m.Z[d][g]
-	m.addClique(d, clique, old, -1)
-	k := int32(m.rng.Categorical(m.denseCliqueWeights(d, clique)))
-	m.Z[d][g] = k
-	m.addClique(d, clique, k, 1)
-}
-
-// Sweep runs one full Gibbs pass over all cliques. By default it uses
-// the sparse bucketed sampler (amortised O(K_d + K_w) per clique, see
-// sparse.go); models built with Options.DenseSampler use the dense
-// O(K) reference path. Both sample from the exact conditional. With a
-// SweepStats hook set, the sweep reports its wall time and where its
-// draws landed as a one-worker sweep with no reconcile.
+// Sweep runs one full Gibbs pass over all cliques with the sparse
+// bucketed sampler (amortised O(K_d + K_w) per clique, see sparse.go),
+// which samples from the exact conditional. With a SweepStats hook set,
+// the sweep reports its wall time and where its draws landed as a
+// one-worker sweep with no reconcile.
 func (m *Model) Sweep() {
 	m.sweepSeq++
 	stats := m.sweepStats
@@ -308,25 +277,9 @@ func (m *Model) Sweep() {
 	if stats != nil {
 		t0 = time.Now()
 	}
-	var draws DrawStats
-	if m.DenseSampler {
-		m.SweepDense()
-	} else {
-		draws = m.sweepSparse()
-	}
+	draws := m.sweepSparse()
 	if stats != nil {
 		stats(SweepStats{Sweep: m.sweepSeq, Workers: 1, Sample: time.Since(t0), Draws: draws})
-	}
-}
-
-// SweepDense runs one full Gibbs pass with the reference dense
-// sampler, regardless of how the model was configured. (addClique
-// invalidates the sparse word-topic index as it mutates counts.)
-func (m *Model) SweepDense() {
-	for d := range m.Docs {
-		for g := range m.Docs[d].Cliques {
-			m.sampleCliqueDense(d, g)
-		}
 	}
 }
 
@@ -335,9 +288,30 @@ func (m *Model) SweepDense() {
 func Train(docs []Doc, vocabSize int, opt Options) *Model {
 	opt.fill()
 	m := NewModel(docs, vocabSize, opt)
+	m.run(opt)
+	return m
+}
+
+// Resume continues a trained model for opt.Iterations more sweeps of
+// Train's schedule; opt.K is taken from the model. The model is past
+// burn-in, so hyperparameter barriers fall on every HyperEvery-th
+// resumed sweep from the first.
+func (m *Model) Resume(opt Options) {
+	opt.K = m.K
+	opt.fill()
+	opt.BurnIn = 0
+	m.run(opt)
+}
+
+// run is the one Gibbs schedule: opt.Iterations sweeps — serial, or
+// on opt.Workers goroutines (SweepParallel falls back to the serial
+// Sweep below two workers) — with a hyperparameter barrier wherever
+// opt.HyperDue says, and opt.OnIteration after every sweep. opt must
+// be filled.
+func (m *Model) run(opt Options) {
 	for it := 1; it <= opt.Iterations; it++ {
-		m.Sweep()
-		if opt.OptimizeHyper && it > opt.BurnIn && it%opt.HyperEvery == 0 {
+		m.SweepParallel(opt.Workers)
+		if opt.HyperDue(it) {
 			m.OptimizeAlpha(5)
 			m.OptimizeBeta(5)
 		}
@@ -345,7 +319,6 @@ func Train(docs []Doc, vocabSize int, opt Options) *Model {
 			opt.OnIteration(it, m)
 		}
 	}
-	return m
 }
 
 // Theta returns the point estimate of document d's topic mixture.

@@ -6,6 +6,59 @@ import (
 	"topmine/internal/xrand"
 )
 
+// The dense serial sampler, kept as the reference the sparse bucketed
+// sweep is pinned to per draw and in seed-averaged perplexity: Eq. 7
+// evaluated over all K topics for every clique, one O(K) scan per draw.
+
+// cliqueWeightsInto returns Eq. 7 for a removed clique in a document
+// with count row ndk, over the model's counts.
+func (m *Model) cliqueWeightsInto(ndk []int32, clique []int32) []float64 {
+	rows := make([][]int32, len(clique))
+	for j, w := range clique {
+		rows[j] = m.nwkRow(w)
+	}
+	w := make([]float64, m.K)
+	m.eq7Weights(w, ndk, rows, m.Nk)
+	return w
+}
+
+// denseCliqueWeights is cliqueWeightsInto for document d.
+func (m *Model) denseCliqueWeights(d int, clique []int32) []float64 {
+	return m.cliqueWeightsInto(m.ndkRow(d), clique)
+}
+
+// sweepDense runs one full Gibbs pass through the dense reference
+// sampler. (addClique invalidates the sparse word-topic index as it
+// mutates counts.)
+func (m *Model) sweepDense() {
+	w := make([]float64, m.K)
+	var rows [][]int32
+	for d := range m.Docs {
+		for g, clique := range m.Docs[d].Cliques {
+			m.addClique(d, clique, m.Z[d][g], -1)
+			rows = rows[:0]
+			for _, word := range clique {
+				rows = append(rows, m.nwkRow(word))
+			}
+			m.eq7Weights(w, m.ndkRow(d), rows, m.Nk)
+			k := int32(m.rng.Categorical(w))
+			m.Z[d][g] = k
+			m.addClique(d, clique, k, 1)
+		}
+	}
+}
+
+// trainDense is Train's schedule, without hyperparameter barriers,
+// through the dense reference sampler.
+func trainDense(docs []Doc, vocabSize int, opt Options) *Model {
+	opt.fill()
+	m := NewModel(docs, vocabSize, opt)
+	for it := 0; it < opt.Iterations; it++ {
+		m.sweepDense()
+	}
+	return m
+}
+
 // The dense delta kernel every parallel and distributed sweep drew
 // through before the sparse sampler took over, kept as the oracle: one
 // division per topic per clique over "frozen global + private delta".

@@ -309,21 +309,3 @@ func (sp *sparseSampler) delta() CountRows {
 	ov := sp.ov
 	return CountRows{K: sp.m.K, Words: ov.touched, Rows: ov.rows[:len(ov.touched)], Nk: sp.nk}
 }
-
-// TrainParallel is Train with SweepParallel; see the package-level
-// notes on the AD-LDA approximation.
-func TrainParallel(docs []Doc, vocabSize int, opt Options, workers int) *Model {
-	opt.fill()
-	m := NewModel(docs, vocabSize, opt)
-	for it := 1; it <= opt.Iterations; it++ {
-		m.SweepParallel(workers)
-		if opt.OptimizeHyper && it > opt.BurnIn && it%opt.HyperEvery == 0 {
-			m.OptimizeAlpha(5)
-			m.OptimizeBeta(5)
-		}
-		if opt.OnIteration != nil {
-			opt.OnIteration(it, m)
-		}
-	}
-	return m
-}

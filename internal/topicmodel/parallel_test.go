@@ -82,9 +82,9 @@ func TestShardRangesTokenBalance(t *testing.T) {
 // deterministic (fixed topology) with token-balanced shards on a
 // skewed corpus, and that invariants hold.
 func TestSweepParallelSkewedDeterministic(t *testing.T) {
-	opt := Options{K: 3, Iterations: 10, Seed: 211}
-	a := TrainParallel(skewedDocs(50, 120), 10, opt, 3)
-	b := TrainParallel(skewedDocs(50, 120), 10, opt, 3)
+	opt := Options{K: 3, Iterations: 10, Seed: 211, Workers: 3}
+	a := Train(skewedDocs(50, 120), 10, opt)
+	b := Train(skewedDocs(50, 120), 10, opt)
 	for d := range a.Z {
 		for g := range a.Z[d] {
 			if a.Z[d][g] != b.Z[d][g] {
@@ -193,9 +193,9 @@ func TestSweepParallelFallsBackWhenTiny(t *testing.T) {
 }
 
 func TestTrainParallelDeterministic(t *testing.T) {
-	opt := Options{K: 2, Iterations: 15, Seed: 97}
-	a := TrainParallel(twoTopicDocs(10, 10), 10, opt, 4)
-	b := TrainParallel(twoTopicDocs(10, 10), 10, opt, 4)
+	opt := Options{K: 2, Iterations: 15, Seed: 97, Workers: 4}
+	a := Train(twoTopicDocs(10, 10), 10, opt)
+	b := Train(twoTopicDocs(10, 10), 10, opt)
 	for d := range a.Z {
 		for g := range a.Z[d] {
 			if a.Z[d][g] != b.Z[d][g] {
@@ -218,7 +218,7 @@ func TestTrainParallelQualityComparable(t *testing.T) {
 		test[d] = []int32{base, base + 2}
 	}
 	serial := Train(mkDocs(), 10, Options{K: 2, Iterations: 60, Seed: 101})
-	parallel := TrainParallel(mkDocs(), 10, Options{K: 2, Iterations: 60, Seed: 101}, 4)
+	parallel := Train(mkDocs(), 10, Options{K: 2, Iterations: 60, Seed: 101, Workers: 4})
 	ps := Perplexity(serial, test)
 	pp := Perplexity(parallel, test)
 	if math.IsNaN(ps) || math.IsNaN(pp) {
@@ -231,7 +231,7 @@ func TestTrainParallelQualityComparable(t *testing.T) {
 
 func TestTrainParallelRecoversTopics(t *testing.T) {
 	docs := twoTopicDocs(30, 30)
-	m := TrainParallel(docs, 10, Options{K: 2, Iterations: 100, Seed: 103}, 4)
+	m := Train(docs, 10, Options{K: 2, Iterations: 100, Seed: 103, Workers: 4})
 	topicOf := func(w int32) int {
 		if m.Nwk[w][0] >= m.Nwk[w][1] {
 			return 0

@@ -45,7 +45,6 @@ func (m *Model) Frozen() *Model {
 		Alpha: m.Alpha, AlphaSum: m.AlphaSum,
 		Beta: m.Beta, BetaSum: m.BetaSum,
 		Nwk: m.Nwk, Nk: m.Nk,
-		DenseSampler: m.DenseSampler,
 	}
 	f.nwk = m.nwk
 	f.ResetSampler(0)
@@ -66,7 +65,6 @@ func (m *Model) Frozen() *Model {
 // that state, but Sweep/Train need it.
 func (m *Model) ResetSampler(seed uint64) {
 	m.rng = xrand.New(seed)
-	m.weights = make([]float64, m.K)
 	m.sp = nil
 	m.par = nil
 	m.compactCounts()

@@ -2,6 +2,7 @@ package topicmodel
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"strings"
@@ -54,9 +55,8 @@ func TestSparseDensePerplexityEquivalence(t *testing.T) {
 				t.Fatalf("%s: sparse perplexity NaN at seed %d", tc.domain, seed)
 			}
 			ps += p
-			opt.DenseSampler = true
 			docsB, _, _ := synthPhraseDocs(t, tc.domain, tc.docs)
-			p = Perplexity(Train(docsB, v, opt), test)
+			p = Perplexity(trainDense(docsB, v, opt), test)
 			if math.IsNaN(p) {
 				t.Fatalf("%s: dense perplexity NaN at seed %d", tc.domain, seed)
 			}
@@ -426,21 +426,50 @@ func TestValidateNamesNegativeCount(t *testing.T) {
 	}
 }
 
-// TestDenseSamplerSurvivesRoundTrip: resumed training must keep using
-// the sampler it was configured with, or the RNG stream (and so the
-// bit-for-bit reproducibility contract) silently changes.
-func TestDenseSamplerSurvivesRoundTrip(t *testing.T) {
-	docs := twoTopicDocs(4, 8)
-	m := Train(docs, 10, Options{K: 2, Iterations: 5, Seed: 41, DenseSampler: true})
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+// TestOldDenseSnapshotLoadsAndTrains: a model saved while the dense
+// reference sampler still shipped carries DenseSampler = true. It must
+// load, and it trains on with the sparse sampler exactly as the same
+// model saved without the flag.
+func TestOldDenseSnapshotLoadsAndTrains(t *testing.T) {
+	m := Train(twoTopicDocs(4, 8), 10, Options{K: 2, Iterations: 5, Seed: 41})
+	// The gob shape of Model when it still had the DenseSampler field.
+	type oldModel struct {
+		K, V          int
+		Alpha         []float64
+		AlphaSum      float64
+		Beta, BetaSum float64
+		Docs          []Doc
+		Z, Ndk, Nwk   [][]int32
+		Nk            []int64
+		Nd            []int32
+		DenseSampler  bool
+	}
+	var old, cur bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(oldModel{
+		K: m.K, V: m.V, Alpha: m.Alpha, AlphaSum: m.AlphaSum, Beta: m.Beta, BetaSum: m.BetaSum,
+		Docs: m.Docs, Z: m.Z, Ndk: m.Ndk, Nwk: m.Nwk, Nk: m.Nk, Nd: m.Nd, DenseSampler: true,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(&buf, 41)
+	if err := m.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Load(&old, 41)
+	if err != nil {
+		t.Fatalf("old dense snapshot: %v", err)
+	}
+	b, err := Load(&cur, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m2.DenseSampler {
-		t.Fatal("DenseSampler flag lost across Save/Load")
+	for i := 0; i < 5; i++ {
+		a.Sweep()
+		b.Sweep()
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := zHash(a), zHash(b); got != want {
+		t.Fatalf("old dense snapshot trained to %s, the same model without the flag to %s", got, want)
 	}
 }

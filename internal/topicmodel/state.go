@@ -38,7 +38,6 @@ func NewModelFromState(docs []Doc, vocabSize, k int, alpha []float64, alphaSum, 
 		BetaSum:  betaSum,
 		Docs:     docs,
 		rng:      xrand.New(0),
-		weights:  make([]float64, k),
 	}
 	m.Z = make([][]int32, len(docs))
 	m.nwk = make([]int32, vocabSize*k)

@@ -3,7 +3,6 @@ package topmine
 import (
 	"fmt"
 
-	"topmine/internal/core"
 	"topmine/internal/corpusfile"
 	"topmine/internal/topicmodel"
 )
@@ -69,21 +68,7 @@ func MergeCorpusFiles(dst string, srcs ...string) (*MergeStats, error) {
 // compare incoming documents against the stored corpus without
 // retokenizing it.
 func SaveCorpusFileSketched(path string, r *Result) error {
-	switch {
-	case r == nil:
-		return fmt.Errorf("topmine: SaveCorpusFileSketched: nil Result")
-	case r.Corpus == nil || r.Corpus.Vocab == nil:
-		return fmt.Errorf("topmine: SaveCorpusFileSketched: Result has no corpus")
-	}
-	var art *corpusfile.Artifacts
-	if r.Mined != nil {
-		art = &corpusfile.Artifacts{
-			Params: artifactParams(r.Options),
-			Mined:  r.Mined,
-			Segs:   r.Segmented,
-		}
-	}
-	return corpusfile.WriteFileSketched(path, r.Corpus, art, corpusfile.ComputeSketches(r.Corpus, 0))
+	return saveCorpusFile("SaveCorpusFileSketched", path, r, true)
 }
 
 // Version reports the file's format version: 1 for a single-segment
@@ -155,17 +140,7 @@ func (r *Result) UpdateTraining(cf *CorpusFile, iters int) error {
 	// Phrase statistics must cover the union: reuse the file's bundled
 	// artifacts when their parameters match, recompute otherwise (an
 	// appended file always recomputes — its artifacts went stale).
-	var mined *MinedPhrases
-	var segs []*SegmentedDoc
-	if cf.CanReuseArtifacts(r.Options) {
-		mined, segs = cf.Mined(), cf.Segmented()
-	}
-	if mined == nil {
-		mined = core.Mine(c, toCoreConfig(r.Options, nil))
-	}
-	if segs == nil {
-		segs = core.Segment(c, mined, toCoreConfig(r.Options, nil))
-	}
+	mined, segs := artifacts(c, cf, r.Options)
 
 	newDocs := topicmodel.DocsFromSegmentation(c, segs[oldD:])
 	if err := r.Model.Extend(newDocs, c.Vocab.Size(), r.Options.Seed); err != nil {
@@ -187,6 +162,6 @@ func (r *Result) UpdateTraining(cf *CorpusFile, iters int) error {
 	if iters > 0 {
 		return r.ResumeTraining(iters)
 	}
-	r.Topics = r.Model.Visualize(c, visualizeOptions(r.Options))
+	r.render()
 	return nil
 }

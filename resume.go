@@ -1,6 +1,10 @@
 package topmine
 
-import "fmt"
+import (
+	"fmt"
+
+	"topmine/internal/core"
+)
 
 // Resumable reports whether this Result can continue Gibbs training:
 // its model must carry per-document training state, which is the case
@@ -19,8 +23,11 @@ func (r *Result) Resumable() bool {
 // was re-armed by Model.ResetSampler at load time, seeded from the
 // pipeline seed, so resuming a given snapshot is deterministic: two
 // loads resumed for the same iteration count produce byte-identical
-// topics. Hyperparameter optimisation continues on the training
-// schedule (every 25 sweeps) when the pipeline options enabled it.
+// topics. The sweeps follow training's own schedule: TopicWorkers > 1
+// resumes with the parallel sampler (deterministic per worker count),
+// and hyperparameter optimisation, when the pipeline options enabled
+// it, runs every 25 sweeps counted from the first resumed one — the
+// model is past burn-in.
 // The cached Inferencer, if any, is dropped — it captured the
 // pre-resume counts.
 func (r *Result) ResumeTraining(iters int) error {
@@ -33,25 +40,10 @@ func (r *Result) ResumeTraining(iters int) error {
 	if !r.Resumable() {
 		return fmt.Errorf("topmine: ResumeTraining: model carries no training state; save with SaveTrainingSnapshot (topmine -save-state) to resume later")
 	}
-	// hyperEvery mirrors topicmodel's training default. The loaded
-	// model is past burn-in by construction (it was already trained),
-	// so the post-burn-in cadence applies from the first resumed sweep.
-	// TopicWorkers is honored like the original training run: >1
-	// resumes with the parallel AD-LDA-style sampler (deterministic
-	// per worker count), otherwise the exact serial sampler.
-	const hyperEvery = 25
-	for it := 1; it <= iters; it++ {
-		if r.Options.TopicWorkers > 1 {
-			r.Model.SweepParallel(r.Options.TopicWorkers)
-		} else {
-			r.Model.Sweep()
-		}
-		if r.Options.OptimizeHyper && it%hyperEvery == 0 {
-			r.Model.OptimizeAlpha(5)
-			r.Model.OptimizeBeta(5)
-		}
-	}
-	r.Topics = r.Model.Visualize(r.Corpus, visualizeOptions(r.Options))
+	mopt := core.ModelOptions(r.Options)
+	mopt.Iterations = iters
+	r.Model.Resume(mopt)
+	r.render()
 	r.inferMu.Lock()
 	r.inferer = nil // captured pre-resume counts; rebuild lazily
 	r.inferMu.Unlock()

@@ -2,6 +2,10 @@ package topmine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -168,5 +172,125 @@ func TestResumeDropsCachedInferencer(t *testing.T) {
 	}
 	if before == after {
 		t.Fatal("ResumeTraining must invalidate the cached Inferencer")
+	}
+}
+
+// modelDigest hashes a model's assignments and priors: the counts are
+// a function of Z, and the priors move at every hyperparameter barrier.
+func modelDigest(m *Model) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, z := range m.Z {
+		for _, k := range z {
+			binary.LittleEndian.PutUint32(buf[:4], uint32(k))
+			h.Write(buf[:4])
+		}
+	}
+	for _, a := range append(append([]float64(nil), m.Alpha...), m.Beta) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(a))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// TestTrainingPathBytesPinned pins the bytes of the training paths the
+// root package drives — resumed training across two hyperparameter
+// barriers, an incremental update over an appended corpus file, and
+// LDA serial and with two topic workers — against digests recorded
+// before they were routed through one schedule.
+func TestTrainingPathBytesPinned(t *testing.T) {
+	lda := func(workers int) func(t *testing.T) *Model {
+		return func(t *testing.T) *Model {
+			docs, err := GenerateExampleCorpus("dblp-titles", 200, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := DefaultOptions()
+			opt.Topics, opt.Iterations, opt.Seed, opt.TopicWorkers = 4, 30, 5, workers
+			return TrainLDA(BuildCorpus(docs, DefaultCorpusOptions()), opt)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		train func(t *testing.T) *Model
+		want  string
+	}{
+		{"resume60/hyper", func(t *testing.T) *Model {
+			docs, err := GenerateExampleCorpus("dblp-titles", 200, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := DefaultOptions()
+			opt.Topics, opt.Iterations, opt.MinSupport, opt.Seed, opt.Workers = 4, 10, 3, 5, 1
+			res, err := Run(docs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "train.tpm")
+			if err := SaveTrainingSnapshotFile(path, res); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.ResumeTraining(60); err != nil {
+				t.Fatal(err)
+			}
+			return loaded.Model
+		}, "db29ee568df9ff4f"},
+		{"update/appended", func(t *testing.T) *Model {
+			docs := corpusFileTestDocs(t)
+			shard := 2 * len(docs) / 3
+			opt := corpusFileTestOptions()
+			opt.OptimizeHyper = true
+			dir := t.TempDir()
+			path := filepath.Join(dir, "inc.tpc")
+			pre, err := Preprocess(SliceSource(docs[:shard]), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := SaveCorpusFile(path, pre); err != nil {
+				t.Fatal(err)
+			}
+			base, err := RunCorpusFile(path, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := filepath.Join(dir, "snap.tpm")
+			if err := SaveTrainingSnapshotFile(snap, base); err != nil {
+				t.Fatal(err)
+			}
+			base.Close()
+			if _, err := AppendCorpusFile(path, SliceSource(docs[shard:]), AppendOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			cf, err := OpenCorpusFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cf.Close()
+			res, err := LoadSnapshotFile(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { res.Close() })
+			if err := res.UpdateTraining(cf, 30); err != nil {
+				t.Fatal(err)
+			}
+			return res.Model
+		}, "d9748fabebc5e71d"},
+		{"lda/serial", lda(0), "004a5b321907c1b2"},
+		{"lda/workers2", lda(2), "da51765a95fa197c"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.train(t)
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if got := modelDigest(m); got != tc.want {
+				t.Errorf("digest %s, pinned %s", got, tc.want)
+			}
+		})
 	}
 }

@@ -63,48 +63,9 @@ type (
 	HeldOut = corpus.HeldOut
 )
 
-// Options configures the full ToPMine pipeline.
-type Options struct {
-	// MinSupport is the minimum corpus frequency for a phrase (the
-	// paper's ε). When RelativeSupport is set, the effective support is
-	// max(MinSupport, RelativeSupport × corpus tokens), implementing
-	// the paper's advice that support grow linearly with corpus size.
-	MinSupport      int
-	RelativeSupport float64
-	// MaxPhraseLen bounds phrase length (0 = unbounded).
-	MaxPhraseLen int
-	// SigThreshold is the significance threshold α of Algorithm 2.
-	SigThreshold float64
-	// Topics is K, the number of latent topics.
-	Topics int
-	// Iterations is the number of collapsed Gibbs sweeps.
-	Iterations int
-	// Alpha and Beta are the Dirichlet priors (0 = 50/K and 0.01).
-	Alpha, Beta float64
-	// OptimizeHyper enables Minka fixed-point hyperparameter updates.
-	OptimizeHyper bool
-	// FilterBackground removes corpus-wide background phrases from the
-	// topic visualisations (§8 of the paper).
-	FilterBackground bool
-	// TopUnigrams / TopPhrases bound the visualisation lists.
-	TopUnigrams, TopPhrases int
-	// Seed drives every random choice.
-	Seed uint64
-	// Workers parallelises corpus ingestion (Run/RunSource), mining
-	// and segmentation (0 = GOMAXPROCS). It never changes any output.
-	Workers int
-	// TopicWorkers > 1 trains the topic model with the approximate
-	// AD-LDA-style distributed sampler (see internal/topicmodel's
-	// parallel notes): deterministic for a fixed worker count, held-out
-	// quality comparable to the serial sampler, sweeps up to
-	// TopicWorkers times faster. Workers accumulate sparse count deltas
-	// into buffers reused across sweeps, so the per-sweep memory
-	// overhead is O(cells touched by the worker's shard) — not the
-	// O(V×K) per-worker count copy of earlier releases. 0 or 1 selects
-	// the exact serial sampler (sparse bucketed Gibbs) used for all
-	// paper-reproduction experiments.
-	TopicWorkers int
-}
+// Options configures the full ToPMine pipeline. It is the one config
+// every stage reads; see internal/core for its fields.
+type Options = core.Options
 
 // DefaultOptions mirrors the paper's configuration: ε=5 absolute
 // support, α=5 significance, K=10 topics, 1000 sweeps, hyperparameter
@@ -120,54 +81,6 @@ func DefaultOptions() Options {
 		TopUnigrams:   10,
 		TopPhrases:    10,
 	}
-}
-
-// Normalize validates the options and substitutes the documented
-// defaults for zero values (SigThreshold 0 → 5, Iterations 0 → 1000,
-// …) — the same normalisation every Run/Train entry point applies
-// internally. Callers that orchestrate pipeline stages individually
-// (e.g. the CLI) normalise once up front so mining, segmentation and
-// stored-artifact parameter matching all see identical effective
-// values.
-func (o *Options) Normalize() error { return o.fill() }
-
-func (o *Options) fill() error {
-	if o.Topics <= 0 {
-		return fmt.Errorf("topmine: Topics must be positive, got %d", o.Topics)
-	}
-	if o.MinSupport <= 0 && o.RelativeSupport <= 0 {
-		o.MinSupport = 5
-	}
-	if o.MaxPhraseLen < 0 {
-		return fmt.Errorf("topmine: MaxPhraseLen must be >= 0")
-	}
-	// Negative priors are never meaningful: a negative significance
-	// threshold accepts every adjacent merge (each candidate pair's
-	// score starts at 0), and negative Dirichlet priors turn Gibbs
-	// sampling weights negative, corrupting the categorical draw.
-	// Reject them instead of training a silently broken model.
-	if o.SigThreshold < 0 {
-		return fmt.Errorf("topmine: SigThreshold must be >= 0 (0 selects the default 5), got %v", o.SigThreshold)
-	}
-	if o.Alpha < 0 {
-		return fmt.Errorf("topmine: Alpha must be >= 0 (0 selects the default 50/K), got %v", o.Alpha)
-	}
-	if o.Beta < 0 {
-		return fmt.Errorf("topmine: Beta must be >= 0 (0 selects the default 0.01), got %v", o.Beta)
-	}
-	if o.SigThreshold == 0 {
-		o.SigThreshold = 5
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = 1000
-	}
-	if o.TopUnigrams <= 0 {
-		o.TopUnigrams = 10
-	}
-	if o.TopPhrases <= 0 {
-		o.TopPhrases = 10
-	}
-	return nil
 }
 
 // Result carries every artifact of a pipeline run.
@@ -327,109 +240,86 @@ func RunSource(src Source, opt Options) (*Result, error) {
 
 // RunCorpus executes the full pipeline on a prebuilt corpus.
 func RunCorpus(c *Corpus, opt Options) (*Result, error) {
-	if err := opt.fill(); err != nil {
+	if err := opt.Normalize(); err != nil {
 		return nil, err
 	}
-	a := core.Run(c, toCoreConfig(opt, nil))
-	res := &Result{Corpus: c, Mined: a.Mined, Segmented: a.Segs, Model: a.Model, Options: opt}
-	res.Topics = res.Model.Visualize(c, visualizeOptions(opt))
-	return res, nil
+	mined, segs := artifacts(c, nil, opt)
+	return trained(c, mined, segs, TrainModel(c, segs, opt), opt), nil
 }
 
-// trainAndVisualize runs PhraseLDA over already-mined, already-
-// segmented artifacts and renders the topics — the shared tail of
-// RunCorpus and CorpusFile.Run. opt must be filled.
-func trainAndVisualize(c *Corpus, mined *MinedPhrases, segs []*SegmentedDoc, opt Options) *Result {
-	_, model := core.Train(c, segs, toCoreConfig(opt, nil))
+// artifacts is the one artifact step: c's mined phrases and
+// segmentation under opt — cf's stored ones when their parameters match
+// (cf may be nil), recomputed otherwise. opt must be normalised.
+func artifacts(c *Corpus, cf *CorpusFile, opt Options) (*MinedPhrases, []*SegmentedDoc) {
+	var mined *MinedPhrases
+	var segs []*SegmentedDoc
+	if cf != nil && cf.CanReuseArtifacts(opt) {
+		mined, segs = cf.Mined(), cf.Segmented()
+	}
+	if mined == nil {
+		mined = core.Mine(c, opt)
+	}
+	if segs == nil {
+		segs = core.Segment(c, mined, opt)
+	}
+	return mined, segs
+}
+
+// trained wraps a trained model and the artifacts it trained on into a
+// Result with its topics rendered. opt must be normalised.
+func trained(c *Corpus, mined *MinedPhrases, segs []*SegmentedDoc, model *Model, opt Options) *Result {
 	res := &Result{Corpus: c, Mined: mined, Segmented: segs, Model: model, Options: opt}
-	res.Topics = model.Visualize(c, visualizeOptions(opt))
+	res.render()
 	return res
 }
 
-// visualizeOptions translates pipeline options into rendering options.
-func visualizeOptions(opt Options) topicmodel.VisualizeOptions {
-	vis := topicmodel.VisualizeOptions{
-		TopUnigrams:      opt.TopUnigrams,
-		TopPhrases:       opt.TopPhrases,
-		FilterBackground: opt.FilterBackground,
-	}
-	if opt.FilterBackground {
-		// Catch background phrases that collect in a dedicated topic
-		// under the optimised asymmetric prior (see VisualizeOptions).
-		vis.BackgroundMaxDocFrac = 0.25
-	}
-	return vis
-}
-
-// toCoreConfig translates public options into the framework config.
-func toCoreConfig(opt Options, onIter func(int, *Model)) core.Config {
-	return core.Config{
-		MinSupport:      opt.MinSupport,
-		RelativeSupport: opt.RelativeSupport,
-		MaxPhraseLen:    opt.MaxPhraseLen,
-		SigAlpha:        opt.SigThreshold,
-		K:               opt.Topics,
-		Iterations:      opt.Iterations,
-		Alpha:           opt.Alpha,
-		Beta:            opt.Beta,
-		OptimizeHyper:   opt.OptimizeHyper,
-		Seed:            opt.Seed,
-		Workers:         opt.Workers,
-		TopicWorkers:    opt.TopicWorkers,
-		OnIteration:     onIter,
-	}
+// render re-renders Topics from the model's current state.
+func (r *Result) render() {
+	r.Topics = r.Model.Visualize(r.Corpus, core.VisualizeOptions(r.Options))
 }
 
 // MinePhrases runs frequent phrase mining (Algorithm 1) alone.
 func MinePhrases(c *Corpus, opt Options) *MinedPhrases {
-	return core.Mine(c, toCoreConfig(opt, nil))
+	return core.Mine(c, opt)
 }
 
 // SegmentCorpus runs phrase construction (Algorithm 2) alone.
 func SegmentCorpus(c *Corpus, mined *MinedPhrases, opt Options) []*SegmentedDoc {
-	return core.Segment(c, mined, toCoreConfig(opt, nil))
+	return core.Segment(c, mined, opt)
 }
+
+// The TrainModel*/TrainLDA* entry points below are one path: core.Train
+// over the phrase cliques of a segmentation (PhraseLDA) or over one
+// clique per token (LDA), with the sampler, the schedule and the
+// hyperparameter barriers all taken from opt. Invalid options panic.
 
 // TrainModel trains PhraseLDA on a segmented corpus.
 func TrainModel(c *Corpus, segs []*SegmentedDoc, opt Options) *Model {
-	return TrainModelWithCallback(c, segs, opt, nil)
+	return core.Train(c, topicmodel.DocsFromSegmentation(c, segs), opt, nil, nil)
 }
 
 // TrainModelWithCallback is TrainModel with a hook invoked after every
 // Gibbs sweep (1-based iteration); used for perplexity curves.
 func TrainModelWithCallback(c *Corpus, segs []*SegmentedDoc, opt Options, onIter func(int, *Model)) *Model {
-	_, m := core.Train(c, segs, toCoreConfig(opt, onIter))
-	return m
+	return core.Train(c, topicmodel.DocsFromSegmentation(c, segs), opt, onIter, nil)
+}
+
+// TrainModelWithSweepStats is TrainModel with a per-sweep hook: timing
+// (serial training has no barrier, so only Sample is set) and where
+// the sampler's draws landed.
+func TrainModelWithSweepStats(c *Corpus, segs []*SegmentedDoc, opt Options, stats func(SweepStats)) *Model {
+	return core.Train(c, topicmodel.DocsFromSegmentation(c, segs), opt, nil, stats)
 }
 
 // TrainLDA trains an unconstrained LDA baseline on the same corpus
 // (every token its own phrase) — the comparison model of Figures 6-7.
 func TrainLDA(c *Corpus, opt Options) *Model {
-	return TrainLDAWithCallback(c, opt, nil)
+	return core.Train(c, topicmodel.DocsUnigram(c), opt, nil, nil)
 }
 
 // TrainLDAWithCallback is TrainLDA with a per-sweep hook.
 func TrainLDAWithCallback(c *Corpus, opt Options, onIter func(int, *Model)) *Model {
-	if err := opt.fill(); err != nil {
-		panic(err)
-	}
-	docs := topicmodel.DocsUnigram(c)
-	if opt.TopicWorkers > 1 {
-		return topicmodel.TrainParallel(docs, c.Vocab.Size(), toModelOptions(opt, onIter), opt.TopicWorkers)
-	}
-	return topicmodel.Train(docs, c.Vocab.Size(), toModelOptions(opt, onIter))
-}
-
-func toModelOptions(opt Options, onIter func(int, *Model)) topicmodel.Options {
-	return topicmodel.Options{
-		K:             opt.Topics,
-		Alpha:         opt.Alpha,
-		Beta:          opt.Beta,
-		Iterations:    opt.Iterations,
-		OptimizeHyper: opt.OptimizeHyper,
-		Seed:          opt.Seed,
-		OnIteration:   onIter,
-	}
+	return core.Train(c, topicmodel.DocsUnigram(c), opt, onIter, nil)
 }
 
 // SplitHeldOut withholds frac of each document's tokens for perplexity
