@@ -2,7 +2,6 @@ package topmine
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"topmine/internal/corpus"
@@ -34,20 +33,22 @@ type Inferencer struct {
 	// phrases is captured at construction so serving stats never touch
 	// the (potentially large) mined counter after startup.
 	phrases int
-	// scratch pools the per-request working memory — the segmenter
-	// workspace every method uses, and for InferTopics the Gibbs
-	// buffers and RNG (topicmodel.InferScratch) plus the clique
-	// headers and token arena — so a warm request allocates only what
-	// it returns and the tokenised document.
+	// scratch pools the per-request working memory — the tokenizer
+	// and the mapped ids every method uses, the segmenter workspace,
+	// and for InferTopics the clique headers plus the Gibbs buffers and
+	// RNG (topicmodel.InferScratch) — so a warm request allocates only
+	// what it returns.
 	scratch sync.Pool
 }
 
 // inferScratch is the pooled per-request working memory.
 type inferScratch struct {
-	ts      topicmodel.InferScratch
+	tk      *corpus.Tokenizer
+	ids     []int32 // the request's in-vocabulary ids, segments concatenated
+	ends    []int32 // each segment's end offset into ids
 	seg     segment.Workspace
-	cliques [][]int32
-	words   []int32 // shared arena the clique slices point into
+	cliques [][]int32 // slices of ids
+	ts      topicmodel.InferScratch
 }
 
 // Stats summarises the trained artifacts behind an Inferencer — the
@@ -102,7 +103,7 @@ func NewInferencer(r *Result) (*Inferencer, error) {
 		// emits is longer than the longest mined phrase.
 		inf.index = topicmodel.NewInferIndex(r.Model, r.Mined.MaxPhraseLen)
 	}
-	inf.scratch.New = func() any { return new(inferScratch) }
+	inf.scratch.New = func() any { return &inferScratch{tk: corpus.NewTokenizer(inf.copt)} }
 	return inf, nil
 }
 
@@ -132,32 +133,46 @@ func (inf *Inferencer) NumTopics() int {
 func (inf *Inferencer) Topics() []TopicSummary { return inf.topics }
 
 // callSeed derives the per-call RNG seed: the pipeline seed mixed with
-// an FNV-1a hash of the text, so distinct texts draw from independent
-// streams while repeated calls with the same text are bit-identical.
+// a 64-bit FNV-1a hash of the text, so distinct texts draw from
+// independent streams while repeated calls with the same text are
+// bit-identical. The hash runs over the string in place.
 func (inf *Inferencer) callSeed(text string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(text))
-	return inf.opt.Seed ^ h.Sum64() ^ 0x1f2e3d
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(text); i++ {
+		h ^= uint64(text[i])
+		h *= prime64
+	}
+	return inf.opt.Seed ^ h ^ 0x1f2e3d
 }
 
-// cliquesInto maps a document's segments through the segmenter into
-// phrase cliques — the unit the topic model samples — writing into
-// sc's reusable buffers. The
-// clique slices point into sc.words (or, if that arena grows mid-
-// build, a superseded backing array that stays alive with them), so
-// they are valid until the scratch's next use.
-func (inf *Inferencer) cliquesInto(doc *corpus.Document, sc *inferScratch) [][]int32 {
+// mapText tokenizes text against the vocabulary into sc.ids and
+// sc.ends, normalised exactly as the training corpus was built.
+func (inf *Inferencer) mapText(text string, sc *inferScratch) {
+	sc.ids, sc.ends = sc.tk.MapInto(text, inf.vocab.Vocab, sc.ids[:0], sc.ends[:0])
+}
+
+// segmentWords returns mapped segment i of sc.
+func (sc *inferScratch) segmentWords(i int) []int32 {
+	start := int32(0)
+	if i > 0 {
+		start = sc.ends[i-1]
+	}
+	return sc.ids[start:sc.ends[i]:sc.ends[i]]
+}
+
+// cliquesInto maps the request's segments through the segmenter into
+// phrase cliques — the unit the topic model samples. The cliques slice
+// sc.ids and are valid until the scratch's next use.
+func (inf *Inferencer) cliquesInto(sc *inferScratch) [][]int32 {
 	cliques := sc.cliques[:0]
-	arena := sc.words[:0]
-	for si := range doc.Segments {
-		words := doc.Segments[si].Words()
+	for si := range sc.ends {
+		words := sc.segmentWords(si)
 		for _, sp := range inf.seg.PartitionWith(words, &sc.seg) {
-			start := len(arena)
-			arena = append(arena, words[sp.Start:sp.End]...)
-			cliques = append(cliques, arena[start:len(arena):len(arena)])
+			cliques = append(cliques, words[sp.Start:sp.End:sp.End])
 		}
 	}
-	sc.cliques, sc.words = cliques, arena
+	sc.cliques = cliques
 	return cliques
 }
 
@@ -187,14 +202,10 @@ func (inf *Inferencer) InferTopicsTokens(text string, iters int) ([]float64, int
 	if inf.index == nil {
 		panic("topmine: InferTopics requires a trained model; this Inferencer was built from a mining-only Result")
 	}
-	doc := corpus.MapText(text, inf.vocab.Vocab, inf.copt)
-	tokens := 0
-	for si := range doc.Segments {
-		tokens += doc.Segments[si].Len()
-	}
 	sc := inf.scratch.Get().(*inferScratch)
-	cliques := inf.cliquesInto(doc, sc)
-	theta := inf.index.InferTheta(cliques, iters, inf.callSeed(text), &sc.ts)
+	inf.mapText(text, sc)
+	tokens := len(sc.ids)
+	theta := inf.index.InferTheta(inf.cliquesInto(sc), iters, inf.callSeed(text), &sc.ts)
 	inf.scratch.Put(sc)
 	return theta, tokens
 }
@@ -203,11 +214,11 @@ func (inf *Inferencer) InferTopicsTokens(text string, iters int) ([]float64, int
 // statistics: one string slice per punctuation-delimited segment, each
 // element a display-form phrase.
 func (inf *Inferencer) Segment(text string) [][]string {
-	doc := corpus.MapText(text, inf.vocab.Vocab, inf.copt)
-	out := make([][]string, 0, len(doc.Segments))
 	sc := inf.scratch.Get().(*inferScratch)
-	for si := range doc.Segments {
-		words := doc.Segments[si].Words()
+	inf.mapText(text, sc)
+	out := make([][]string, 0, len(sc.ends))
+	for si := range sc.ends {
+		words := sc.segmentWords(si)
 		spans := inf.seg.PartitionWith(words, &sc.seg)
 		phrases := make([]string, len(spans))
 		for i, sp := range spans {
@@ -223,11 +234,11 @@ func (inf *Inferencer) Segment(text string) [][]string {
 // every merge, per segment — the serving-path equivalent of
 // Result.TraceText.
 func (inf *Inferencer) TraceText(text string) []SegmentTrace {
-	doc := corpus.MapText(text, inf.vocab.Vocab, inf.copt)
 	var out []SegmentTrace
 	sc := inf.scratch.Get().(*inferScratch)
-	for si := range doc.Segments {
-		words := doc.Segments[si].Words()
+	inf.mapText(text, sc)
+	for si := range sc.ends {
+		words := sc.segmentWords(si)
 		spans, steps := inf.seg.TracePartitionWith(words, &sc.seg)
 		tr := SegmentTrace{Steps: steps}
 		for _, w := range words {

@@ -1,10 +1,6 @@
 package corpus
 
-import (
-	"fmt"
-
-	"topmine/internal/textproc"
-)
+import "fmt"
 
 // Appender extends an existing corpus with new documents in place.
 // The corpus's own token columns are never copied or mutated — they
@@ -17,7 +13,7 @@ import (
 // same bytes when the grown corpus is persisted.
 type Appender struct {
 	c        *Corpus
-	opt      BuildOptions
+	tk       *Tokenizer
 	ar       *tokenArena
 	poolBase int // pool entries inherited from the base corpus
 	docsBase int
@@ -36,7 +32,7 @@ func NewAppender(c *Corpus) (*Appender, error) {
 	if base != nil && base.keep != keep {
 		return nil, fmt.Errorf("corpus: NewAppender: corpus arena and build options disagree on surface retention")
 	}
-	a := &Appender{c: c, opt: c.BuildOpts, docsBase: len(c.Docs)}
+	a := &Appender{c: c, tk: NewTokenizer(c.BuildOpts), docsBase: len(c.Docs)}
 	a.ar = &tokenArena{keep: keep, prev: base}
 	if keep {
 		// The new arena's pool is cumulative: the base strings keep
@@ -76,7 +72,7 @@ func lastArena(c *Corpus) *tokenArena {
 // all grow immediately. Like Builder.Add, documents that tokenize to
 // nothing still occupy a slot.
 func (a *Appender) Add(text string) *Document {
-	doc := addDocument(a.ar, a.c.Vocab, a.opt, text, len(a.c.Docs))
+	doc := a.tk.add(a.ar, a.c.Vocab, text, len(a.c.Docs))
 	n := doc.Len()
 	a.c.TotalTokens += n
 	a.tokens += n
@@ -102,6 +98,10 @@ func (a *Appender) AddSource(src Source) (int, error) {
 		n++
 	}
 }
+
+// Stems returns text's kept stem sequence (see Tokenizer.Stems),
+// appended to dst, through the appender's own tokenizer and stem memo.
+func (a *Appender) Stems(text string, dst []string) []string { return a.tk.Stems(text, dst) }
 
 // DocsAdded returns how many documents this appender has added.
 func (a *Appender) DocsAdded() int { return len(a.c.Docs) - a.docsBase }
@@ -130,28 +130,4 @@ func (a *Appender) Group() *RawGroup {
 		}
 	}
 	return g
-}
-
-// addDocument is the one tokenize→filter→stem→intern path shared by
-// Builder.Add and Appender.Add, so appending replays serial building
-// exactly rather than approximating it in a second copy of the loop.
-func addDocument(ar *tokenArena, vocab *textproc.Vocab, opt BuildOptions, text string, id int) *Document {
-	doc := &Document{ID: id}
-	for _, rawSeg := range textproc.Tokenize(text) {
-		kept := textproc.Filter(rawSeg, opt.RemoveStopwords)
-		if len(kept) == 0 {
-			continue
-		}
-		ar.grow(len(kept))
-		off := ar.mark()
-		for _, tok := range kept {
-			stem := tok.Surface
-			if opt.Stem {
-				stem = textproc.Stem(stem)
-			}
-			ar.push(vocab.Intern(stem, tok.Surface), tok.Surface, tok.Gap)
-		}
-		doc.Segments = append(doc.Segments, ar.seg(off))
-	}
-	return doc
 }

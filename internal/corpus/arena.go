@@ -40,6 +40,15 @@ func (p *stringPool) intern(s string) uint32 {
 	return id
 }
 
+// internBytes is intern for a scanner buffer: a string is allocated
+// only the first time the pool sees b.
+func (p *stringPool) internBytes(b []byte) uint32 {
+	if id, ok := p.ids[string(b)]; ok {
+		return id
+	}
+	return p.intern(string(b))
+}
+
 // tokenArena is the flat token store shared by every Segment of one
 // corpus (or one MapText document). words holds the vocabulary id of
 // every kept token in corpus order; surface and gaps, when surfaces are
@@ -71,8 +80,7 @@ func newArena(keepSurface bool) *tokenArena {
 	ar := &tokenArena{keep: keepSurface}
 	if keepSurface {
 		// Without surfaces nothing is ever interned (push skips the
-		// side tables), so skip the map allocation — MapText builds
-		// one arena per served request.
+		// side tables), so skip the map allocation.
 		ar.pool.init()
 	}
 	return ar
@@ -99,11 +107,11 @@ func (ar *tokenArena) mark() int32 { return int32(len(ar.words)) }
 
 // push appends one kept token. surface and gap are ignored unless the
 // arena keeps surfaces.
-func (ar *tokenArena) push(w int32, surface, gap string) {
+func (ar *tokenArena) push(w int32, surface string, gap []byte) {
 	ar.words = append(ar.words, w)
 	if ar.keep {
 		ar.surface = append(ar.surface, ar.pool.intern(surface))
-		ar.gaps = append(ar.gaps, ar.pool.intern(gap))
+		ar.gaps = append(ar.gaps, ar.pool.internBytes(gap))
 	}
 }
 

@@ -34,6 +34,7 @@ func DefaultBuildOptions() BuildOptions {
 // Builder incrementally assembles a Corpus from raw document strings.
 type Builder struct {
 	opt   BuildOptions
+	tk    *Tokenizer
 	vocab *textproc.Vocab
 	ar    *tokenArena
 	docs  []*Document
@@ -41,15 +42,19 @@ type Builder struct {
 }
 
 // NewBuilder returns a Builder with the given options.
-func NewBuilder(opt BuildOptions) *Builder {
-	return &Builder{opt: opt, vocab: textproc.NewVocab(), ar: newArena(opt.KeepSurface)}
+func NewBuilder(opt BuildOptions) *Builder { return newBuilder(opt, NewTokenizer(opt)) }
+
+// newBuilder returns a Builder that scans through tk, so one ingest
+// goroutine's stem memo outlives the chunk builders it fills.
+func newBuilder(opt BuildOptions, tk *Tokenizer) *Builder {
+	return &Builder{opt: opt, tk: tk, vocab: textproc.NewVocab(), ar: newArena(opt.KeepSurface)}
 }
 
 // Add processes one raw document and appends it to the corpus.
 // Documents that tokenize to nothing still occupy a slot (so external
 // ids stay aligned) but contain zero segments.
 func (b *Builder) Add(text string) *Document {
-	doc := addDocument(b.ar, b.vocab, b.opt, text, len(b.docs))
+	doc := b.tk.add(b.ar, b.vocab, text, len(b.docs))
 	b.total += doc.Len()
 	b.docs = append(b.docs, doc)
 	return doc

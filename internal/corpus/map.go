@@ -3,62 +3,18 @@ package corpus
 import "topmine/internal/textproc"
 
 // MapText tokenizes raw text against an existing vocabulary without
-// mutating it: out-of-vocabulary words are dropped (treated like stop
-// words, joining the following token's gap). This is the read-only
-// path used when folding new documents into a trained model. The
-// returned document owns a private token arena sized to the text, so
-// mapped documents are independent of any training corpus.
+// mutating it: out-of-vocabulary words are dropped like stop words. It
+// is Tokenizer.MapInto wrapped as a Document that owns a private,
+// surface-free token arena, so mapped documents are independent of any
+// training corpus. Hot callers use MapInto with reused buffers instead.
 func MapText(text string, v *textproc.Vocab, opt BuildOptions) *Document {
-	doc := &Document{ID: -1}
-	ar := newArena(opt.KeepSurface)
-	for _, rawSeg := range textproc.Tokenize(text) {
-		kept := textproc.Filter(rawSeg, opt.RemoveStopwords)
-		if len(kept) == 0 {
-			continue
-		}
-		off := ar.mark()
-		var pendingGap string
-		for _, tok := range kept {
-			stem := tok.Surface
-			if opt.Stem {
-				stem = textproc.Stem(stem)
-			}
-			id, ok := v.ID(stem)
-			if !ok {
-				// OOV: absorb into the gap before the next kept token.
-				// Gap strings are assembled only when they will be
-				// stored — MapText runs on the serving hot path.
-				if opt.KeepSurface {
-					if pendingGap != "" {
-						pendingGap += " "
-					}
-					if tok.Gap != "" {
-						pendingGap += tok.Gap + " "
-					}
-					pendingGap += tok.Surface
-				}
-				continue
-			}
-			var gap string
-			if opt.KeepSurface {
-				gap = tok.Gap
-				if pendingGap != "" {
-					if gap != "" {
-						gap = pendingGap + " " + gap
-					} else {
-						gap = pendingGap
-					}
-					pendingGap = ""
-				}
-				if ar.mark() == off {
-					gap = "" // leading gap is never phrase-internal
-				}
-			}
-			ar.push(id, tok.Surface, gap)
-		}
-		if seg := ar.seg(off); seg.Len() > 0 {
-			doc.Segments = append(doc.Segments, seg)
-		}
+	words, ends := NewTokenizer(opt).MapInto(text, v, nil, nil)
+	ar := &tokenArena{words: words}
+	doc := &Document{ID: -1, Segments: make([]Segment, len(ends))}
+	off := int32(0)
+	for i, end := range ends {
+		doc.Segments[i] = Segment{ar: ar, off: off, n: end - off}
+		off = end
 	}
 	return doc
 }

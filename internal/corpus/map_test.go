@@ -30,20 +30,6 @@ func TestMapTextAllOOV(t *testing.T) {
 	}
 }
 
-func TestMapTextOOVJoinsGap(t *testing.T) {
-	c := buildTiny(t)
-	// "house <OOV> senate": the OOV word lands in senate's gap so the
-	// display still reads naturally.
-	doc := MapText("house zweistein senate", c.Vocab, DefaultBuildOptions())
-	if len(doc.Segments) != 1 || doc.Segments[0].Len() != 2 {
-		t.Fatalf("unexpected mapping: %+v", doc.Segments)
-	}
-	got := c.DisplayPhrase(&doc.Segments[0], 0, 2)
-	if got != "house zweistein senate" {
-		t.Fatalf("display = %q", got)
-	}
-}
-
 func TestMapTextSegmentBoundaries(t *testing.T) {
 	c := buildTiny(t)
 	doc := MapText("frequent pattern, mining", c.Vocab, DefaultBuildOptions())
@@ -57,5 +43,23 @@ func TestMapTextEmpty(t *testing.T) {
 	doc := MapText("", c.Vocab, DefaultBuildOptions())
 	if len(doc.Segments) != 0 {
 		t.Fatal("empty text should map to empty document")
+	}
+}
+
+// TestMapIntoAllocatesNothing pins the serving text path: with warm
+// buffers, mapping text — stem-invariant forms, inflected forms that
+// pay Porter, stop words and OOV words alike — allocates nothing.
+func TestMapIntoAllocatesNothing(t *testing.T) {
+	c := buildTiny(t)
+	tk := NewTokenizer(DefaultBuildOptions())
+	text := "Frequent patterns, and the mining of zweistein PATTERN databases."
+	var words, ends []int32
+	mapText := func() { words, ends = tk.MapInto(text, c.Vocab, words[:0], ends[:0]) }
+	mapText()
+	if len(words) == 0 {
+		t.Fatal("fixture text mapped to no ids")
+	}
+	if n := testing.AllocsPerRun(100, mapText); n != 0 {
+		t.Fatalf("warm MapInto allocates %v times", n)
 	}
 }

@@ -118,13 +118,16 @@ func BuildFromSource(src Source, opt BuildOptions) (*Corpus, error) {
 	}()
 
 	// Workers: tokenize+stem+intern each chunk into a private shard.
+	// Each worker's tokenizer, and so its stem memo, lives across all
+	// of its chunks.
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			tk := NewTokenizer(opt)
 			for j := range jobs {
-				sb := NewBuilder(opt)
+				sb := newBuilder(opt, tk)
 				for _, d := range j.docs {
 					sb.Add(d)
 				}

@@ -11,7 +11,6 @@ import (
 	"topmine/internal/atomicfile"
 	"topmine/internal/corpus"
 	"topmine/internal/minhash"
-	"topmine/internal/textproc"
 )
 
 // AppendOptions controls AppendFile.
@@ -86,6 +85,7 @@ func AppendFile(path string, src corpus.Source, opt AppendOptions) (*AppendStats
 		all         []minhash.Sketch // sketch per doc id, for Jaccard confirmation
 		newSketches []minhash.Sketch // appended docs only, for the segment section
 		candBuf     []int32
+		stems       []string
 	)
 	if needSketch {
 		k := opt.SketchK
@@ -116,7 +116,8 @@ func AppendFile(path string, src corpus.Source, opt AppendOptions) (*AppendStats
 		}
 		var sk minhash.Sketch
 		if needSketch {
-			sk = hasher.Sketch(stemsOf(text, c.BuildOpts))
+			stems = ap.Stems(text, stems[:0])
+			sk = hasher.Sketch(stems)
 		}
 		if opt.Dedup {
 			candBuf = index.Candidates(sk, candBuf[:0])
@@ -233,23 +234,6 @@ func writeAppended(path string, f *File, ap *corpus.Appender, sketches []minhash
 	return err
 }
 
-// stemsOf runs the corpus's tokenize→filter→stem path over one raw
-// document and returns the kept stem sequence (segments concatenated
-// in order) — the representation sketches are defined over.
-func stemsOf(text string, opt corpus.BuildOptions) []string {
-	var stems []string
-	for _, rawSeg := range textproc.Tokenize(text) {
-		for _, tok := range textproc.Filter(rawSeg, opt.RemoveStopwords) {
-			stem := tok.Surface
-			if opt.Stem {
-				stem = textproc.Stem(stem)
-			}
-			stems = append(stems, stem)
-		}
-	}
-	return stems
-}
-
 // ComputeSketches builds the canonical-seed min-hash sketch of every
 // document in c (k <= 0 selects minhash.DefaultK) — what
 // WriteFileSketched persists so later appends deduplicate against the
@@ -264,8 +248,8 @@ func ComputeSketches(c *corpus.Corpus, k int) []minhash.Sketch {
 // sketchCorpus rebuilds every stored document's sketch from its
 // interned token ids — the fallback dedup path for files that do not
 // carry a sketch section. The stems recovered through the vocabulary
-// are exactly the kept stem sequence stemsOf produces from raw text,
-// so the two paths yield identical sketches.
+// are exactly the kept stem sequence corpus.Tokenizer.Stems produces
+// from raw text, so the two paths yield identical sketches.
 func sketchCorpus(c *corpus.Corpus, h *minhash.Hasher) []minhash.Sketch {
 	sketches := make([]minhash.Sketch, len(c.Docs))
 	var stems []string

@@ -2,10 +2,15 @@ package corpusfile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"topmine/internal/corpus"
@@ -321,6 +326,51 @@ func TestSketchRoundTrip(t *testing.T) {
 		t.Fatal("partial sketch coverage should read back as none")
 	}
 	f.Close()
+}
+
+// stemsOf is the kept stem sequence of one raw document, as AppendFile
+// sketches it.
+func stemsOf(text string, opt corpus.BuildOptions) []string {
+	return corpus.NewTokenizer(opt).Stems(text, nil)
+}
+
+// TestStemsOfPinned pins, for every combination of stemming and
+// stop-word removal, the stems stemsOf yields for the shared text-path
+// fixture, the sketches ComputeSketches derives from the built corpus,
+// and the surface-keeping .tpc image of that corpus, to digests
+// recorded before the token loop became a byte scanner.
+func TestStemsOfPinned(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "textpath_pins.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins []string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		s, err := strconv.Unquote(line)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		pins = append(pins, s)
+	}
+	h := sha256.New()
+	for _, stem := range []bool{true, false} {
+		for _, stop := range []bool{true, false} {
+			opt := corpus.BuildOptions{Stem: stem, RemoveStopwords: stop, KeepSurface: true}
+			for _, text := range pins {
+				fmt.Fprintf(h, "%q\n", stemsOf(text, opt))
+			}
+			c := corpus.FromStrings(append(append([]string{}, pins...), testDocs...), opt)
+			for _, sk := range ComputeSketches(c, 16) {
+				fmt.Fprintf(h, "%x\n", []uint64(sk))
+			}
+			if err := Write(h, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "1f6fffd8d6ee57fc22d95e13f746d52c35f9345af9b610f4a064975b5edfabe1"; got != want {
+		t.Fatalf("stemsOf/ComputeSketches/.tpc digest %s, want %s", got, want)
+	}
 }
 
 // TestMergeFilesEquivalence: a k-way merge of artifact-free shards is

@@ -12,6 +12,7 @@ type mergeHeap struct {
 type mergeEntry struct {
 	score       float64
 	left, right int32 // node ids
+	count       int64 // corpus count of the merged phrase
 }
 
 func (h *mergeHeap) len() int { return len(h.entries) }

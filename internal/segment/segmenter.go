@@ -76,10 +76,17 @@ func NewSegmenter(mined *phrasemine.Result, opt Options) *Segmenter {
 }
 
 // workspace holds the per-segment scratch state reused across calls.
+// Nodes are the current phrases of the segment: the n tokens first,
+// then one node per executed merge.
 type workspace struct {
-	start, end   []int32
-	prev, next   []int32
-	alive        []bool
+	start, end []int32
+	prev, next []int32
+	alive      []bool
+	// count is each node's corpus phrase count: set from the merge
+	// entry for a merged node, and probed on first use (-1 until then)
+	// for a token, so scoring a candidate probes the counter only for
+	// the concatenation.
+	count        []int64
 	heap         mergeHeap
 	keyBuf       []byte
 	spansScratch []Span
@@ -93,12 +100,14 @@ func (w *workspace) resize(n int) {
 		w.prev = make([]int32, 0, 2*n)
 		w.next = make([]int32, 0, 2*n)
 		w.alive = make([]bool, 0, 2*n)
+		w.count = make([]int64, 0, 2*n)
 	}
 	w.start = w.start[:0]
 	w.end = w.end[:0]
 	w.prev = w.prev[:0]
 	w.next = w.next[:0]
 	w.alive = w.alive[:0]
+	w.count = w.count[:0]
 	w.heap.reset()
 }
 
@@ -181,6 +190,7 @@ func (s *Segmenter) partitionSpans(words []int32, w *workspace) []Span {
 		w.prev = append(w.prev, int32(i-1))
 		w.next = append(w.next, int32(i+1))
 		w.alive = append(w.alive, true)
+		w.count = append(w.count, -1)
 	}
 	w.next[n-1] = -1
 
@@ -211,6 +221,7 @@ func (s *Segmenter) partitionSpans(words []int32, w *workspace) []Span {
 		w.prev = append(w.prev, w.prev[l])
 		w.next = append(w.next, w.next[r])
 		w.alive = append(w.alive, true)
+		w.count = append(w.count, e.count)
 		w.alive[l] = false
 		w.alive[r] = false
 		if p := w.prev[m]; p >= 0 {
@@ -238,23 +249,29 @@ func (s *Segmenter) partitionSpans(words []int32, w *workspace) []Span {
 // concatenation was not mined as frequent score -Inf and are dropped —
 // this is the implicit filtering of false candidates (§4.2).
 func (s *Segmenter) pushCandidate(words []int32, w *workspace, l, r int32) {
-	lo, mid, hi := int(w.start[l]), int(w.end[l]), int(w.end[r])
+	lo, hi := int(w.start[l]), int(w.end[r])
 	if s.opt.MaxPhraseLen > 0 && hi-lo > s.opt.MaxPhraseLen {
 		return
 	}
 	w.keyBuf = counter.AppendKey(w.keyBuf, words, lo, hi)
-	f12 := float64(s.counts.GetBytes(w.keyBuf))
+	f12 := s.counts.GetBytes(w.keyBuf)
 	if f12 <= 0 {
 		return
 	}
-	w.keyBuf = counter.AppendKey(w.keyBuf, words, lo, mid)
-	f1 := float64(s.counts.GetBytes(w.keyBuf))
-	w.keyBuf = counter.AppendKey(w.keyBuf, words, mid, hi)
-	f2 := float64(s.counts.GetBytes(w.keyBuf))
-	score := s.opt.Score(f1, f2, f12, s.l)
+	score := s.opt.Score(float64(s.nodeCount(words, w, l)), float64(s.nodeCount(words, w, r)), float64(f12), s.l)
 	if score >= s.opt.Alpha {
-		w.heap.push(mergeEntry{score: score, left: l, right: r})
+		w.heap.push(mergeEntry{score: score, left: l, right: r, count: f12})
 	}
+}
+
+// nodeCount returns node id's phrase count, probing the counter the
+// first time a token node is scored.
+func (s *Segmenter) nodeCount(words []int32, w *workspace, id int32) int64 {
+	if w.count[id] < 0 {
+		w.keyBuf = counter.AppendKey(w.keyBuf, words, int(w.start[id]), int(w.end[id]))
+		w.count[id] = s.counts.GetBytes(w.keyBuf)
+	}
+	return w.count[id]
 }
 
 // SegmentDocument partitions every segment of one document.

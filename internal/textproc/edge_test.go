@@ -7,7 +7,7 @@ import (
 )
 
 func TestTokenizeUnicodePunctuation(t *testing.T) {
-	got := Tokenize("models — fast, robust… and “cheap”")
+	got := scanTokenize("models — fast, robust… and “cheap”")
 	want := [][]string{{"models"}, {"fast"}, {"robust"}, {"and"}, {"cheap"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -16,7 +16,7 @@ func TestTokenizeUnicodePunctuation(t *testing.T) {
 
 func TestTokenizeApostropheEdge(t *testing.T) {
 	// Possessive trailing apostrophe (plural) acts as punctuation.
-	got := Tokenize("the workers' union")
+	got := scanTokenize("the workers' union")
 	want := [][]string{{"the", "workers"}, {"union"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -24,7 +24,7 @@ func TestTokenizeApostropheEdge(t *testing.T) {
 }
 
 func TestTokenizeLeadingApostrophe(t *testing.T) {
-	got := Tokenize("'tis the season")
+	got := scanTokenize("'tis the season")
 	// Leading apostrophe is punctuation (breaks segment before 'tis).
 	if len(got) == 0 {
 		t.Fatal("no tokens")
@@ -39,7 +39,7 @@ func TestTokenizeLeadingApostrophe(t *testing.T) {
 }
 
 func TestTokenizeMixedDigitsLetters(t *testing.T) {
-	got := Tokenize("b2b sales via web2.0 apps")
+	got := scanTokenize("b2b sales via web2.0 apps")
 	want := [][]string{{"b2b", "sales", "via", "web2"}, {"0", "apps"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -48,20 +48,20 @@ func TestTokenizeMixedDigitsLetters(t *testing.T) {
 
 func TestTokenizeVeryLongToken(t *testing.T) {
 	long := strings.Repeat("a", 10000)
-	got := Tokenize(long + " end")
+	got := scanTokenize(long + " end")
 	if len(got) != 1 || len(got[0]) != 2 || len(got[0][0]) != 10000 {
 		t.Fatal("long token mangled")
 	}
 }
 
 func TestTokenizeOnlyHyphens(t *testing.T) {
-	if got := Tokenize("--- -- -"); len(got) != 0 {
+	if got := scanTokenize("--- -- -"); len(got) != 0 {
 		t.Fatalf("hyphen runs should produce no tokens: %v", got)
 	}
 }
 
 func TestTokenizeCRLFAndTabs(t *testing.T) {
-	got := Tokenize("one\ttwo\r\nthree")
+	got := scanTokenize("one\ttwo\r\nthree")
 	want := [][]string{{"one", "two", "three"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -94,7 +94,7 @@ func TestStemRepeatedLetters(t *testing.T) {
 }
 
 func TestFilterKeepsHyphenatedWords(t *testing.T) {
-	kept := Filter([]string{"state-of-the-art", "method"}, true)
+	kept := scanFilter([]string{"state-of-the-art", "method"}, true)
 	if len(kept) != 2 {
 		t.Fatalf("hyphenated token dropped: %+v", kept)
 	}

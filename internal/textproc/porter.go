@@ -11,19 +11,47 @@ package textproc
 
 // Stem returns the Porter stem of a lowercase word.
 func Stem(word string) string {
-	if len(word) <= 2 {
+	if !stemmable(word) {
 		return word
+	}
+	return string(porter([]byte(word)))
+}
+
+// appendStem appends the Porter stem of the lowercase word to dst and
+// returns the extended buffer. It allocates only to grow dst, so a
+// caller reusing one buffer stems without allocating.
+func appendStem(dst, word []byte) []byte {
+	n := len(dst)
+	dst = append(dst, word...)
+	if stemmable(word) {
+		dst = dst[:n+len(porter(dst[n:]))]
+	}
+	return dst
+}
+
+// stemmable reports whether word goes through Porter's steps at all:
+// words of two letters or fewer and words with a character outside
+// a-z (hyphens and apostrophes aside) are their own stem.
+func stemmable[T string | []byte](word T) bool {
+	if len(word) <= 2 {
+		return false
 	}
 	for i := 0; i < len(word); i++ {
 		c := word[i]
 		if c < 'a' || c > 'z' {
 			if c == '-' || c == '\'' {
-				continue // stem compound words as-is below
+				continue // stem compound words as-is
 			}
-			return word
+			return false
 		}
 	}
-	b := []byte(word)
+	return true
+}
+
+// porter runs the algorithm's steps over b in place. Every step only
+// shortens b or rewrites its tail within the original length, so the
+// result is a prefix of b's backing array.
+func porter(b []byte) []byte {
 	b = step1a(b)
 	b = step1b(b)
 	b = step1c(b)
@@ -31,8 +59,7 @@ func Stem(word string) string {
 	b = step3(b)
 	b = step4(b)
 	b = step5a(b)
-	b = step5b(b)
-	return string(b)
+	return step5b(b)
 }
 
 // isConsonant reports whether b[i] is a consonant per Porter's
@@ -117,8 +144,10 @@ func hasSuffix(b []byte, s string) bool {
 	return string(b[len(b)-len(s):]) == s
 }
 
-// replaceSuffix replaces suffix s with r when the measure of the stem
-// (b without s) satisfies cond. Returns (newWord, true) if replaced.
+// replaceSuffix replaces suffix s with r, in place, when the measure of
+// the stem (b without s) satisfies cond. Returns (newWord, true) if
+// replaced. No rule's replacement is longer than its suffix, so the
+// append never grows b.
 func replaceSuffix(b []byte, s, r string, minMeasure int) ([]byte, bool) {
 	if !hasSuffix(b, s) {
 		return b, false
@@ -127,10 +156,7 @@ func replaceSuffix(b []byte, s, r string, minMeasure int) ([]byte, bool) {
 	if measure(stem) <= minMeasure-1 {
 		return b, false
 	}
-	out := make([]byte, 0, len(stem)+len(r))
-	out = append(out, stem...)
-	out = append(out, r...)
-	return out, true
+	return append(stem, r...), true
 }
 
 func step1a(b []byte) []byte {

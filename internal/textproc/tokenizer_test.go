@@ -8,7 +8,7 @@ import (
 )
 
 func TestTokenizeBasic(t *testing.T) {
-	got := Tokenize("Mining frequent patterns without candidate generation")
+	got := scanTokenize("Mining frequent patterns without candidate generation")
 	want := [][]string{{"mining", "frequent", "patterns", "without", "candidate", "generation"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -16,7 +16,7 @@ func TestTokenizeBasic(t *testing.T) {
 }
 
 func TestTokenizeSegmentsOnPunctuation(t *testing.T) {
-	got := Tokenize("Mining frequent patterns: a tree approach, revisited.")
+	got := scanTokenize("Mining frequent patterns: a tree approach, revisited.")
 	want := [][]string{
 		{"mining", "frequent", "patterns"},
 		{"a", "tree", "approach"},
@@ -28,7 +28,7 @@ func TestTokenizeSegmentsOnPunctuation(t *testing.T) {
 }
 
 func TestTokenizeLowercases(t *testing.T) {
-	got := Tokenize("Markov Blanket Feature Selection")
+	got := scanTokenize("Markov Blanket Feature Selection")
 	want := [][]string{{"markov", "blanket", "feature", "selection"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -36,7 +36,7 @@ func TestTokenizeLowercases(t *testing.T) {
 }
 
 func TestTokenizeKeepsInnerHyphenApostrophe(t *testing.T) {
-	got := Tokenize("state-of-the-art don't stop")
+	got := scanTokenize("state-of-the-art don't stop")
 	want := [][]string{{"state-of-the-art", "don't", "stop"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -44,7 +44,7 @@ func TestTokenizeKeepsInnerHyphenApostrophe(t *testing.T) {
 }
 
 func TestTokenizeTrailingHyphenBreaks(t *testing.T) {
-	got := Tokenize("pre- and post-processing")
+	got := scanTokenize("pre- and post-processing")
 	// "pre-" has a dangling hyphen: token closes, segment breaks.
 	want := [][]string{{"pre"}, {"and", "post-processing"}}
 	if !reflect.DeepEqual(got, want) {
@@ -53,7 +53,7 @@ func TestTokenizeTrailingHyphenBreaks(t *testing.T) {
 }
 
 func TestTokenizeQuotesBreakSegments(t *testing.T) {
-	got := Tokenize(`he said "strong tea" loudly`)
+	got := scanTokenize(`he said "strong tea" loudly`)
 	want := [][]string{{"he", "said"}, {"strong", "tea"}, {"loudly"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -62,14 +62,14 @@ func TestTokenizeQuotesBreakSegments(t *testing.T) {
 
 func TestTokenizeEmptyAndWhitespace(t *testing.T) {
 	for _, in := range []string{"", "   ", "...", "?!,;:"} {
-		if got := Tokenize(in); len(got) != 0 {
-			t.Errorf("Tokenize(%q) = %v, want empty", in, got)
+		if got := scanTokenize(in); len(got) != 0 {
+			t.Errorf("scanTokenize(%q) = %v, want empty", in, got)
 		}
 	}
 }
 
 func TestTokenizeParentheses(t *testing.T) {
-	got := Tokenize("support vector machines (SVM) rock")
+	got := scanTokenize("support vector machines (SVM) rock")
 	want := [][]string{{"support", "vector", "machines"}, {"svm"}, {"rock"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -77,7 +77,7 @@ func TestTokenizeParentheses(t *testing.T) {
 }
 
 func TestTokenizeNumbersKeptAsTokens(t *testing.T) {
-	got := Tokenize("top 10 results")
+	got := scanTokenize("top 10 results")
 	want := [][]string{{"top", "10", "results"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -86,7 +86,7 @@ func TestTokenizeNumbersKeptAsTokens(t *testing.T) {
 
 func TestTokenizeNeverEmitsEmptyTokensOrSegments(t *testing.T) {
 	f := func(s string) bool {
-		for _, seg := range Tokenize(s) {
+		for _, seg := range scanTokenize(s) {
 			if len(seg) == 0 {
 				return false
 			}
@@ -105,7 +105,7 @@ func TestTokenizeNeverEmitsEmptyTokensOrSegments(t *testing.T) {
 
 func TestFilterRemovesStopwordsAndTracksGaps(t *testing.T) {
 	seg := []string{"house", "and", "senate", "committee"}
-	got := Filter(seg, true)
+	got := scanFilter(seg, true)
 	want := []RawToken{
 		{Surface: "house", Gap: ""},
 		{Surface: "senate", Gap: "and"},
@@ -117,7 +117,7 @@ func TestFilterRemovesStopwordsAndTracksGaps(t *testing.T) {
 }
 
 func TestFilterDropsPureNumbers(t *testing.T) {
-	got := Filter([]string{"top", "10", "results"}, true)
+	got := scanFilter([]string{"top", "10", "results"}, true)
 	want := []RawToken{
 		{Surface: "top", Gap: ""},
 		{Surface: "results", Gap: "10"},
@@ -128,27 +128,27 @@ func TestFilterDropsPureNumbers(t *testing.T) {
 }
 
 func TestFilterLeadingGapCleared(t *testing.T) {
-	got := Filter([]string{"the", "house"}, true)
+	got := scanFilter([]string{"the", "house"}, true)
 	if len(got) != 1 || got[0].Gap != "" {
 		t.Fatalf("leading stopword should not create a gap: %+v", got)
 	}
 }
 
 func TestFilterAllStopwords(t *testing.T) {
-	if got := Filter([]string{"the", "of", "and"}, true); len(got) != 0 {
+	if got := scanFilter([]string{"the", "of", "and"}, true); len(got) != 0 {
 		t.Fatalf("all-stopword segment should filter to empty, got %+v", got)
 	}
 }
 
 func TestFilterNoStopwordRemoval(t *testing.T) {
-	got := Filter([]string{"the", "house"}, false)
+	got := scanFilter([]string{"the", "house"}, false)
 	if len(got) != 2 {
 		t.Fatalf("with dropStopwords=false expected 2 tokens, got %+v", got)
 	}
 }
 
 func TestFilterMultiWordGap(t *testing.T) {
-	got := Filter([]string{"rice", "and", "the", "beans"}, true)
+	got := scanFilter([]string{"rice", "and", "the", "beans"}, true)
 	if len(got) != 2 || got[1].Gap != "and the" {
 		t.Fatalf("multi-word gap mis-tracked: %+v", got)
 	}

@@ -124,6 +124,30 @@ func (v *Vocab) ID(stem string) (int32, bool) {
 	return id, ok
 }
 
+// Resolve returns the id of a lowercased surface form, and whether it
+// has one, stemming it first when stem is set. A form that is itself a
+// stem and appears among that stem's surface votes was seen in training
+// stemming to itself, so Stem(surface) == surface and the id is exact
+// without running Porter: every stem-invariant form training saw skips
+// the stemmer. Any other form is stemmed into *buf, which the caller
+// reuses across calls, and probed again.
+func (v *Vocab) Resolve(surface []byte, stem bool, buf *[]byte) (int32, bool) {
+	id, ok := v.byWord[string(surface)]
+	if !stem {
+		return id, ok
+	}
+	if ok {
+		for _, sv := range v.surface[id] {
+			if sv.form == string(surface) {
+				return id, true
+			}
+		}
+	}
+	*buf = appendStem((*buf)[:0], surface)
+	id, ok = v.byWord[string(*buf)]
+	return id, ok
+}
+
 // Word returns the stem for id. It panics on out-of-range ids.
 func (v *Vocab) Word(id int32) string { return v.words[id] }
 

@@ -1,0 +1,117 @@
+package topmine
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+)
+
+// readTextPins loads testdata/textpath_pins.txt: one Go-quoted string
+// per line, so the fixture can hold invalid UTF-8, control characters
+// and newlines. The texts cover non-ASCII letters and digits, hyphen
+// and apostrophe joins and breaks, letter-free tokens, stop-word runs,
+// OOV words before kept ones, uppercase, and inflected forms whose stem
+// differs from the surface.
+func readTextPins(t testing.TB) []string {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "textpath_pins.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var texts []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		s, err := strconv.Unquote(sc.Text())
+		if err != nil {
+			t.Fatalf("textpath_pins.txt: %q: %v", sc.Text(), err)
+		}
+		texts = append(texts, s)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return texts
+}
+
+// textPathDigest hashes everything the serving text path exposes for
+// each text: the θ bytes, Segment's phrases and TraceText's tokens,
+// phrases and merges.
+func textPathDigest(inf *Inferencer, texts []string) string {
+	h := sha256.New()
+	for _, text := range texts {
+		io.WriteString(h, fingerprintTheta(inf.InferTopics(text, 15)))
+		io.WriteString(h, fingerprintSegs(inf.Segment(text)))
+		io.WriteString(h, fingerprintTraces(inf.TraceText(text)))
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTextPathPinned pins the bytes raw text turns into, on the request
+// path and at ingest, to digests recorded before the token loop was
+// rewritten as a byte scanner: served θ, Segment and TraceText output
+// for a default-options model and an all-false BuildOptions model, and
+// the .tpc image of a surface-keeping corpus at Workers 1, 2 and 8.
+func TestTextPathPinned(t *testing.T) {
+	pins := readTextPins(t)
+	docs, err := GenerateExampleCorpus("20conf", 400, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		docs = append(docs, pins...)
+	}
+	opt := smallOpts()
+	opt.Iterations = 30
+	for _, tc := range []struct {
+		name string
+		copt CorpusOptions
+		want string
+	}{
+		{"default", DefaultCorpusOptions(), "938be2d02e45e8c245185d9e009f9e104a1857e982580af4b9492a27ce4f0511"},
+		{"all-false", CorpusOptions{}, "6917e1266762686c2a7741e1841f9f8926363c500e78884505be723935eaa8e0"},
+	} {
+		res, err := RunCorpus(BuildCorpus(docs, tc.copt), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inf, err := res.Inferencer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := textPathDigest(inf, pins); got != tc.want {
+			t.Errorf("%s model: text-path digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+
+	raw := corpusFileTestDocs(t)
+	raw = append(append(pins, raw...), pins...)
+	const wantTPC = "f86b76db6a88d15649c3a2ca26e0e721ce8bc4a384b148da2c1de00d39742cc8"
+	for _, workers := range []int{1, 2, 8} {
+		o := corpusFileTestOptions()
+		o.Workers = workers
+		pre, err := Preprocess(SliceSource(raw), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("w%d.tpc", workers))
+		if err := SaveCorpusFile(path, pre); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != wantTPC {
+			t.Errorf("workers=%d: .tpc digest %s, want %s", workers, got, wantTPC)
+		}
+	}
+}
