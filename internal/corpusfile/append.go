@@ -11,6 +11,7 @@ import (
 	"topmine/internal/atomicfile"
 	"topmine/internal/corpus"
 	"topmine/internal/minhash"
+	"topmine/internal/secfile"
 )
 
 // AppendOptions controls AppendFile.
@@ -184,13 +185,13 @@ func writeAppended(path string, f *File, ap *corpus.Appender, sketches []minhash
 	if err != nil {
 		return err
 	}
-	if err := checksumSections(sections); err != nil {
-		return err
+	if err := secfile.Checksum(sections); err != nil {
+		return fmt.Errorf("corpusfile: %w", err)
 	}
 	image := f.image
-	segStart := alignUp(uint64(len(image)))
+	segStart := secfile.AlignUp(uint64(len(image)))
 	tableEnd := segStart + segHeaderSize + uint64(len(sections))*tableEntrySize
-	offsets, _ := layoutSections(tableEnd, sections)
+	offsets, _ := secfile.Layout(tableEnd, sections)
 
 	err = atomicfile.Write(path, func(w io.Writer) error {
 		bw := bufio.NewWriterSize(w, 1<<20)
@@ -208,13 +209,13 @@ func writeAppended(path string, f *File, ap *corpus.Appender, sketches []minhash
 		if _, err := bw.Write(image[10:]); err != nil {
 			return err
 		}
-		if err := writeZeros(bw, segStart-uint64(len(image))); err != nil {
+		if err := secfile.WriteZeros(bw, segStart-uint64(len(image))); err != nil {
 			return err
 		}
 		var hdr [segHeaderSize]byte
 		copy(hdr[:8], segMagic)
 		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(sections)))
-		tb := tableBytes(sections, offsets)
+		tb := secfile.Table(sections, offsets)
 		binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(tb))
 		if _, err := bw.Write(hdr[:]); err != nil {
 			return err
@@ -222,7 +223,7 @@ func writeAppended(path string, f *File, ap *corpus.Appender, sketches []minhash
 		if _, err := bw.Write(tb); err != nil {
 			return err
 		}
-		if err := emitPayloads(bw, sections, offsets, tableEnd); err != nil {
+		if err := secfile.Emit(bw, sections, offsets, tableEnd); err != nil {
 			return err
 		}
 		return bw.Flush()

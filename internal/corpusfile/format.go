@@ -16,18 +16,9 @@
 //
 // # Layout
 //
-//	offset 0   magic "TPCFILE\x00" (8 bytes)
-//	       8   format version, uint16 LE
-//	      10   reserved, uint16 (zero)
-//	      12   byte-order marker, uint32 LE (orderMarker)
-//	      16   section count, uint32 LE
-//	      20   section table: count × (id u32, crc u32, offset u64, length u64)
-//	      ...  section payloads, each starting at a 64-byte-aligned
-//	           offset (zero padding between sections, not CRC-covered)
-//
-// Sections appear in the table in ascending offset order, so Load can
-// consume the file from a plain io.Reader without seeking. Every
-// payload is covered by its table entry's IEEE CRC-32; offsets and
+// A .tpc file is an internal/secfile container with magic
+// "TPCFILE\x00": header, section table, and 64-byte-aligned section
+// payloads, each covered by its table entry's IEEE CRC-32. Offsets and
 // lengths are validated against the file size before anything is
 // decoded, so truncation, bit rot and foreign files all fail with a
 // named error — never a panic.
@@ -74,6 +65,8 @@ package corpusfile
 import (
 	"errors"
 	"unsafe"
+
+	"topmine/internal/secfile"
 )
 
 const (
@@ -94,33 +87,25 @@ const (
 	// (the base table is implicitly covered by opening the file; an
 	// appended table needs its own guard).
 	segHeaderSize = 8 + 4 + 4
-	// orderMarker, decoded little-endian, guards against a
-	// foreign-endian writer ever existing: a byte-swapped file decodes
-	// the marker to a different value and is rejected up front.
-	orderMarker uint32 = 0x1CC0FFEE
-	// sectionAlign is the file-offset alignment of every section
-	// payload. 64 covers the strictest alignment any zero-copy view
-	// needs (int32/uint32 arrays need 4) with cache-line headroom.
-	sectionAlign = 64
-	// headerSize is everything before the section table.
-	headerSize = 8 + 2 + 2 + 4 + 4
-	// tableEntrySize is one section-table entry.
-	tableEntrySize = 4 + 4 + 8 + 8
+	// sectionAlign, headerSize and tableEntrySize are the container's.
+	sectionAlign   = secfile.Align
+	headerSize     = secfile.HeaderSize
+	tableEntrySize = secfile.EntrySize
 )
 
 // Section ids. Presence is signalled by the table: surface/gaps/pool
 // appear only when the corpus retains surfaces, artifacts/spans only
 // when mining+segmentation results were bundled.
 const (
-	secMeta      uint32 = 1 // fixed-size counts and flags
-	secTokens    uint32 = 2 // token arena: numTokens × int32 word ids
-	secSurface   uint32 = 3 // numTokens × uint32 string-pool ids
-	secGaps      uint32 = 4 // numTokens × uint32 string-pool ids
-	secPool      uint32 = 5 // interned string table
-	secVocab     uint32 = 6 // gob-encoded textproc.Vocab
-	secDocs      uint32 = 7 // per-doc segment counts + per-segment (off, len)
-	secArtifacts uint32 = 8 // gob: mining params + mined phrase counts
-	secSpans     uint32 = 9 // flat per-document phrase spans (Algorithm 2 output)
+	secMeta      uint32 = 1  // fixed-size counts and flags
+	secTokens    uint32 = 2  // token arena: numTokens × int32 word ids
+	secSurface   uint32 = 3  // numTokens × uint32 string-pool ids
+	secGaps      uint32 = 4  // numTokens × uint32 string-pool ids
+	secPool      uint32 = 5  // interned string table
+	secVocab     uint32 = 6  // gob-encoded textproc.Vocab
+	secDocs      uint32 = 7  // per-doc segment counts + per-segment (off, len)
+	secArtifacts uint32 = 8  // gob: mining params + mined phrase counts
+	secSpans     uint32 = 9  // flat per-document phrase spans (Algorithm 2 output)
 	secSketch    uint32 = 10 // per-doc min-hash sketches: k u32, ndocs u32, ndocs×k u64
 )
 
@@ -152,6 +137,15 @@ var (
 	// counts, out-of-range offsets, missing required sections.
 	ErrFormat = errors.New("corpusfile: malformed corpus file")
 )
+
+// errs hands the container this format's named errors.
+var errs = secfile.Errors{
+	BadMagic:  ErrBadMagic,
+	Version:   ErrVersion,
+	Truncated: ErrTruncated,
+	Checksum:  ErrChecksum,
+	Format:    ErrFormat,
+}
 
 // hostLittle reports whether this machine is little-endian — the only
 // byte order the zero-copy array views are valid for. Big-endian hosts

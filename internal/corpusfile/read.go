@@ -15,6 +15,7 @@ import (
 	"topmine/internal/counter"
 	"topmine/internal/minhash"
 	"topmine/internal/phrasemine"
+	"topmine/internal/secfile"
 	"topmine/internal/segment"
 	"topmine/internal/textproc"
 )
@@ -177,61 +178,6 @@ func Load(r io.Reader) (*File, error) {
 	return decode(data)
 }
 
-// tableEntry is one parsed section-table row.
-type tableEntry struct {
-	id   uint32
-	crc  uint32
-	off  uint64
-	size uint64
-}
-
-// parseTable parses and bounds-checks nsec table entries starting at
-// tableStart, returning the section map and the end offset of the
-// group (the table end or the furthest payload byte, whichever is
-// greater — the point an appended segment may start after).
-func parseTable(data []byte, tableStart, nsec int) (map[uint32]tableEntry, uint64, error) {
-	tableEnd := tableStart + nsec*tableEntrySize
-	if len(data) < tableEnd {
-		return nil, 0, fmt.Errorf("%w: file ends inside a section table", ErrTruncated)
-	}
-	secs := make(map[uint32]tableEntry, nsec)
-	end := uint64(tableEnd)
-	for i := 0; i < nsec; i++ {
-		e := tableEntry{
-			id:   binary.LittleEndian.Uint32(data[tableStart+i*tableEntrySize:]),
-			crc:  binary.LittleEndian.Uint32(data[tableStart+i*tableEntrySize+4:]),
-			off:  binary.LittleEndian.Uint64(data[tableStart+i*tableEntrySize+8:]),
-			size: binary.LittleEndian.Uint64(data[tableStart+i*tableEntrySize+16:]),
-		}
-		if e.off%sectionAlign != 0 {
-			return nil, 0, fmt.Errorf("%w: section %d at unaligned offset %d", ErrFormat, e.id, e.off)
-		}
-		if e.off > uint64(len(data)) || e.size > uint64(len(data))-e.off {
-			return nil, 0, fmt.Errorf("%w: section %d spans [%d,%d) of a %d-byte file",
-				ErrTruncated, e.id, e.off, e.off+e.size, len(data))
-		}
-		if _, dup := secs[e.id]; dup {
-			return nil, 0, fmt.Errorf("%w: duplicate section %d", ErrFormat, e.id)
-		}
-		if e.off+e.size > end {
-			end = e.off + e.size
-		}
-		secs[e.id] = e
-	}
-	return secs, end, nil
-}
-
-// verifyCRCs checks every section payload against its table CRC.
-func verifyCRCs(data []byte, secs map[uint32]tableEntry) error {
-	for _, e := range secs {
-		if got := crc32.ChecksumIEEE(data[e.off : e.off+e.size]); got != e.crc {
-			return fmt.Errorf("%w: section %d payload CRC %08x, table says %08x",
-				ErrChecksum, e.id, got, e.crc)
-		}
-	}
-	return nil
-}
-
 // group is one decoded section group: the whole corpus for the base
 // image, one appended delta for a version-2 segment.
 type group struct {
@@ -261,13 +207,13 @@ type group struct {
 // decodeGroup decodes one section group. base is nil for the base
 // image; for an appended segment it supplies the flags the segment
 // must agree with.
-func decodeGroup(data []byte, secs map[uint32]tableEntry, base *group) (*group, error) {
+func decodeGroup(data []byte, secs map[uint32]secfile.Entry, base *group) (*group, error) {
 	body := func(id uint32) ([]byte, bool) {
 		e, ok := secs[id]
 		if !ok {
 			return nil, false
 		}
-		return data[e.off : e.off+e.size : e.off+e.size], true
+		return data[e.Off : e.Off+e.Size : e.Off+e.Size], true
 	}
 
 	metaB, ok := body(secMeta)
@@ -355,35 +301,11 @@ func decodeGroup(data []byte, secs map[uint32]tableEntry, base *group) (*group, 
 // hosts the returned corpus's array columns alias data; the caller
 // decides whether data is an mmap region or a heap buffer.
 func decode(data []byte) (*File, error) {
-	if len(data) < 8 || !bytes.Equal(data[:8], []byte(magic)) {
-		return nil, fmt.Errorf("%w", ErrBadMagic)
-	}
-	// The full-header length check must precede every fixed-offset read
-	// below — a file cut just past the magic would otherwise index out
-	// of range instead of returning a named error.
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("%w: %d-byte file ends inside the header", ErrTruncated, len(data))
-	}
-	version := binary.LittleEndian.Uint16(data[8:])
-	if version != Version && version != VersionMulti {
-		return nil, fmt.Errorf("%w: file version %d, this build reads %d and %d",
-			ErrVersion, version, Version, VersionMulti)
-	}
-	if m := binary.LittleEndian.Uint32(data[12:]); m != orderMarker {
-		return nil, fmt.Errorf("%w: byte-order marker %08x, want %08x", ErrFormat, m, orderMarker)
-	}
-	nsec := int(binary.LittleEndian.Uint32(data[16:]))
-	if nsec < 1 || nsec > 64 {
-		return nil, fmt.Errorf("%w: implausible section count %d", ErrFormat, nsec)
-	}
-	secs, baseEnd, err := parseTable(data, headerSize, nsec)
+	im, err := secfile.Decode(data, magic, errs, Version, VersionMulti)
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyCRCs(data, secs); err != nil {
-		return nil, err
-	}
-	g, err := decodeGroup(data, secs, nil)
+	g, err := decodeGroup(data, im.Sections, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -406,22 +328,16 @@ func decode(data []byte) (*File, error) {
 		},
 	}
 
-	if version == VersionMulti {
-		return decodeMulti(data, raw, g, baseEnd)
+	if im.Version == VersionMulti {
+		return decodeMulti(data, raw, g, im.End)
 	}
 
 	c, err := corpus.FromRaw(raw)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	cf := &File{c: c, version: version, image: data, sketchK: g.sketchK, sketches: g.sketches}
-	body := func(id uint32) ([]byte, bool) {
-		e, ok := secs[id]
-		if !ok {
-			return nil, false
-		}
-		return data[e.off : e.off+e.size : e.off+e.size], true
-	}
+	cf := &File{c: c, version: im.Version, image: data, sketchK: g.sketchK, sketches: g.sketches}
+	body := im.Body
 	if artB, ok := body(secArtifacts); ok {
 		var payload artifactsPayload
 		if err := gob.NewDecoder(bytes.NewReader(artB)).Decode(&payload); err != nil {
@@ -463,7 +379,7 @@ func decodeMulti(data []byte, base *corpus.Raw, bg *group, baseEnd uint64) (*Fil
 	allSketches := bg.sketches
 	sketchK := bg.sketchK
 	nseg := 0
-	pos := alignUp(baseEnd)
+	pos := secfile.AlignUp(baseEnd)
 	for pos < uint64(len(data)) {
 		sg, segEnd, err := decodeSegment(data, pos, bg)
 		if err != nil {
@@ -488,7 +404,7 @@ func decodeMulti(data []byte, base *corpus.Raw, bg *group, baseEnd uint64) (*Fil
 		nseg++
 		// segEnd covers at least the segment's own table, which starts
 		// past pos, so the walk always advances.
-		pos = alignUp(segEnd)
+		pos = secfile.AlignUp(segEnd)
 	}
 	if nseg == 0 {
 		return nil, fmt.Errorf("%w: multi-segment file ends before its first appended segment", ErrTruncated)
@@ -531,7 +447,7 @@ func decodeSegment(data []byte, pos uint64, base *group) (*group, uint64, error)
 	}
 	wantCRC := binary.LittleEndian.Uint32(hdr[12:])
 	tableStart := int(pos) + segHeaderSize
-	secs, end, err := parseTable(data, tableStart, nsec)
+	secs, end, err := secfile.ParseTable(data, tableStart, nsec, errs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -539,7 +455,7 @@ func decodeSegment(data []byte, pos uint64, base *group) (*group, uint64, error)
 		return nil, 0, fmt.Errorf("%w: appended segment table CRC %08x, header says %08x",
 			ErrChecksum, got, wantCRC)
 	}
-	if err := verifyCRCs(data, secs); err != nil {
+	if err := secfile.VerifyCRCs(data, secs, errs); err != nil {
 		return nil, 0, err
 	}
 	g, err := decodeGroup(data, secs, base)

@@ -7,7 +7,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"unsafe"
 
@@ -15,6 +14,7 @@ import (
 	"topmine/internal/corpus"
 	"topmine/internal/minhash"
 	"topmine/internal/phrasemine"
+	"topmine/internal/secfile"
 	"topmine/internal/segment"
 	"topmine/internal/textproc"
 )
@@ -47,18 +47,6 @@ type Artifacts struct {
 type artifactsPayload struct {
 	Params Params
 	Mined  *phrasemine.Result
-}
-
-// section is one planned payload: its table entry plus a writer that
-// must produce exactly size bytes. The writer runs twice — once into a
-// CRC hasher, once into the output — so payloads never need to be
-// buffered whole (the big array sections stream straight out of the
-// corpus columns).
-type section struct {
-	id    uint32
-	size  uint64
-	crc   uint32
-	write func(io.Writer) error
 }
 
 // Write persists the corpus alone; see WriteArtifacts.
@@ -134,42 +122,17 @@ func writeRaw(w io.Writer, raw *corpus.Raw, art *Artifacts, sketches []minhash.S
 		if err := gob.NewEncoder(&artBuf).Encode(artifactsPayload{Params: art.Params, Mined: art.Mined}); err != nil {
 			return fmt.Errorf("corpusfile: encoding artifacts: %w", err)
 		}
-		sections = append(sections, section{id: secArtifacts, size: uint64(artBuf.Len()),
-			write: func(w io.Writer) error {
-				_, err := w.Write(artBuf.Bytes())
-				return err
-			}})
+		sections = append(sections, secfile.Bytes(secArtifacts, artBuf.Bytes()))
 		if art.Segs != nil {
-			sections = append(sections, section{id: secSpans, size: spansSize(art.Segs),
-				write: func(w io.Writer) error {
+			sections = append(sections, secfile.Section{ID: secSpans, Size: spansSize(art.Segs),
+				Write: func(w io.Writer) error {
 					return writeSpans(w, art.Segs)
 				}})
 		}
 	}
 
-	if err := checksumSections(sections); err != nil {
-		return err
-	}
-	tableEnd := uint64(headerSize + len(sections)*tableEntrySize)
-	offsets, _ := layoutSections(tableEnd, sections)
-
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var hdr [headerSize]byte
-	copy(hdr[:8], magic)
-	binary.LittleEndian.PutUint16(hdr[8:], Version)
-	binary.LittleEndian.PutUint32(hdr[12:], orderMarker)
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(sections)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("corpusfile: writing header: %w", err)
-	}
-	if _, err := bw.Write(tableBytes(sections, offsets)); err != nil {
-		return fmt.Errorf("corpusfile: writing section table: %w", err)
-	}
-	if err := emitPayloads(bw, sections, offsets, tableEnd); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("corpusfile: writing corpus file: %w", err)
+	if err := secfile.Write(w, magic, Version, sections); err != nil {
+		return fmt.Errorf("corpusfile: %w", err)
 	}
 	return nil
 }
@@ -195,10 +158,10 @@ type groupPayload struct {
 // groupSections builds the section list shared by the base image and
 // appended segments: meta, token columns, vocabulary, doc table and
 // the optional sketch section.
-func groupSections(gp groupPayload) ([]section, error) {
+func groupSections(gp groupPayload) ([]secfile.Section, error) {
 	numTokens := len(gp.words)
-	sections := []section{
-		{id: secMeta, size: metaSize, write: func(w io.Writer) error {
+	sections := []secfile.Section{
+		{ID: secMeta, Size: metaSize, Write: func(w io.Writer) error {
 			var b [metaSize]byte
 			binary.LittleEndian.PutUint64(b[0:], uint64(gp.totalTokens))
 			binary.LittleEndian.PutUint64(b[8:], uint64(len(gp.segCounts)))
@@ -208,30 +171,27 @@ func groupSections(gp groupPayload) ([]section, error) {
 			_, err := w.Write(b[:])
 			return err
 		}},
-		{id: secTokens, size: uint64(numTokens) * 4, write: func(w io.Writer) error {
+		{ID: secTokens, Size: uint64(numTokens) * 4, Write: func(w io.Writer) error {
 			return writeInt32s(w, gp.words)
 		}},
 	}
 	if gp.keepSurface {
 		sections = append(sections,
-			section{id: secSurface, size: uint64(numTokens) * 4, write: func(w io.Writer) error {
+			secfile.Section{ID: secSurface, Size: uint64(numTokens) * 4, Write: func(w io.Writer) error {
 				return writeUint32s(w, gp.surface)
 			}},
-			section{id: secGaps, size: uint64(numTokens) * 4, write: func(w io.Writer) error {
+			secfile.Section{ID: secGaps, Size: uint64(numTokens) * 4, Write: func(w io.Writer) error {
 				return writeUint32s(w, gp.gaps)
 			}},
-			section{id: secPool, size: poolSize(gp.pool), write: func(w io.Writer) error {
+			secfile.Section{ID: secPool, Size: poolSize(gp.pool), Write: func(w io.Writer) error {
 				return writePool(w, gp.pool)
 			}},
 		)
 	}
 	sections = append(sections,
-		section{id: secVocab, size: uint64(len(gp.vocabGob)), write: func(w io.Writer) error {
-			_, err := w.Write(gp.vocabGob)
-			return err
-		}},
-		section{id: secDocs, size: uint64(len(gp.segCounts))*4 + uint64(len(gp.segOffs))*8,
-			write: func(w io.Writer) error {
+		secfile.Bytes(secVocab, gp.vocabGob),
+		secfile.Section{ID: secDocs, Size: uint64(len(gp.segCounts))*4 + uint64(len(gp.segOffs))*8,
+			Write: func(w io.Writer) error {
 				if err := writeInt32s(w, gp.segCounts); err != nil {
 					return err
 				}
@@ -253,8 +213,8 @@ func groupSections(gp groupPayload) ([]section, error) {
 					i, len(sk), k)
 			}
 		}
-		sections = append(sections, section{id: secSketch, size: sketchSize(k, len(gp.sketches)),
-			write: func(w io.Writer) error {
+		sections = append(sections, secfile.Section{ID: secSketch, Size: sketchSize(k, len(gp.sketches)),
+			Write: func(w io.Writer) error {
 				return writeSketchSection(w, k, gp.sketches)
 			}})
 	}
@@ -285,67 +245,6 @@ func encodeVocab(v *textproc.Vocab) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// checksumSections runs the hashing pass: every section's writer is
-// executed once into a CRC hasher and verified against its planned
-// size, so the emit pass can stream payloads without buffering them.
-func checksumSections(sections []section) error {
-	for i := range sections {
-		h := crc32.NewIEEE()
-		cw := &countWriter{w: h}
-		if err := sections[i].write(cw); err != nil {
-			return fmt.Errorf("corpusfile: hashing section %d: %w", sections[i].id, err)
-		}
-		if cw.n != sections[i].size {
-			return fmt.Errorf("corpusfile: internal error: section %d wrote %d bytes, planned %d",
-				sections[i].id, cw.n, sections[i].size)
-		}
-		sections[i].crc = h.Sum32()
-	}
-	return nil
-}
-
-// layoutSections assigns each section a 64-byte-aligned offset packed
-// after tableEnd and returns the offsets plus the end of the last
-// payload.
-func layoutSections(tableEnd uint64, sections []section) (offsets []uint64, end uint64) {
-	offsets = make([]uint64, len(sections))
-	pos := alignUp(tableEnd)
-	for i := range sections {
-		offsets[i] = pos
-		pos = alignUp(pos + sections[i].size)
-		end = offsets[i] + sections[i].size
-	}
-	return offsets, end
-}
-
-// tableBytes serialises the section table.
-func tableBytes(sections []section, offsets []uint64) []byte {
-	b := make([]byte, len(sections)*tableEntrySize)
-	for i, s := range sections {
-		ent := b[i*tableEntrySize:]
-		binary.LittleEndian.PutUint32(ent[0:], s.id)
-		binary.LittleEndian.PutUint32(ent[4:], s.crc)
-		binary.LittleEndian.PutUint64(ent[8:], offsets[i])
-		binary.LittleEndian.PutUint64(ent[16:], s.size)
-	}
-	return b
-}
-
-// emitPayloads streams padding plus payloads, assuming bw is
-// positioned at file offset written.
-func emitPayloads(bw *bufio.Writer, sections []section, offsets []uint64, written uint64) error {
-	for i, s := range sections {
-		if err := writeZeros(bw, offsets[i]-written); err != nil {
-			return fmt.Errorf("corpusfile: writing padding: %w", err)
-		}
-		if err := s.write(bw); err != nil {
-			return fmt.Errorf("corpusfile: writing section %d: %w", s.id, err)
-		}
-		written = offsets[i] + s.size
-	}
-	return nil
-}
-
 // WriteFile writes the corpus (and optional artifacts) to path
 // atomically (see internal/atomicfile: exclusive temp + rename, an
 // existing file's permissions preserved, fresh files 0666 filtered by
@@ -367,39 +266,6 @@ func WriteFileSketched(path string, c *corpus.Corpus, art *Artifacts, sketches [
 		return fmt.Errorf("corpusfile: %w", err)
 	}
 	return err
-}
-
-// alignUp rounds n up to the next sectionAlign boundary.
-func alignUp(n uint64) uint64 {
-	return (n + sectionAlign - 1) &^ uint64(sectionAlign-1)
-}
-
-// countWriter counts bytes so the emit pass can verify planned sizes.
-type countWriter struct {
-	w io.Writer
-	n uint64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += uint64(n)
-	return n, err
-}
-
-var zeros [sectionAlign]byte
-
-func writeZeros(w io.Writer, n uint64) error {
-	for n > 0 {
-		chunk := n
-		if chunk > sectionAlign {
-			chunk = sectionAlign
-		}
-		if _, err := w.Write(zeros[:chunk]); err != nil {
-			return err
-		}
-		n -= chunk
-	}
-	return nil
 }
 
 // int32sAsBytes reinterprets an int32 slice as its in-memory bytes —

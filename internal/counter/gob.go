@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
 )
 
 // ngramsWire is the gob wire form of an NGrams counter: parallel key
@@ -18,14 +17,7 @@ type ngramsWire struct {
 // GobEncode serialises the counter so mined phrase statistics can be
 // persisted in pipeline snapshots.
 func (c *NGrams) GobEncode() ([]byte, error) {
-	w := ngramsWire{
-		Keys:   make([]string, 0, len(c.m)),
-		Counts: make([]int64, 0, len(c.m)),
-	}
-	for k := range c.m {
-		w.Keys = append(w.Keys, k)
-	}
-	sort.Strings(w.Keys)
+	w := ngramsWire{Keys: c.sortedKeys(), Counts: make([]int64, 0, len(c.m))}
 	for _, k := range w.Keys {
 		w.Counts = append(w.Counts, *c.m[k])
 	}
@@ -36,7 +28,9 @@ func (c *NGrams) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode restores a counter serialised by GobEncode.
+// GobDecode restores a counter serialised by GobEncode through the
+// flat decoder's constructor (fromColumns): the counts stay in the one
+// decoded slice the map points into.
 func (c *NGrams) GobDecode(data []byte) error {
 	var w ngramsWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -45,10 +39,6 @@ func (c *NGrams) GobDecode(data []byte) error {
 	if len(w.Keys) != len(w.Counts) {
 		return fmt.Errorf("counter: decoding ngrams: %d keys but %d counts", len(w.Keys), len(w.Counts))
 	}
-	c.m = make(map[string]*int64, len(w.Keys))
-	for i, k := range w.Keys {
-		v := w.Counts[i]
-		c.m[k] = &v
-	}
+	*c = *fromColumns(w.Keys, w.Counts)
 	return nil
 }

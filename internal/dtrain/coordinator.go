@@ -547,10 +547,10 @@ func (c *coordinator) setupWorker(w *wconn, m *topicmodel.Model, globals []byte,
 	}); err != nil {
 		return fmt.Errorf("encode setup: %w", err)
 	}
-	if err := w.fr.send(fSetup, payload.Bytes()); err != nil {
+	if err := w.fr.sendOrAbort(fSetup, payload.Bytes()); err != nil {
 		return err
 	}
-	if err := w.fr.send(fGlobals, globals); err != nil {
+	if err := w.fr.sendOrAbort(fGlobals, globals); err != nil {
 		return err
 	}
 	for stale := 0; ; {

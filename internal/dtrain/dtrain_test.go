@@ -352,6 +352,42 @@ func TestWorkerAbortPropagates(t *testing.T) {
 	}
 }
 
+// TestAbortBeforeSetupWins: a worker that gives up before reading its
+// SETUP — here an in-test protocol speaker that sends HELLO, then ABORT,
+// then closes without reading, resetting the connection — makes the
+// coordinator's SETUP or GLOBALS write fail. Its ABORT is already in
+// the coordinator's socket buffer, so the run must fail with that
+// abort, not with ErrWorkerLost.
+func TestAbortBeforeSetupWins(t *testing.T) {
+	fix := buildFixture(t, "20conf", 60)
+	ln := listen(t)
+	go func() {
+		conn, err := Dial(ln.Addr().String(), 10*time.Second)
+		if err != nil {
+			return
+		}
+		fr := &framer{conn: conn, timeout: 10 * time.Second}
+		_ = fr.send(fHello, binary.LittleEndian.AppendUint32(nil, protoVersion))
+		_ = fr.send(fAbort, []byte("open corpus: no such file"))
+		if tc, ok := conn.(*net.TCPConn); ok {
+			_ = tc.SetLinger(0) // close with a reset, not a FIN
+		}
+		conn.Close()
+	}()
+	job := fix.job
+	job.Model = topicmodel.Options{K: 3, Iterations: 5, Seed: 5}
+	_, err := Train(ln, job, Options{Workers: 1, BarrierTimeout: 30 * time.Second})
+	if err == nil {
+		t.Fatal("Train succeeded with a worker that aborted")
+	}
+	if errors.Is(err, ErrWorkerLost) {
+		t.Fatalf("worker abort misclassified as lost connection: %v", err)
+	}
+	if !strings.Contains(err.Error(), "aborted") || !strings.Contains(err.Error(), "open corpus") {
+		t.Fatalf("abort cause not propagated: %v", err)
+	}
+}
+
 // TestShardMismatchAborts: a worker whose rebuilt shard does not match
 // the coordinator's documents must be rejected at the READY checksum
 // barrier, before any sweep runs. Worker 1 is a minimal in-test

@@ -192,6 +192,32 @@ func (f *framer) abort(msg string) {
 	f.timeout = saved
 }
 
+// pendingFrameWait bounds sendOrAbort's read of a frame already in
+// flight; an ABORT that explains a failed write has arrived before the
+// write failed, so it is in the socket buffer.
+const pendingFrameWait = 250 * time.Millisecond
+
+// sendOrAbort is send for a frame the peer may never read. A worker
+// that gives up before reading SETUP sends ABORT and closes, and the
+// coordinator's write can then fail with a broken pipe although the
+// ABORT frame already sits in its socket buffer. After a failed send,
+// one pending frame is read under pendingFrameWait, and an ABORT wins
+// over the write error.
+func (f *framer) sendOrAbort(t byte, payload []byte) error {
+	err := f.send(t, payload)
+	if err == nil {
+		return nil
+	}
+	saved := f.timeout
+	f.timeout = pendingFrameWait
+	pt, msg, rerr := f.recv()
+	f.timeout = saved
+	if rerr == nil && pt == fAbort {
+		return &abortError{msg: string(msg)}
+	}
+	return err
+}
+
 // Little-endian append/read helpers shared by the fixed-layout frames.
 
 func appendI32s(buf []byte, vs []int32) []byte {

@@ -52,8 +52,9 @@ func (v *Vocab) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode restores a vocabulary serialised by GobEncode, rebuilding
-// the stem-to-id index and the surface-form maps.
+// GobDecode restores a vocabulary serialised by GobEncode through the
+// flat decoder's constructor (vocabFromColumns): the stem-to-id index
+// is rebuilt and the surface votes land in one arena.
 func (v *Vocab) GobDecode(data []byte) error {
 	var w vocabWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -64,26 +65,26 @@ func (v *Vocab) GobDecode(data []byte) error {
 		return fmt.Errorf("textproc: decoding vocab: inconsistent lengths (%d words, %d counts, %d surface lists)",
 			len(w.Words), len(w.Counts), len(w.SurfaceForms))
 	}
-	v.words = w.Words
-	v.counts = w.Counts
-	v.byWord = make(map[string]int32, len(w.Words))
-	for i, s := range w.Words {
-		v.byWord[s] = int32(i)
-	}
-	v.surface = make([][]surfaceVote, len(w.Words))
+	total := 0
 	for id, forms := range w.SurfaceForms {
 		if len(forms) != len(w.SurfaceCounts[id]) {
 			return fmt.Errorf("textproc: decoding vocab: stem %d has %d surface forms but %d counts",
 				id, len(forms), len(w.SurfaceCounts[id]))
 		}
-		if len(forms) == 0 {
-			continue
-		}
-		votes := make([]surfaceVote, len(forms))
-		for i, s := range forms {
-			votes[i] = surfaceVote{form: s, n: w.SurfaceCounts[id][i]}
-		}
-		v.surface[id] = votes
+		total += len(forms)
 	}
+	votes := make([]surfaceVote, 0, total)
+	ends := make([]int32, len(w.Words))
+	for id, forms := range w.SurfaceForms {
+		for i, s := range forms {
+			votes = append(votes, surfaceVote{form: s, n: w.SurfaceCounts[id][i]})
+		}
+		ends[id] = int32(len(votes))
+	}
+	nv, err := vocabFromColumns(w.Words, w.Counts, votes, ends)
+	if err != nil {
+		return fmt.Errorf("textproc: decoding vocab: %w", err)
+	}
+	*v = *nv
 	return nil
 }

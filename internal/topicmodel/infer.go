@@ -485,9 +485,20 @@ func (ix *InferIndex) exactWeights(s *InferScratch, clique []int32) []float64 {
 
 // drawExact is the O(K) guard: one draw from the dense conditional,
 // for cliques beyond the tables and for bucket totals that are not
-// positive and finite.
+// positive and finite. Priors no training run produces (a decoded α or
+// β that is zero, negative, NaN or large enough to overflow) can leave
+// even the dense conditional without a positive finite total; the draw
+// is then uniform instead of a panic.
 func (ix *InferIndex) drawExact(s *InferScratch, clique []int32) int32 {
-	return int32(s.rng.Categorical(ix.exactWeights(s, clique)))
+	w := ix.exactWeights(s, clique)
+	total := 0.0
+	for _, x := range w {
+		total += x
+	}
+	if !usable(total) {
+		return int32(s.rng.Intn(ix.k))
+	}
+	return int32(s.rng.Categorical(w))
 }
 
 // searchPrefix returns the first index whose prefix sum exceeds u, or

@@ -177,9 +177,9 @@ func NewModel(docs []Doc, vocabSize int, opt Options) *Model {
 }
 
 // nwkRow returns word w's topic-count row out of the flat arena.
-// Every construction path arms the arena (NewModel natively, Load and
-// LoadSnapshot via shape validation + ResetSampler, Frozen by
-// sharing), so no view fallback is needed.
+// Every construction path arms the arena (NewModel and DecodeFlat
+// natively, Load and gob-decoded snapshots via shape validation +
+// ResetSampler), so no view fallback is needed.
 func (m *Model) nwkRow(w int32) []int32 {
 	return m.nwk[int(w)*m.K : (int(w)+1)*m.K]
 }

@@ -32,25 +32,6 @@ func (m *Model) SaveFile(path string) error {
 	return f.Close()
 }
 
-// Frozen returns a serving-only view of the model: the priors and
-// topic-word counts that NewInferIndex and Perplexity read, without the
-// per-document training state (Docs, Z, Ndk, Nd). The count slices
-// (and their flat arena) are shared with the receiver, not copied, so
-// the view stays read-only by contract. Frozen models cannot Sweep,
-// Theta, or Visualize — they exist to make persisted serving
-// artifacts independent of corpus size.
-func (m *Model) Frozen() *Model {
-	f := &Model{
-		K: m.K, V: m.V,
-		Alpha: m.Alpha, AlphaSum: m.AlphaSum,
-		Beta: m.Beta, BetaSum: m.BetaSum,
-		Nwk: m.Nwk, Nk: m.Nk,
-	}
-	f.nwk = m.nwk
-	f.ResetSampler(0)
-	return f
-}
-
 // ResetSampler re-arms the unexported sampler state (RNG, scratch
 // buffers, flat count arenas) that gob does not transmit. It must be
 // called on any model materialised by decoding — Load does so

@@ -1,7 +1,6 @@
 package topmine
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -12,30 +11,92 @@ import (
 	"os"
 
 	"topmine/internal/atomicfile"
+	"topmine/internal/counter"
+	"topmine/internal/phrasemine"
+	"topmine/internal/secfile"
 	"topmine/internal/textproc"
+	"topmine/internal/topicmodel"
 )
 
-// Snapshot file layout: an 8-byte magic string, a big-endian uint16
-// format version, the big-endian uint64 payload length, the IEEE
-// CRC-32 of the payload, then the gob-encoded snapshotPayload itself.
-// The header makes files self-describing so stale or foreign files
-// fail fast with a useful error, and the length + checksum guarantee
-// that truncated or bit-flipped files are detected (gob alone carries
-// no integrity check).
+// A snapshot is an internal/secfile section container with magic
+// "TPMSNAP\x00" and version 2 — the same header, section table,
+// 64-byte-aligned payloads and per-section CRC-32 as a .tpc corpus
+// file. It holds one small gob section of options, topic summaries and
+// mining scalars, and four flat sections each decoded in one pass into
+// single arenas: the vocabulary, the mined phrase counts, the priors
+// with N_k, and a sparse N_wk. A training snapshot adds one gob section
+// with the per-document state.
+//
+// Version 1 files (magic, a big-endian uint16 version, the payload
+// length, its CRC-32, then one gob payload) still load. A build that
+// reads only version 1 reads the version-2 header's little-endian 2 as
+// 512 and rejects the file by version.
 const snapshotMagic = "TPMSNAP\x00"
 
-// SnapshotVersion is the current snapshot format version. LoadSnapshot
-// rejects files written by a different version.
-const SnapshotVersion uint16 = 1
+// SnapshotVersion is the format version SaveSnapshot writes.
+// LoadSnapshot reads it and version 1.
+const SnapshotVersion uint16 = 2
 
-// snapshotPayload is the persisted pipeline artifact: everything the
-// serving path (Inferencer, topic listing) needs, and nothing tied to
-// the training corpus's raw documents. Segmented docs, the corpus
-// body, and the model's per-document training state (Docs, Z, Ndk —
-// stripped via Model.Frozen) are intentionally omitted: they are
-// training-time artifacts reproducible from the source text, and
-// keeping them would make snapshot size grow with the corpus instead
-// of with the vocabulary.
+// snapshotVersion1 is the gob-payload format of earlier builds.
+const snapshotVersion1 uint16 = 1
+
+// Section ids of a version-2 snapshot.
+const (
+	snapMeta     uint32 = 1 // gob: snapshotMeta
+	snapVocab    uint32 = 2 // textproc.Vocab.AppendFlat
+	snapMined    uint32 = 3 // counter.NGrams.AppendFlat
+	snapPriors   uint32 = 4 // topicmodel: K, α, AlphaSum, β, BetaSum, N_k
+	snapNwk      uint32 = 5 // topicmodel: sparse N_wk rows
+	snapTraining uint32 = 6 // gob: snapshotTraining (training snapshots only)
+)
+
+// maxCellsPerByte caps the one allocation the section sizes do not
+// bound, the V×K count arena, at this many cells per byte of snapshot.
+// Sparse N_wk is what makes files small: the benchmark models need at
+// most 8 cells per byte, and a model over the cap (K in the tens of
+// thousands) fails to load with a named error rather than letting a
+// few crafted bytes ask for gigabytes.
+const maxCellsPerByte = 1024
+
+// Named snapshot errors; every load failure of a version-2 file wraps
+// one of them.
+var (
+	errSnapBadMagic  = errors.New("topmine: not a topmine snapshot (bad magic)")
+	errSnapVersion   = errors.New("topmine: unsupported snapshot version")
+	errSnapTruncated = errors.New("topmine: snapshot truncated")
+	errSnapChecksum  = errors.New("topmine: snapshot corrupted (checksum mismatch)")
+	errSnapFormat    = errors.New("topmine: malformed snapshot")
+)
+
+var snapErrs = secfile.Errors{
+	BadMagic:  errSnapBadMagic,
+	Version:   errSnapVersion,
+	Truncated: errSnapTruncated,
+	Checksum:  errSnapChecksum,
+	Format:    errSnapFormat,
+}
+
+// snapshotMeta is the gob section: what is small and structured.
+type snapshotMeta struct {
+	Options         Options
+	CorpusOpts      CorpusOptions
+	Topics          []TopicSummary
+	TotalTokens     int
+	MinSupport      int
+	MaxPhraseLen    int
+	LevelCandidates []int
+}
+
+// snapshotTraining is the gob section of a training snapshot: the
+// model's per-document state, which Validate recounts on load.
+type snapshotTraining struct {
+	Docs []topicmodel.Doc
+	Z    [][]int32
+	Ndk  [][]int32
+	Nd   []int32
+}
+
+// snapshotPayload is the version-1 gob payload.
 type snapshotPayload struct {
 	Options    Options
 	CorpusOpts CorpusOptions
@@ -48,10 +109,12 @@ type snapshotPayload struct {
 // SaveSnapshot persists a trained pipeline Result as one versioned,
 // self-describing file: vocabulary, corpus preprocessing options,
 // mined phrase statistics, pipeline options, the model's frozen
-// serving parameters, and rendered topic summaries. The Result must
-// carry a corpus (for its vocabulary), mined phrases, and a model;
-// Segmented may be nil. To persist the model's full training state so
-// Gibbs sweeps can continue later, use SaveTrainingSnapshot instead.
+// serving parameters (priors and topic-word counts), and rendered
+// topic summaries. The Result must carry a corpus (for its
+// vocabulary), mined phrases, and a model; Segmented may be nil. The
+// per-document training state is left out, so the file grows with the
+// vocabulary, not the corpus. To persist it so Gibbs sweeps can
+// continue later, use SaveTrainingSnapshot instead.
 func SaveSnapshot(w io.Writer, r *Result) error {
 	return saveSnapshot(w, r, false)
 }
@@ -62,9 +125,8 @@ func SaveSnapshot(w io.Writer, r *Result) error {
 // saved this way loads into a Result whose Resumable method reports
 // true, and ResumeTraining (or `topmine -load snap.tpm -iters N`)
 // continues collapsed Gibbs sweeps exactly where training stopped.
-// The file format is unchanged — training snapshots load in builds
-// that predate resumption (they simply served from the embedded
-// counts) — but size grows with the corpus, not just the vocabulary.
+// Serving reads the same sections as from a frozen snapshot; size
+// grows with the corpus, not just the vocabulary.
 func SaveTrainingSnapshot(w io.Writer, r *Result) error {
 	return saveSnapshot(w, r, true)
 }
@@ -82,95 +144,190 @@ func saveSnapshot(w io.Writer, r *Result, keepTraining bool) error {
 	case r.Model.V != r.Corpus.Vocab.Size():
 		return fmt.Errorf("topmine: SaveSnapshot: model vocabulary size %d does not match corpus vocabulary %d",
 			r.Model.V, r.Corpus.Vocab.Size())
+	case keepTraining && len(r.Model.Docs) == 0:
+		return fmt.Errorf("topmine: SaveTrainingSnapshot: model carries no training state (was it loaded from a frozen snapshot?)")
 	}
-	model := r.Model.Frozen()
+	m := r.Mined
+	meta, err := gobBytes(snapshotMeta{
+		Options:         r.Options,
+		CorpusOpts:      r.Corpus.BuildOpts,
+		Topics:          r.Topics,
+		TotalTokens:     m.TotalTokens,
+		MinSupport:      m.MinSupport,
+		MaxPhraseLen:    m.MaxPhraseLen,
+		LevelCandidates: m.LevelCandidates,
+	})
+	if err != nil {
+		return err
+	}
+	priors, nwk, err := r.Model.EncodeFlat()
+	if err != nil {
+		return fmt.Errorf("topmine: SaveSnapshot: %w", err)
+	}
+	secs := []secfile.Section{
+		secfile.Bytes(snapMeta, meta),
+		secfile.Bytes(snapVocab, r.Corpus.Vocab.AppendFlat(nil)),
+		secfile.Bytes(snapMined, m.Counts.AppendFlat(nil)),
+		secfile.Bytes(snapPriors, priors),
+		secfile.Bytes(snapNwk, nwk),
+	}
 	if keepTraining {
-		if len(r.Model.Docs) == 0 {
-			return fmt.Errorf("topmine: SaveTrainingSnapshot: model carries no training state (was it loaded from a frozen snapshot?)")
+		mod := r.Model
+		train, err := gobBytes(snapshotTraining{Docs: mod.Docs, Z: mod.Z, Ndk: mod.Ndk, Nd: mod.Nd})
+		if err != nil {
+			return err
 		}
-		model = r.Model
+		secs = append(secs, secfile.Bytes(snapTraining, train))
 	}
-	payload := snapshotPayload{
-		Options:    r.Options,
-		CorpusOpts: r.Corpus.BuildOpts,
-		Vocab:      r.Corpus.Vocab,
-		Mined:      r.Mined,
-		Model:      model,
-		Topics:     r.Topics,
-	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
-		return fmt.Errorf("topmine: encoding snapshot: %w", err)
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return fmt.Errorf("topmine: writing snapshot header: %w", err)
-	}
-	if err := binary.Write(bw, binary.BigEndian, SnapshotVersion); err != nil {
-		return fmt.Errorf("topmine: writing snapshot header: %w", err)
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint64(body.Len())); err != nil {
-		return fmt.Errorf("topmine: writing snapshot header: %w", err)
-	}
-	if err := binary.Write(bw, binary.BigEndian, crc32.ChecksumIEEE(body.Bytes())); err != nil {
-		return fmt.Errorf("topmine: writing snapshot header: %w", err)
-	}
-	if _, err := bw.Write(body.Bytes()); err != nil {
-		return fmt.Errorf("topmine: writing snapshot payload: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := secfile.Write(w, snapshotMagic, SnapshotVersion, secs); err != nil {
 		return fmt.Errorf("topmine: writing snapshot: %w", err)
 	}
 	return nil
+}
+
+func gobBytes(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("topmine: encoding snapshot: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
 // LoadSnapshot reads a file written by SaveSnapshot and reconstructs a
 // Result ready for inference and serving. The returned Result's Corpus
 // carries the vocabulary but no documents, Segmented is nil, and the
 // Model holds only frozen serving parameters (no per-document training
-// state): all are training-time artifacts the snapshot deliberately
-// omits. Corrupted, truncated, or foreign files return errors —
-// LoadSnapshot never panics on bad input.
+// state) unless the file is a training snapshot: all are training-time
+// artifacts the snapshot deliberately omits. Both format versions
+// load to the same Result. Corrupted, truncated, or foreign files
+// return errors — LoadSnapshot never panics on bad input.
 func LoadSnapshot(r io.Reader) (*Result, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("topmine: reading snapshot header: %w", err)
-	}
-	if !bytes.Equal(magic, []byte(snapshotMagic)) {
-		return nil, fmt.Errorf("topmine: not a topmine snapshot (bad magic %q)", magic)
-	}
-	var version uint16
-	if err := binary.Read(br, binary.BigEndian, &version); err != nil {
-		return nil, fmt.Errorf("topmine: reading snapshot header: %w", err)
-	}
-	if version != SnapshotVersion {
-		return nil, fmt.Errorf("topmine: unsupported snapshot version %d (this build reads version %d)",
-			version, SnapshotVersion)
-	}
-	var payloadLen uint64
-	if err := binary.Read(br, binary.BigEndian, &payloadLen); err != nil {
-		return nil, fmt.Errorf("topmine: reading snapshot header: %w", err)
-	}
-	var wantCRC uint32
-	if err := binary.Read(br, binary.BigEndian, &wantCRC); err != nil {
-		return nil, fmt.Errorf("topmine: reading snapshot header: %w", err)
-	}
-	// Copy through a LimitReader rather than pre-allocating payloadLen,
-	// so a corrupt length field cannot force a huge allocation.
-	var body bytes.Buffer
-	n, err := io.Copy(&body, io.LimitReader(br, int64(payloadLen)))
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("topmine: reading snapshot payload: %w", err)
+		return nil, fmt.Errorf("topmine: reading snapshot: %w", err)
 	}
-	if uint64(n) != payloadLen {
-		return nil, fmt.Errorf("topmine: snapshot truncated: payload is %d of %d bytes", n, payloadLen)
+	return decodeSnapshot(data)
+}
+
+// LoadSnapshotFile reads a snapshot from path.
+func LoadSnapshotFile(path string) (*Result, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("topmine: %w", err)
 	}
-	if got := crc32.ChecksumIEEE(body.Bytes()); got != wantCRC {
-		return nil, fmt.Errorf("topmine: snapshot corrupted: payload CRC %08x, header says %08x", got, wantCRC)
+	return decodeSnapshot(data)
+}
+
+// decodeSnapshot dispatches on the header's version field: version 1
+// wrote it big-endian, the container writes it little-endian.
+func decodeSnapshot(data []byte) (*Result, error) {
+	if len(data) < len(snapshotMagic) || !bytes.Equal(data[:len(snapshotMagic)], []byte(snapshotMagic)) {
+		return nil, fmt.Errorf("%w (magic %q)", errSnapBadMagic, data[:min(len(data), len(snapshotMagic))])
+	}
+	if len(data) < len(snapshotMagic)+2 {
+		return nil, fmt.Errorf("%w: %d-byte file ends inside the header", errSnapTruncated, len(data))
+	}
+	v := data[len(snapshotMagic):]
+	be, le := binary.BigEndian.Uint16(v), binary.LittleEndian.Uint16(v)
+	switch {
+	case be == snapshotVersion1:
+		return decodeSnapshotV1(data[len(snapshotMagic)+2:])
+	case le == SnapshotVersion:
+		return decodeSnapshotV2(data)
+	}
+	return nil, fmt.Errorf("%w %d (this build reads versions %d and %d)",
+		errSnapVersion, min(be, le), snapshotVersion1, SnapshotVersion)
+}
+
+// decodeSnapshotV2 decodes a section-container snapshot.
+func decodeSnapshotV2(data []byte) (*Result, error) {
+	im, err := secfile.Decode(data, snapshotMagic, snapErrs, SnapshotVersion)
+	if err != nil {
+		return nil, err
+	}
+	section := func(id uint32) ([]byte, error) {
+		b, ok := im.Body(id)
+		if !ok {
+			return nil, fmt.Errorf("%w: missing section %d", errSnapFormat, id)
+		}
+		return b, nil
+	}
+	var meta snapshotMeta
+	b, err := section(snapMeta)
+	if err == nil {
+		err = gob.NewDecoder(bytes.NewReader(b)).Decode(&meta)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: options: %v", errSnapFormat, err)
+	}
+	b, err = section(snapVocab)
+	if err != nil {
+		return nil, err
+	}
+	vocab, err := textproc.DecodeFlatVocab(b)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errSnapFormat, err)
+	}
+	if b, err = section(snapMined); err != nil {
+		return nil, err
+	}
+	counts, err := counter.DecodeFlat(b, vocab.Size())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errSnapFormat, err)
+	}
+	priors, err := section(snapPriors)
+	if err != nil {
+		return nil, err
+	}
+	nwk, err := section(snapNwk)
+	if err != nil {
+		return nil, err
+	}
+	model, err := topicmodel.DecodeFlat(priors, nwk, vocab.Size(), maxCellsPerByte*len(data))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errSnapFormat, err)
+	}
+	if b, ok := im.Body(snapTraining); ok {
+		var tr snapshotTraining
+		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&tr); err != nil {
+			return nil, fmt.Errorf("%w: training state: %v", errSnapFormat, err)
+		}
+		model.Docs, model.Z, model.Ndk, model.Nd = tr.Docs, tr.Z, tr.Ndk, tr.Nd
+		// The recount rejects training state that disagrees with the
+		// counts; a frozen model's sections were checked as they decoded.
+		if err := model.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: model invalid: %v", errSnapFormat, err)
+		}
+	}
+	model.ResetSampler(meta.Options.Seed)
+	mined := &MinedPhrases{
+		Counts:          counts,
+		TotalTokens:     meta.TotalTokens,
+		MinSupport:      meta.MinSupport,
+		MaxPhraseLen:    meta.MaxPhraseLen,
+		LevelCandidates: meta.LevelCandidates,
+	}
+	return loadedResult(vocab, mined, model, meta.Topics, meta.Options, meta.CorpusOpts), nil
+}
+
+// decodeSnapshotV1 decodes the body of a version-1 snapshot: the
+// payload length, its CRC-32 and the gob payload.
+func decodeSnapshotV1(rest []byte) (*Result, error) {
+	if len(rest) < 12 {
+		return nil, fmt.Errorf("%w: file ends inside the header", errSnapTruncated)
+	}
+	payloadLen := binary.BigEndian.Uint64(rest)
+	wantCRC := binary.BigEndian.Uint32(rest[8:])
+	body := rest[12:]
+	if uint64(len(body)) < payloadLen {
+		return nil, fmt.Errorf("%w: payload is %d of %d bytes", errSnapTruncated, len(body), payloadLen)
+	}
+	body = body[:payloadLen]
+	if got := crc32.ChecksumIEEE(body); got != wantCRC {
+		return nil, fmt.Errorf("%w: payload CRC %08x, header says %08x", errSnapChecksum, got, wantCRC)
 	}
 	var payload snapshotPayload
-	if err := gob.NewDecoder(&body).Decode(&payload); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&payload); err != nil {
 		return nil, fmt.Errorf("topmine: decoding snapshot: %w", err)
 	}
 	switch {
@@ -194,17 +351,23 @@ func LoadSnapshot(r io.Reader) (*Result, error) {
 		return nil, fmt.Errorf("topmine: snapshot model invalid: %w", err)
 	}
 	payload.Model.ResetSampler(payload.Options.Seed)
+	return loadedResult(payload.Vocab, payload.Mined, payload.Model, payload.Topics, payload.Options, payload.CorpusOpts), nil
+}
+
+// loadedResult assembles a Result from a snapshot's artifacts.
+func loadedResult(vocab *textproc.Vocab, mined *phrasemine.Result, model *Model,
+	topics []TopicSummary, opt Options, copt CorpusOptions) *Result {
 	return &Result{
 		Corpus: &Corpus{
-			Vocab:       payload.Vocab,
-			TotalTokens: payload.Mined.TotalTokens,
-			BuildOpts:   payload.CorpusOpts,
+			Vocab:       vocab,
+			TotalTokens: mined.TotalTokens,
+			BuildOpts:   copt,
 		},
-		Mined:   payload.Mined,
-		Model:   payload.Model,
-		Topics:  payload.Topics,
-		Options: payload.Options,
-	}, nil
+		Mined:   mined,
+		Model:   model,
+		Topics:  topics,
+		Options: opt,
+	}
 }
 
 // SaveSnapshotFile writes a snapshot to path atomically: the bytes go
@@ -236,14 +399,4 @@ func saveSnapshotFile(path string, r *Result, save func(io.Writer, *Result) erro
 // as SaveSnapshotFile.
 func SaveTrainingSnapshotFile(path string, r *Result) error {
 	return saveSnapshotFile(path, r, SaveTrainingSnapshot)
-}
-
-// LoadSnapshotFile reads a snapshot from path.
-func LoadSnapshotFile(path string) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("topmine: %w", err)
-	}
-	defer f.Close()
-	return LoadSnapshot(f)
 }

@@ -3,10 +3,14 @@ package topmine
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"topmine/internal/secfile"
 )
 
 // inferTexts exercises in-vocabulary, mixed, and out-of-vocabulary
@@ -136,13 +140,17 @@ func TestLoadSnapshotRejectsMalformedModelShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tamper with the frozen parameter shapes while keeping K and V
-	// self-consistent, then re-save: the writer does not shape-check
-	// Alpha/Nk/Nwk, so the file is CRC-valid and only load-time
-	// validation stands between it and an inference-time panic.
+	// self-consistent. The version-1 writer does not shape-check
+	// Alpha/Nk/Nwk, so its file is CRC-valid and only load-time
+	// validation stands between it and an inference-time panic. The
+	// flat sections have no room for a short row, so SaveSnapshot
+	// refuses such a model instead.
 	loaded.Model.Alpha = loaded.Model.Alpha[:1]
-	tampered := mustSnapshot(t, loaded)
-	if _, err := LoadSnapshot(bytes.NewReader(tampered)); err == nil {
+	if _, err := LoadSnapshot(bytes.NewReader(encodeSnapshotV1(t, loaded))); err == nil {
 		t.Fatal("LoadSnapshot accepted a model with truncated Alpha")
+	}
+	if err := SaveSnapshot(io.Discard, loaded); err == nil {
+		t.Fatal("SaveSnapshot wrote a model with truncated Alpha")
 	}
 
 	loaded2, err := LoadSnapshot(bytes.NewReader(mustSnapshot(t, res)))
@@ -150,8 +158,52 @@ func TestLoadSnapshotRejectsMalformedModelShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded2.Model.Nwk[0] = loaded2.Model.Nwk[0][:1]
-	if _, err := LoadSnapshot(bytes.NewReader(mustSnapshot(t, loaded2))); err == nil {
+	if _, err := LoadSnapshot(bytes.NewReader(encodeSnapshotV1(t, loaded2))); err == nil {
 		t.Fatal("LoadSnapshot accepted a model with a short Nwk row")
+	}
+	if err := SaveSnapshot(io.Discard, loaded2); err == nil {
+		t.Fatal("SaveSnapshot wrote a model with a short Nwk row")
+	}
+
+	// CRC-valid version-2 files whose flat sections disagree with one
+	// another fail at load with the format error.
+	valid := mustSnapshot(t, res)
+	priors, nwk, err := res.Model.EncodeFlat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, v := res.Model.K, res.Model.V
+	rows := func(pair ...byte) []byte {
+		var b []byte
+		for w := 0; w < v; w++ {
+			b = append(append(b, 1), pair...)
+		}
+		return b
+	}
+	negNk := append([]byte(nil), priors...)
+	binary.LittleEndian.PutUint64(negNk[len(negNk)-8:], 1<<63)
+	otherK := append([]byte(nil), priors...)
+	binary.LittleEndian.PutUint64(otherK, uint64(k+1))
+	for _, tc := range []struct {
+		name    string
+		id      uint32
+		payload []byte
+	}{
+		{"K disagrees with the priors", snapPriors, otherK},
+		{"negative N_k", snapPriors, negNk},
+		{"topic beyond K", snapNwk, rows(byte(k), 1)},
+		{"zero count", snapNwk, rows(0, 0)},
+		{"count beyond int32", snapNwk, rows(0, 0x80, 0x80, 0x80, 0x80, 0x08)},
+		{"trailing N_wk bytes", snapNwk, append(append([]byte(nil), nwk...), 0)},
+		{"vocabulary one word short", snapVocab, encodeVocabPrefix(t, res, v-1)},
+		{"mined phrase beyond the vocabulary", snapMined, []byte{1, 1, 1, 0x80, 0x80, 0x04, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := LoadSnapshot(bytes.NewReader(withSection(t, valid, tc.id, tc.payload)))
+			if !errors.Is(err, errSnapFormat) {
+				t.Fatalf("want the format error, got %v", err)
+			}
+		})
 	}
 }
 
@@ -269,6 +321,49 @@ func TestLoadSnapshotRejectsBadInput(t *testing.T) {
 				t.Fatalf("LoadSnapshot accepted %s input", tc.name)
 			}
 		})
+	}
+
+	// Every single-byte flip and every truncation of a small version-2
+	// file: a flip inside a section payload fails its CRC, a flip in
+	// the header or table fails with a named error, and only a flip in
+	// the reserved header field or the padding between sections may
+	// load — to the same Result. Every cut fails.
+	small := smallV2Snapshot(t)
+	want, err := LoadSnapshot(bytes.NewReader(small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := secfile.Decode(small, snapshotMagic, snapErrs, SnapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPayload := func(i int) bool {
+		for _, e := range im.Sections {
+			if uint64(i) >= e.Off && uint64(i) < e.Off+e.Size {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range small {
+		got, err := LoadSnapshot(bytes.NewReader(flip(small, i)))
+		switch {
+		case inPayload(i):
+			if !errors.Is(err, errSnapChecksum) {
+				t.Fatalf("flip at %d/%d inside a payload: want the checksum error, got %v", i, len(small), err)
+			}
+		case err != nil:
+			if !isNamedSnapshotError(err) {
+				t.Fatalf("flip at %d/%d: unnamed error %v", i, len(small), err)
+			}
+		case !sameResult(got, want):
+			t.Fatalf("flip at %d/%d loaded a different Result", i, len(small))
+		}
+	}
+	for cut := 0; cut < len(small); cut++ {
+		if _, err := LoadSnapshot(bytes.NewReader(small[:cut])); !isNamedSnapshotError(err) {
+			t.Fatalf("cut at %d/%d: want a named error, got %v", cut, len(small), err)
+		}
 	}
 }
 
