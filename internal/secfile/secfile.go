@@ -83,9 +83,6 @@ func Bytes(id uint32, b []byte) Section {
 
 // Write emits a complete image: header, table and payloads.
 func Write(w io.Writer, magic string, version uint16, secs []Section) error {
-	if len(magic) != 8 {
-		return fmt.Errorf("internal error: magic %q is not 8 bytes", magic)
-	}
 	if err := Checksum(secs); err != nil {
 		return err
 	}
@@ -331,7 +328,7 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		r.fail("truncated or overlong varint at byte %d", r.off)
+		r.Fail("truncated or overlong varint at byte %d", r.off)
 		return 0
 	}
 	r.off += n
@@ -343,8 +340,8 @@ func (r *Reader) Uvarint() uint64 {
 // count can make a decoder allocate beyond the bytes present.
 func (r *Reader) Count(minBytes int) int {
 	v := r.Uvarint()
-	if r.err == nil && v > uint64(r.Len()/minBytes) {
-		r.fail("count %d at byte %d exceeds the %d bytes left", v, r.off, r.Len())
+	if r.err == nil && v > uint64(r.left()/minBytes) {
+		r.Fail("count %d at byte %d exceeds the %d bytes left", v, r.off, r.left())
 		return 0
 	}
 	return int(v)
@@ -355,8 +352,8 @@ func (r *Reader) Bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || n > r.Len() {
-		r.fail("%d-byte field at byte %d overruns the payload", n, r.off)
+	if n < 0 || n > r.left() {
+		r.Fail("%d-byte field at byte %d overruns the payload", n, r.off)
 		return nil
 	}
 	b := r.b[r.off : r.off+n]
@@ -367,14 +364,10 @@ func (r *Reader) Bytes(n int) []byte {
 // Offset returns the read position.
 func (r *Reader) Offset() int { return r.off }
 
-// Len returns the bytes left.
-func (r *Reader) Len() int { return len(r.b) - r.off }
+func (r *Reader) left() int { return len(r.b) - r.off }
 
-// Fail records a decoder-level error at the current position unless
-// one is already recorded.
-func (r *Reader) Fail(format string, args ...any) { r.fail(format, args...) }
-
-func (r *Reader) fail(format string, args ...any) {
+// Fail records a decoder-level error unless one is already recorded.
+func (r *Reader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: %s", ErrPayload, fmt.Sprintf(format, args...))
 	}

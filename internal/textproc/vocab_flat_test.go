@@ -1,0 +1,93 @@
+package textproc
+
+import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
+	"testing"
+)
+
+func flatTestVocab() *Vocab {
+	v := NewVocab()
+	v.Intern("mine", "mining")
+	v.Intern("mine", "mines")
+	v.Intern("mine", "mining")
+	v.Intern("topic", "topics")
+	v.Intern("phrase", "phrase")
+	v.Intern("topic", "topic")
+	return v
+}
+
+// TestVocabFlatMatchesGob: the flat and the gob decoder build the same
+// Vocab, field for field, and the flat encoding is deterministic.
+func TestVocabFlatMatchesGob(t *testing.T) {
+	v := flatTestVocab()
+	flat, err := DecodeFlatVocab(v.AppendFlat(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	var viaGob Vocab
+	if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(flat, &viaGob) {
+		t.Fatalf("flat decode %+v, gob decode %+v", flat, &viaGob)
+	}
+	if !bytes.Equal(flat.AppendFlat(nil), v.AppendFlat(nil)) {
+		t.Fatal("re-encoding the decoded vocabulary changed its bytes")
+	}
+}
+
+// TestVocabArenaRowsAreCapped: decoded surface votes share one arena,
+// so growing one stem's votes must reallocate that row, not overwrite
+// the next stem's.
+func TestVocabArenaRowsAreCapped(t *testing.T) {
+	v := flatTestVocab()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	var viaGob Vocab
+	if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := DecodeFlatVocab(v.AppendFlat(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Vocab{"flat": flat, "gob": &viaGob} {
+		topic, _ := d.ID("topic")
+		before := append([]surfaceVote(nil), d.surface[topic]...)
+		d.Intern("mine", "mined")
+		other := NewVocab()
+		other.Intern("mine", "miner")
+		other.MergeInto(d)
+		if !reflect.DeepEqual(d.surface[topic], before) {
+			t.Fatalf("%s: growing stem 0's votes changed stem %d's: %v, was %v", name, topic, d.surface[topic], before)
+		}
+	}
+}
+
+func TestVocabFlatRejectsBadInput(t *testing.T) {
+	valid := flatTestVocab().AppendFlat(nil)
+	for i := range valid {
+		if _, err := DecodeFlatVocab(valid[:i]); err == nil {
+			t.Fatalf("accepted a %d-byte prefix of a %d-byte section", i, len(valid))
+		}
+	}
+	for name, b := range map[string][]byte{
+		"huge word count":  {0xff, 0xff, 0xff, 0x7f, 0},
+		"huge vote count":  {1, 0xff, 0xff, 0x7f},
+		"votes over total": {1, 0, 1, 'a', 1, 1, 0, 1},
+		"duplicate stem":   {2, 0, 1, 'a', 1, 0, 1, 'a', 1, 0},
+		"trailing byte":    append(append([]byte(nil), valid...), 0),
+	} {
+		if _, err := DecodeFlatVocab(b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

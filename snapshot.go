@@ -199,8 +199,9 @@ func gobBytes(v any) ([]byte, error) {
 // Model holds only frozen serving parameters (no per-document training
 // state) unless the file is a training snapshot: all are training-time
 // artifacts the snapshot deliberately omits. Both format versions
-// load to the same Result. Corrupted, truncated, or foreign files
-// return errors — LoadSnapshot never panics on bad input.
+// load to the same Result. LoadSnapshot reads r to its end. Corrupted,
+// truncated, or foreign files return errors — LoadSnapshot never
+// panics on bad input.
 func LoadSnapshot(r io.Reader) (*Result, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -245,45 +246,25 @@ func decodeSnapshotV2(data []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	section := func(id uint32) ([]byte, error) {
-		b, ok := im.Body(id)
-		if !ok {
+	for _, id := range []uint32{snapMeta, snapVocab, snapMined, snapPriors, snapNwk} {
+		if _, ok := im.Sections[id]; !ok {
 			return nil, fmt.Errorf("%w: missing section %d", errSnapFormat, id)
 		}
-		return b, nil
 	}
+	body := func(id uint32) []byte { b, _ := im.Body(id); return b }
 	var meta snapshotMeta
-	b, err := section(snapMeta)
-	if err == nil {
-		err = gob.NewDecoder(bytes.NewReader(b)).Decode(&meta)
-	}
-	if err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(body(snapMeta))).Decode(&meta); err != nil {
 		return nil, fmt.Errorf("%w: options: %v", errSnapFormat, err)
 	}
-	b, err = section(snapVocab)
-	if err != nil {
-		return nil, err
-	}
-	vocab, err := textproc.DecodeFlatVocab(b)
+	vocab, err := textproc.DecodeFlatVocab(body(snapVocab))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errSnapFormat, err)
 	}
-	if b, err = section(snapMined); err != nil {
-		return nil, err
-	}
-	counts, err := counter.DecodeFlat(b, vocab.Size())
+	counts, err := counter.DecodeFlat(body(snapMined), vocab.Size())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errSnapFormat, err)
 	}
-	priors, err := section(snapPriors)
-	if err != nil {
-		return nil, err
-	}
-	nwk, err := section(snapNwk)
-	if err != nil {
-		return nil, err
-	}
-	model, err := topicmodel.DecodeFlat(priors, nwk, vocab.Size(), maxCellsPerByte*len(data))
+	model, err := topicmodel.DecodeFlat(body(snapPriors), body(snapNwk), vocab.Size(), maxCellsPerByte*len(data))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errSnapFormat, err)
 	}
