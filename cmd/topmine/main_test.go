@@ -8,9 +8,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -248,6 +248,38 @@ func TestLivingCorpusWorkflow(t *testing.T) {
 	if !strings.Contains(out4.String(), "Topic 0") {
 		t.Fatalf("no topics printed after update:\n%s", out4.String())
 	}
+
+	// Two identical updates over the merged file print identical
+	// topics.
+	var updates [2]bytes.Buffer
+	for i := range updates {
+		if err := run([]string{"-load", snap, "-update", merged, "-iters", "3"}, strings.NewReader(""), &updates[i], &errb); err != nil {
+			t.Fatalf("update %d over the merged file: %v\nstderr:\n%s", i+1, err, errb.String())
+		}
+	}
+	if updates[0].String() != updates[1].String() {
+		t.Fatalf("identical updates diverged:\n%s\nvs\n%s", updates[0].String(), updates[1].String())
+	}
+
+	// A file grown by -append without -dedup trains to the topics of
+	// the concatenated input.
+	grown := filepath.Join(dir, "grown.tpc")
+	if err := run(fastArgs("-input", "-", "-preprocess", grown), strings.NewReader(testStdinDocs()), &out, &errb); err != nil {
+		t.Fatalf("preprocess grown: %v\nstderr:\n%s", err, errb.String())
+	}
+	if err := run([]string{"-append", grown, "-input", "-"}, strings.NewReader(testStdinDocs2()), &out, &errb); err != nil {
+		t.Fatalf("append: %v\nstderr:\n%s", err, errb.String())
+	}
+	var fromGrown, fromScratch bytes.Buffer
+	if err := run(fastArgs("-corpus", grown), strings.NewReader(""), &fromGrown, &errb); err != nil {
+		t.Fatalf("train from grown file: %v\nstderr:\n%s", err, errb.String())
+	}
+	if err := run(fastArgs("-input", "-"), strings.NewReader(testStdinDocs()+testStdinDocs2()), &fromScratch, &errb); err != nil {
+		t.Fatalf("train from concatenated input: %v\nstderr:\n%s", err, errb.String())
+	}
+	if fromGrown.String() != fromScratch.String() {
+		t.Fatalf("grown file trains differently from the concatenated input:\n%s\nvs\n%s", fromGrown.String(), fromScratch.String())
+	}
 }
 
 // freePort reserves an ephemeral port long enough to learn its number.
@@ -264,6 +296,85 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// cliEnv, when set, makes the test binary run as the topmine command
+// itself, so the distributed tests train against real worker
+// processes: separate address spaces, real loopback TCP, and a real
+// SIGKILL in the chaos test.
+const cliEnv = "TOPMINE_TEST_CLI"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(cliEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// cliProc is one topmine process started from the test binary.
+type cliProc struct {
+	*exec.Cmd
+	stderr bytes.Buffer
+}
+
+// startWorker starts a `topmine -train-worker addr` process. It is
+// killed at cleanup if the test has not reaped it.
+func startWorker(t *testing.T, addr string) *cliProc {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &cliProc{Cmd: exec.Command(exe, "-train-worker", addr, "-train-timeout", "60s")}
+	p.Env = append(os.Environ(), cliEnv+"=1")
+	p.Stderr = &p.stderr
+	if err := p.Start(); err != nil {
+		t.Fatalf("start worker: %v", err)
+	}
+	t.Cleanup(func() {
+		p.Process.Kill()
+		p.Wait()
+	})
+	return p
+}
+
+// reap waits for a worker and fails the test if it did not exit
+// cleanly.
+func (p *cliProc) reap(t *testing.T) {
+	t.Helper()
+	if err := p.Wait(); err != nil {
+		t.Errorf("worker %d: %v\nstderr:\n%s", p.Process.Pid, err, p.stderr.String())
+	}
+}
+
+// runDistributed trains in-process as the coordinator of two worker
+// processes and returns the coordinator's stdout and stderr.
+func runDistributed(t *testing.T, args ...string) (string, string) {
+	t.Helper()
+	addr := freePort(t)
+	workers := []*cliProc{startWorker(t, addr), startWorker(t, addr)}
+	var out, errb bytes.Buffer
+	err := run(append([]string{"-train-coordinator", addr, "-train-workers", "2", "-train-timeout", "60s"}, args...),
+		strings.NewReader(""), &out, &errb)
+	for _, w := range workers {
+		w.reap(t)
+	}
+	if err != nil {
+		t.Fatalf("coordinator %v: %v\nstderr:\n%s", args, err, errb.String())
+	}
+	return out.String(), errb.String()
+}
+
+// preprocessTestDocs writes testStdinDocs to dir/corpus.tpc.
+func preprocessTestDocs(t *testing.T, dir string) string {
+	t.Helper()
+	tpc := filepath.Join(dir, "corpus.tpc")
+	var errb bytes.Buffer
+	if err := run(fastArgs("-input", "-", "-preprocess", tpc), strings.NewReader(testStdinDocs()), io.Discard, &errb); err != nil {
+		t.Fatalf("preprocess: %v\nstderr:\n%s", err, errb.String())
+	}
+	return tpc
+}
+
 // TestDistributedCLIWorkflow drives -train-coordinator/-train-worker
 // end to end through the CLI and pins the headline guarantee: the
 // distributed run's stdout (the rendered topics) is byte-identical to
@@ -271,42 +382,17 @@ func freePort(t *testing.T) string {
 // seed.
 func TestDistributedCLIWorkflow(t *testing.T) {
 	dir := t.TempDir()
-	tpc := filepath.Join(dir, "corpus.tpc")
-	stdin := &oneShotReader{r: strings.NewReader(testStdinDocs())}
-	var out, errb bytes.Buffer
-	if err := run(fastArgs("-input", "-", "-preprocess", tpc), stdin, &out, &errb); err != nil {
-		t.Fatalf("preprocess: %v\nstderr:\n%s", err, errb.String())
-	}
+	tpc := preprocessTestDocs(t, dir)
 
-	addr := freePort(t)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var wout, werr bytes.Buffer
-			if err := run([]string{"-train-worker", addr, "-train-timeout", "30s"},
-				strings.NewReader(""), &wout, &werr); err != nil {
-				t.Errorf("worker %d: %v\nstderr:\n%s", i, err, werr.String())
-			}
-		}(i)
+	dout, derr := runDistributed(t, fastArgs("-corpus", tpc, "-v")...)
+	if !strings.Contains(derr, "distributed training:") {
+		t.Fatalf("no training confirmation:\n%s", derr)
 	}
-	var dout, derr bytes.Buffer
-	err := run(fastArgs("-corpus", tpc, "-train-coordinator", addr,
-		"-train-workers", "2", "-train-timeout", "30s", "-v"),
-		strings.NewReader(""), &dout, &derr)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("coordinator: %v\nstderr:\n%s", err, derr.String())
+	if !strings.Contains(derr, "sweep ") {
+		t.Fatalf("-v did not log sweep timings:\n%s", derr)
 	}
-	if !strings.Contains(derr.String(), "distributed training:") {
-		t.Fatalf("no training confirmation:\n%s", derr.String())
-	}
-	if !strings.Contains(derr.String(), "sweep ") {
-		t.Fatalf("-v did not log sweep timings:\n%s", derr.String())
-	}
-	if !strings.Contains(dout.String(), "Topic 0") {
-		t.Fatalf("no topics printed:\n%s", dout.String())
+	if !strings.Contains(dout, "Topic 0") {
+		t.Fatalf("no topics printed:\n%s", dout)
 	}
 
 	var pout, perr bytes.Buffer
@@ -314,9 +400,9 @@ func TestDistributedCLIWorkflow(t *testing.T) {
 		strings.NewReader(""), &pout, &perr); err != nil {
 		t.Fatalf("in-process run: %v\nstderr:\n%s", err, perr.String())
 	}
-	if dout.String() != pout.String() {
+	if dout != pout.String() {
 		t.Fatalf("distributed topics differ from in-process -topic-workers 2:\n--- distributed ---\n%s\n--- in-process ---\n%s",
-			dout.String(), pout.String())
+			dout, pout.String())
 	}
 }
 
@@ -328,40 +414,10 @@ func TestDistributedCLIWorkflow(t *testing.T) {
 // command line, because the checkpoint owns them.
 func TestDistributedCheckpointResumeCLI(t *testing.T) {
 	dir := t.TempDir()
-	tpc := filepath.Join(dir, "corpus.tpc")
+	tpc := preprocessTestDocs(t, dir)
 	ck := filepath.Join(dir, "run.tpd")
-	stdin := &oneShotReader{r: strings.NewReader(testStdinDocs())}
-	var out, errb bytes.Buffer
-	if err := run(fastArgs("-input", "-", "-preprocess", tpc), stdin, &out, &errb); err != nil {
-		t.Fatalf("preprocess: %v\nstderr:\n%s", err, errb.String())
-	}
 
-	runDistributed := func(coordArgs []string) (string, string) {
-		t.Helper()
-		addr := freePort(t)
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				var wout, werr bytes.Buffer
-				if err := run([]string{"-train-worker", addr, "-train-timeout", "30s"},
-					strings.NewReader(""), &wout, &werr); err != nil {
-					t.Errorf("worker %d: %v\nstderr:\n%s", i, err, werr.String())
-				}
-			}(i)
-		}
-		var dout, derr bytes.Buffer
-		args := append([]string{"-train-coordinator", addr, "-train-workers", "2", "-train-timeout", "30s"}, coordArgs...)
-		err := run(args, strings.NewReader(""), &dout, &derr)
-		wg.Wait()
-		if err != nil {
-			t.Fatalf("coordinator %v: %v\nstderr:\n%s", coordArgs, err, derr.String())
-		}
-		return dout.String(), derr.String()
-	}
-
-	out1, err1 := runDistributed(append(fastArgs("-corpus", tpc), "-checkpoint", ck, "-checkpoint-every", "1", "-v"))
+	out1, err1 := runDistributed(t, append(fastArgs("-corpus", tpc), "-checkpoint", ck, "-checkpoint-every", "1", "-v")...)
 	if _, err := os.Stat(ck); err != nil {
 		t.Fatalf("no checkpoint written: %v", err)
 	}
@@ -371,7 +427,7 @@ func TestDistributedCheckpointResumeCLI(t *testing.T) {
 	// -minsup/-top must match the original run (they shape the corpus
 	// rebuild and rendering); -k/-iters/-seed must NOT be passed — the
 	// checkpoint carries the schedule.
-	out2, err2 := runDistributed([]string{"-corpus", tpc, "-resume", ck, "-minsup", "2", "-top", "3"})
+	out2, err2 := runDistributed(t, "-corpus", tpc, "-resume", ck, "-minsup", "2", "-top", "3")
 	if !strings.Contains(err2, "resumed from") {
 		t.Fatalf("resume not reported:\n%s", err2)
 	}
@@ -387,42 +443,15 @@ func TestDistributedCheckpointResumeCLI(t *testing.T) {
 // one JSON event per sweep plus a finish marker.
 func TestDistributedObservabilityCLI(t *testing.T) {
 	dir := t.TempDir()
-	tpc := filepath.Join(dir, "corpus.tpc")
+	tpc := preprocessTestDocs(t, dir)
 	traceFile := filepath.Join(dir, "trace.jsonl")
-	stdin := &oneShotReader{r: strings.NewReader(testStdinDocs())}
-	var out, errb bytes.Buffer
-	if err := run(fastArgs("-input", "-", "-preprocess", tpc), stdin, &out, &errb); err != nil {
-		t.Fatalf("preprocess: %v\nstderr:\n%s", err, errb.String())
+
+	train := func(extra ...string) (string, string) {
+		return runDistributed(t, append([]string{"-corpus", tpc,
+			"-k", "2", "-iters", "400", "-minsup", "2", "-top", "3"}, extra...)...)
 	}
 
-	runDistributed := func(coordArgs ...string) (string, string) {
-		t.Helper()
-		addr := freePort(t)
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				var wout, werr bytes.Buffer
-				if err := run([]string{"-train-worker", addr, "-train-timeout", "30s"},
-					strings.NewReader(""), &wout, &werr); err != nil {
-					t.Errorf("worker %d: %v\nstderr:\n%s", i, err, werr.String())
-				}
-			}(i)
-		}
-		var dout, derr bytes.Buffer
-		args := append([]string{"-corpus", tpc, "-train-coordinator", addr,
-			"-train-workers", "2", "-train-timeout", "30s",
-			"-k", "2", "-iters", "400", "-minsup", "2", "-top", "3"}, coordArgs...)
-		err := run(args, strings.NewReader(""), &dout, &derr)
-		wg.Wait()
-		if err != nil {
-			t.Fatalf("coordinator %v: %v\nstderr:\n%s", coordArgs, err, derr.String())
-		}
-		return dout.String(), derr.String()
-	}
-
-	plain, _ := runDistributed()
+	plain, _ := train()
 
 	statusAddr := freePort(t)
 	done := make(chan struct{})
@@ -467,7 +496,7 @@ func TestDistributedObservabilityCLI(t *testing.T) {
 		}
 	}()
 
-	traced, derr := runDistributed("-train-http", statusAddr, "-trace", traceFile)
+	traced, derr := train("-train-http", statusAddr, "-trace", traceFile)
 	close(done)
 	res := <-scraped
 	if !strings.Contains(derr, "training status plane on http://"+statusAddr) {
@@ -505,6 +534,101 @@ func TestDistributedObservabilityCLI(t *testing.T) {
 	}
 	if sweeps != 400 || finishes != 1 {
 		t.Fatalf("trace has %d sweep and %d finish events, want 400 and 1", sweeps, finishes)
+	}
+}
+
+// TestDistributedChaosCLI is the recovered ≡ uninterrupted pin with a
+// real SIGKILL: an -elastic coordinator with barrier checkpoints loses
+// a worker process to kill -9 mid-run, rolls back, re-accepts a
+// replacement and must print topics byte-identical to the in-process
+// -topic-workers 2 run; a -resume from its final .tpd must too, and a
+// torn .tpd must be rejected by name. The status plane is scraped
+// mid-run and the trace must record the recovery.
+func TestDistributedChaosCLI(t *testing.T) {
+	dir := t.TempDir()
+	tpc := filepath.Join(dir, "corpus.tpc")
+	ck := filepath.Join(dir, "ck.tpd")
+	traceFile := filepath.Join(dir, "trace.jsonl")
+	var out, errb bytes.Buffer
+	if err := run([]string{"-synth", "20conf", "-docs", "300", "-seed", "1", "-minsup", "3", "-preprocess", tpc},
+		strings.NewReader(""), &out, &errb); err != nil {
+		t.Fatalf("preprocess: %v\nstderr:\n%s", err, errb.String())
+	}
+	schedule := []string{"-corpus", tpc, "-minsup", "3", "-k", "4", "-iters", "1000", "-seed", "7"}
+	var want bytes.Buffer
+	if err := run(append(schedule, "-topic-workers", "2"), strings.NewReader(""), &want, &errb); err != nil {
+		t.Fatalf("in-process run: %v\nstderr:\n%s", err, errb.String())
+	}
+
+	addr, statusAddr := freePort(t), freePort(t)
+	w1, w2 := startWorker(t, addr), startWorker(t, addr)
+	var got, coordErr bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(append([]string{"-train-coordinator", addr, "-train-workers", "2", "-train-timeout", "60s",
+			"-elastic", "-checkpoint", ck, "-checkpoint-every", "5", "-train-http", statusAddr, "-trace", traceFile, "-v"},
+			schedule...), strings.NewReader(""), &got, &coordErr)
+	}()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if _, err := os.Stat(ck); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint appeared")
+		}
+	}
+	// The checkpoint proves the run is live: scrape the status plane.
+	for path, wants := range map[string][]string{
+		"/metrics": {"\ntopmine_train_sweep", "\ntopmine_train_worker_barrier_lag_seconds_bucket",
+			"\ntopmine_train_checkpoint_write_seconds_count", "\ntopmine_train_tokens_per_second"},
+		"/v1/progress": {`"phase":"training"`, `"worker_lag_ms":[`},
+	} {
+		resp, err := http.Get("http://" + statusAddr + path)
+		if err != nil {
+			t.Fatalf("mid-run scrape: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, want := range wants {
+			if !strings.Contains(string(body), want) {
+				t.Errorf("mid-run %s lacks %q:\n%s", path, want, body)
+			}
+		}
+	}
+	if err := w1.Process.Kill(); err != nil || w1.Wait() == nil {
+		t.Fatalf("the run ended before the kill (kill: %v)", err)
+	}
+	w3 := startWorker(t, addr)
+	err := <-done
+	w2.reap(t)
+	w3.reap(t)
+	if err != nil {
+		t.Fatalf("coordinator: %v\nstderr:\n%s", err, coordErr.String())
+	}
+	if !strings.Contains(coordErr.String(), "recovery 1/") {
+		t.Fatalf("coordinator never recovered from the killed worker:\n%s", coordErr.String())
+	}
+	if got.String() != want.String() {
+		t.Fatalf("recovered topics differ from the in-process run:\n--- recovered ---\n%s\n--- in-process ---\n%s", got.String(), want.String())
+	}
+	if trace, err := os.ReadFile(traceFile); err != nil || !bytes.Contains(trace, []byte(`"ev":"recovery"`)) || !bytes.Contains(trace, []byte(`"ev":"finish"`)) {
+		t.Fatalf("trace lacks a recovery event or the finish marker (%v):\n%s", err, trace)
+	}
+
+	// The schedule lives in the .tpd, so no -k/-iters/-seed here.
+	resumed, _ := runDistributed(t, "-corpus", tpc, "-resume", ck, "-minsup", "3")
+	if resumed != want.String() {
+		t.Fatalf("resumed topics differ from the in-process run:\n--- resumed ---\n%s\n--- in-process ---\n%s", resumed, want.String())
+	}
+
+	raw, err := os.ReadFile(ck)
+	if err != nil || os.WriteFile(ck, raw[:len(raw)-7], 0o644) != nil {
+		t.Fatalf("truncate checkpoint: %v", err)
+	}
+	err = run([]string{"-corpus", tpc, "-train-coordinator", freePort(t), "-train-workers", "2", "-resume", ck, "-minsup", "3"},
+		strings.NewReader(""), io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("torn checkpoint: got %v, want an error naming \"truncated\"", err)
 	}
 }
 

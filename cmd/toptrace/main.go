@@ -5,13 +5,11 @@
 // between sampling, reconciliation and checkpointing, and what the
 // elastic recoveries cost.
 //
-// The human report goes to stderr. Stdout carries `go test -bench`
-// format summary lines for benchjson, so CI can archive a run's
-// barrier profile next to the other BENCH_*.json artifacts:
+// The report goes to stderr:
 //
 //	topmine -train-coordinator :7600 -train-workers 2 -corpus c.tpc \
 //	        -trace trace.jsonl ...
-//	toptrace trace.jsonl | benchjson -out BENCH_train_trace.json
+//	toptrace trace.jsonl
 //
 // Usage:
 //
@@ -28,12 +26,11 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 )
 
-// event is the union of every trace event shape dtrain emits; Ev
+// event is the union of the trace fields toptrace reads; Ev
 // discriminates. Field names mirror internal/dtrain's trace structs —
 // toptrace deliberately parses the wire format rather than importing
 // them, so it keeps working on logs from other builds.
@@ -48,29 +45,18 @@ type event struct {
 	WantWorkers    int   `json:"want_workers"`
 	Resumed        bool  `json:"resumed"`
 
-	// setup
-	FromSweep int `json:"from_sweep"`
-	Workers   int `json:"workers"`
-
 	// delta
-	Sweep     int     `json:"sweep"`
-	Worker    int     `json:"worker"`
-	ArrivalMs float64 `json:"arrival_ms"`
-	LagMs     float64 `json:"lag_ms"`
-	SampleMs  float64 `json:"sample_ms"`
-	Bytes     int64   `json:"bytes"`
-	Rows      int64   `json:"rows"`
+	Sweep    int     `json:"sweep"`
+	Worker   int     `json:"worker"`
+	LagMs    float64 `json:"lag_ms"`
+	SampleMs float64 `json:"sample_ms"`
+	Bytes    int64   `json:"bytes"`
 
 	// sweep
 	ReconcileMs  float64 `json:"reconcile_ms"`
 	CheckpointMs float64 `json:"checkpoint_ms"`
 	GatingWorker int     `json:"gating_worker"`
 	GatingLagMs  float64 `json:"gating_lag_ms"`
-	TokensPerSec float64 `json:"tokens_per_sec"`
-
-	// checkpoint
-	WriteMs float64 `json:"write_ms"`
-	Path    string  `json:"path"`
 
 	// recovery
 	RollbackSweep int    `json:"rollback_sweep"`
@@ -100,18 +86,17 @@ type workerStats struct {
 	sampleMs float64 // sum
 	maxLagMs float64
 	bytes    int64
-	rows     int64
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("toptrace: ")
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("toptrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	timeline := fs.Int("timeline", 20, "barriers to show in the timeline: the N slowest by barrier wait (0 = all)")
@@ -140,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if len(events) == 0 {
 		return fmt.Errorf("%s: no trace events", name)
 	}
-	report(events, *timeline, stdout, stderr)
+	report(events, *timeline, stderr)
 	return nil
 }
 
@@ -172,7 +157,7 @@ func parseTrace(r io.Reader) ([]event, error) {
 	return evs, nil
 }
 
-func report(events []event, timeline int, stdout, stderr io.Writer) {
+func report(events []event, timeline int, stderr io.Writer) {
 	var runEv, finish *event
 	var setups, checkpoints, recoveries []event
 	var barriers []barrier
@@ -257,7 +242,6 @@ func report(events []event, timeline int, stdout, stderr io.Writer) {
 			ws.sampleMs += d.SampleMs
 			ws.maxLagMs = max(ws.maxLagMs, d.LagMs)
 			ws.bytes += d.Bytes
-			ws.rows += d.Rows
 		}
 		if ws := workers[b.ev.GatingWorker]; ws != nil {
 			ws.gated++
@@ -304,46 +288,6 @@ func report(events []event, timeline int, stdout, stderr io.Writer) {
 	for _, r := range recoveries {
 		fmt.Fprintf(stderr, "recovery at t=%v: lost worker %d (%s), rolled back to sweep %d, %d survivors, %d re-accepted\n",
 			ms(r.TMs), r.LostWorker, r.Cause, r.RollbackSweep, r.Survivors, r.Reaccepted)
-	}
-
-	benchLines(barriers, checkpoints, recoveries, ids, workers, stdout)
-}
-
-// benchLines writes `go test -bench`-shaped summary lines: name,
-// iteration count, then value/unit pairs — the contract benchjson
-// parses into BENCH_*.json artifacts.
-func benchLines(barriers []barrier, checkpoints, recoveries []event,
-	ids []int, workers map[int]*workerStats, stdout io.Writer) {
-	fmt.Fprintf(stdout, "goos: %s\ngoarch: %s\npkg: topmine/cmd/toptrace\n", runtime.GOOS, runtime.GOARCH)
-	n := float64(len(barriers))
-	var sampleMs, reconcileMs, ckptMs, gateMs, tps float64
-	for _, b := range barriers {
-		sampleMs += b.ev.SampleMs
-		reconcileMs += b.ev.ReconcileMs
-		ckptMs += b.ev.CheckpointMs
-		gateMs += b.ev.GatingLagMs
-		tps += b.ev.TokensPerSec
-	}
-	barrierNs := (sampleMs + reconcileMs + ckptMs) / n * 1e6
-	fmt.Fprintf(stdout, "BenchmarkTraceSweep %d %d ns/op %.1f tokens/s %.3f sample-ms %.3f reconcile-ms %.3f gate-lag-ms\n",
-		len(barriers), int64(barrierNs), tps/n, sampleMs/n, reconcileMs/n, gateMs/n)
-	if len(checkpoints) > 0 {
-		var writeMs float64
-		for _, c := range checkpoints {
-			writeMs += c.WriteMs
-		}
-		mean := writeMs / float64(len(checkpoints))
-		fmt.Fprintf(stdout, "BenchmarkTraceCheckpoint %d %d ns/op %.3f write-ms\n",
-			len(checkpoints), int64(mean*1e6), mean)
-	}
-	if len(recoveries) > 0 {
-		fmt.Fprintf(stdout, "BenchmarkTraceRecovery %d %d ns/op\n", len(recoveries), int64(0))
-	}
-	for _, id := range ids {
-		ws := workers[id]
-		wn := float64(ws.barriers)
-		fmt.Fprintf(stdout, "BenchmarkTraceWorker/w%d %d %d ns/op %.3f lag-ms %.3f sample-ms %d gated\n",
-			id, ws.barriers, int64(ws.sampleMs/wn*1e6), ws.lagMs/wn, ws.sampleMs/wn, ws.gated)
 	}
 }
 

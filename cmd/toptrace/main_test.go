@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -30,21 +29,21 @@ const sampleTrace = `{"ev":"run","t_ms":0.1,"total_sweeps":3,"start_sweep":0,"to
 {"ev":"finish","t_ms":41}
 `
 
-func runSample(t *testing.T, extra ...string) (stdout, stderr string) {
+func runSample(t *testing.T, extra ...string) (stderr string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	if err := os.WriteFile(path, []byte(sampleTrace), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out, errw bytes.Buffer
-	if err := run(append(extra, path), &out, &errw); err != nil {
+	var errw bytes.Buffer
+	if err := run(append(extra, path), &errw); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return out.String(), errw.String()
+	return errw.String()
 }
 
 func TestReportTimeline(t *testing.T) {
-	_, stderr := runSample(t)
+	stderr := runSample(t)
 	for _, want := range []string{
 		"trace: 3 barriers, 1 checkpoints, 1 recoveries, 2 epochs",
 		"schedule: 3 sweeps, 1000 tokens/sweep, 2 workers wanted",
@@ -71,56 +70,8 @@ func TestReportTimeline(t *testing.T) {
 	}
 }
 
-// TestBenchLines pins the stdout contract: `go test -bench` shaped
-// lines — name, integer iteration count, then value/unit pairs — the
-// exact format cmd/benchjson parses.
-func TestBenchLines(t *testing.T) {
-	stdout, _ := runSample(t)
-	lines := strings.Split(strings.TrimSpace(stdout), "\n")
-	if len(lines) < 4 {
-		t.Fatalf("want header + bench lines, got:\n%s", stdout)
-	}
-	for _, want := range []string{"goos: ", "goarch: ", "pkg: topmine/cmd/toptrace"} {
-		if !strings.Contains(stdout, want) {
-			t.Errorf("stdout missing %q", want)
-		}
-	}
-	var benches []string
-	for _, line := range lines {
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		benches = append(benches, line)
-		f := strings.Fields(line)
-		if len(f) < 4 || len(f)%2 != 0 {
-			t.Errorf("bench line has %d fields, want even >= 4: %q", len(f), line)
-			continue
-		}
-		if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
-			t.Errorf("iterations %q not an int in %q", f[1], line)
-		}
-		for i := 2; i < len(f); i += 2 {
-			if _, err := strconv.ParseFloat(f[i], 64); err != nil {
-				t.Errorf("value %q not a number in %q", f[i], line)
-			}
-		}
-	}
-	joined := strings.Join(benches, "\n")
-	for _, want := range []string{
-		"BenchmarkTraceSweep 3 ",
-		"BenchmarkTraceCheckpoint 1 ",
-		"BenchmarkTraceRecovery 1 ",
-		"BenchmarkTraceWorker/w0 3 ",
-		"BenchmarkTraceWorker/w1 3 ",
-	} {
-		if !strings.Contains(joined+"\n", want) {
-			t.Errorf("bench lines missing %q:\n%s", want, joined)
-		}
-	}
-}
-
 func TestTimelineCap(t *testing.T) {
-	_, stderr := runSample(t, "-timeline", "1")
+	stderr := runSample(t, "-timeline", "1")
 	if !strings.Contains(stderr, "(1 slowest of 3 by barrier wait") {
 		t.Errorf("timeline cap note missing:\n%s", stderr)
 	}
@@ -131,21 +82,21 @@ func TestTimelineCap(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	var out, errw bytes.Buffer
+	var errw bytes.Buffer
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.jsonl")
 	os.WriteFile(bad, []byte("{\"ev\":\"run\"}\nnot json\n"), 0o644)
-	if err := run([]string{bad}, &out, &errw); err == nil || !strings.Contains(err.Error(), "line 2") {
+	if err := run([]string{bad}, &errw); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("want line-2 parse error, got %v", err)
 	}
 	empty := filepath.Join(dir, "empty.jsonl")
 	os.WriteFile(empty, nil, 0o644)
-	if err := run([]string{empty}, &out, &errw); err == nil || !strings.Contains(err.Error(), "no trace events") {
+	if err := run([]string{empty}, &errw); err == nil || !strings.Contains(err.Error(), "no trace events") {
 		t.Errorf("want no-events error, got %v", err)
 	}
 	noev := filepath.Join(dir, "noev.jsonl")
 	os.WriteFile(noev, []byte("{\"t_ms\":1}\n"), 0o644)
-	if err := run([]string{noev}, &out, &errw); err == nil || !strings.Contains(err.Error(), "discriminator") {
+	if err := run([]string{noev}, &errw); err == nil || !strings.Contains(err.Error(), "discriminator") {
 		t.Errorf("want discriminator error, got %v", err)
 	}
 }

@@ -6,8 +6,7 @@ package topmine
 // training job side by side — re-running ingest+mining+segmentation
 // versus Open on the persisted .tpc — which is the measured form of
 // the "preprocess once, train many" claim (Open must be ≥10× faster).
-// CI runs both with -benchtime=1x as smoke and archives the numbers in
-// BENCH_topicmodel.json.
+// CI runs both with -benchtime=1x as smoke.
 //
 //	go test -run '^$' -bench 'CorpusFile|ColdStart' -benchtime 10x .
 

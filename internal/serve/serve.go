@@ -163,19 +163,6 @@ type Server struct {
 	infer func(st *modelState, text string, iters int) ([]float64, int)
 }
 
-// New builds a single-model Server around a ready Inferencer,
-// registered under the name "default" — the compatibility constructor
-// for callers that never deal with multiple models.
-func New(inf *topmine.Inferencer, opt Options) *Server {
-	reg := NewRegistry()
-	if err := reg.AddInferencer("default", inf); err != nil {
-		// Only a nil Inferencer can fail here; that is a programming
-		// error on the caller's side, same as it always was.
-		panic(err)
-	}
-	return NewWithRegistry(reg, opt)
-}
-
 // NewWithRegistry builds a Server over an already-populated registry.
 // Models may still be reloaded afterwards; adding models after
 // construction is supported too (the registry is referenced, not

@@ -95,7 +95,18 @@ func testInferencer(t testing.TB) *topmine.Inferencer {
 }
 
 func newTestServer(t testing.TB, opt Options) *Server {
-	return New(testInferencer(t), opt)
+	return newSingleModelServer(t, testInferencer(t), opt)
+}
+
+// newSingleModelServer serves inf as the registry's only model,
+// "default".
+func newSingleModelServer(t testing.TB, inf *topmine.Inferencer, opt Options) *Server {
+	t.Helper()
+	reg := NewRegistry()
+	if err := reg.AddInferencer("default", inf); err != nil {
+		t.Fatal(err)
+	}
+	return NewWithRegistry(reg, opt)
 }
 
 // newTwoModelServer serves the 20conf pipeline as the default model
@@ -414,7 +425,7 @@ func TestModelLessServerRejectsInfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(inf, Options{})
+	s := newSingleModelServer(t, inf, Options{})
 
 	var resp errorResponse
 	w := do(t, s, http.MethodPost, "/v1/infer", `{"text": "support vector machines"}`, &resp)
@@ -785,7 +796,10 @@ func TestReloadAdminToken(t *testing.T) {
 // TestHotReloadUnderLoad is the zero-dropped-requests guarantee:
 // requests race repeated atomic swaps between two different models,
 // and every response must be a valid 200 from one model or the other.
-// Run under -race this is the registry's swap-safety proof.
+// Each client cycles single /v1/infer, batched /v1/infer and
+// /v1/segment requests, so under -race this is the registry's
+// swap-safety proof for every request path, cache and batch fan-out
+// included.
 func TestHotReloadUnderLoad(t *testing.T) {
 	testFixtures(t)
 	var flips atomic.Uint64
@@ -816,8 +830,17 @@ func TestHotReloadUnderLoad(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < requests; i++ {
-				body := fmt.Sprintf(`{"text": "database systems request %d %d", "iters": 5}`, g, i)
-				resp, err := http.Post(srv.URL+"/v1/infer", "application/json", strings.NewReader(body))
+				// Texts repeat across clients so some requests hit the
+				// cache or coalesce with an in-flight twin.
+				text := fmt.Sprintf("database systems request %d", (g+i)%5)
+				path, body := "/v1/infer", fmt.Sprintf(`{"text": %q, "iters": 5}`, text)
+				switch i % 3 {
+				case 1:
+					body = fmt.Sprintf(`{"texts": [%q, "query processing", "support vector machines"], "iters": 5}`, text)
+				case 2:
+					path, body = "/v1/segment", fmt.Sprintf(`{"text": %q}`, text)
+				}
+				resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -826,17 +849,30 @@ func TestHotReloadUnderLoad(t *testing.T) {
 				buf.ReadFrom(resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					t.Errorf("goroutine %d: dropped request during reload: %d %s", g, resp.StatusCode, buf.String())
+					t.Errorf("goroutine %d: dropped %s request during reload: %d %s", g, path, resp.StatusCode, buf.String())
 					return
 				}
-				var decoded testInferResponse
-				if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil || decoded.Result == nil {
+				var decoded struct {
+					testInferResponse
+					segmentResponse
+				}
+				if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 					t.Errorf("goroutine %d: bad body %q: %v", g, buf.String(), err)
 					return
 				}
-				if k := len(decoded.Result.Topics); k != testK && k != testK2 {
-					t.Errorf("goroutine %d: %d topics matches neither model (%d/%d)", g, k, testK, testK2)
+				results := decoded.Results
+				if decoded.Result != nil {
+					results = append(results, *decoded.Result)
+				}
+				if want := [3]int{1, 3, 0}[i%3]; len(results) != want || (path == "/v1/segment") != (len(decoded.Segments) > 0) {
+					t.Errorf("goroutine %d: %s answered %q, want %d results", g, path, buf.String(), want)
 					return
+				}
+				for _, r := range results {
+					if k := len(r.Topics); k != testK && k != testK2 {
+						t.Errorf("goroutine %d: %d topics matches neither model (%d/%d)", g, k, testK, testK2)
+						return
+					}
 				}
 			}
 		}(g)

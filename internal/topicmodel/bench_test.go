@@ -14,8 +14,7 @@ import (
 // Models are warmed with training sweeps before timing: a sweep from
 // random initialisation touches near-dense count matrices — the worst
 // case for any sparse sampler and not what the 1000-2000 sweeps of a
-// real run (§5.3) pay. CI runs these as a smoke pass and archives the
-// results as BENCH_topicmodel.json (see cmd/benchjson).
+// real run (§5.3) pay. CI runs these as a smoke pass.
 
 var (
 	benchFixtureOnce sync.Once
