@@ -70,8 +70,9 @@ type Stats struct {
 // qualify. A Result without a trained Model (a mining-only pipeline)
 // still supports Segment and TraceText — only InferTopics needs the
 // model. The Inferencer captures the Result's artifacts at
-// construction — the topic model by value, in one pass over its V·K
-// counts — so populate every field before the call.
+// construction — the topic model by value, from its sparse N_wk, so a
+// frozen Model is never materialised — so populate every field before
+// the call.
 func NewInferencer(r *Result) (*Inferencer, error) {
 	switch {
 	case r == nil:

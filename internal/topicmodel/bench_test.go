@@ -2,6 +2,7 @@ package topicmodel
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -125,14 +126,29 @@ func BenchmarkInferTheta(b *testing.B) {
 var benchTheta []float64
 
 // BenchmarkNewInferIndex is the cost a cold load and every hot reload
-// pay for the index: one scan of a V·K arena the size of a titles
-// model's (40k words × 200 topics, three non-zero cells per word).
+// pay for the model and its index: DecodeFlat and NewInferIndex from
+// the section bytes of a titles-sized model (40k words, three non-zero
+// cells per word) at K ∈ {100, 200, 1000}. Nothing in it is O(V·K), so
+// the three readings should be close.
 func BenchmarkNewInferIndex(b *testing.B) {
-	m := sparsePhiModel(200, 40000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchIndex = NewInferIndex(m, 8)
+	for _, k := range []int{100, 200, 1000} {
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
+			m := sparsePhiModel(k, 40000)
+			m.Nwk = rowViews(m.nwk, k)
+			priors, nwk, err := m.EncodeFlat()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, err := DecodeFlat(priors, nwk, m.V, math.MaxInt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchIndex = NewInferIndex(f, 8)
+			}
+		})
 	}
 }
 

@@ -142,15 +142,11 @@ func NewShardModel(docs []Doc, vocabSize, k int, alpha []float64, alphaSum, beta
 		Nk:       nk,
 		nwk:      nwk,
 	}
-	m.Nwk = make([][]int32, vocabSize)
-	for w := range m.Nwk {
-		m.Nwk[w] = nwk[w*k : (w+1)*k : (w+1)*k]
-	}
+	m.Nwk = rowViews(nwk, k)
 	m.ndk = make([]int32, len(docs)*k)
-	m.Ndk = make([][]int32, len(docs))
+	m.Ndk = rowViews(m.ndk, k)
 	m.Nd = make([]int32, len(docs))
 	for d := range docs {
-		m.Ndk[d] = m.ndk[d*k : (d+1)*k : (d+1)*k]
 		row := m.Ndk[d]
 		if len(z[d]) != len(docs[d].Cliques) {
 			return nil, fmt.Errorf("topicmodel: shard doc %d has %d assignments for %d cliques", d, len(z[d]), len(docs[d].Cliques))
@@ -306,6 +302,7 @@ func (m *Model) foldDeltas(deltas []*CountRows) error {
 // the next mutation of the model. Folding is integer addition, so the
 // result is independent of delta order.
 func (m *Model) FoldShardDeltas(deltas []*CountRows) (*CountRows, error) {
+	m.Materialize()
 	for di, cr := range deltas {
 		if cr.K != m.K {
 			return nil, fmt.Errorf("topicmodel: delta %d has K=%d, want %d", di, cr.K, m.K)
@@ -335,6 +332,7 @@ func (m *Model) FoldShardDeltas(deltas []*CountRows) (*CountRows, error) {
 // plus the full topic-total vector. Workers call this after each
 // barrier; untouched rows are already equal on both sides.
 func (m *Model) SetGlobalRows(cr *CountRows) error {
+	m.Materialize()
 	if cr.K != m.K {
 		return fmt.Errorf("topicmodel: global rows have K=%d, want %d", cr.K, m.K)
 	}

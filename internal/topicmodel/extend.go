@@ -40,6 +40,7 @@ func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 	m.sp = nil
 	m.par = nil
 	m.fold = nil
+	m.Materialize()
 	m.compactCounts()
 
 	// Grow the word-topic arena to newV rows; existing rows keep their
@@ -48,10 +49,7 @@ func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 		nwk := make([]int32, newV*m.K)
 		copy(nwk, m.nwk)
 		m.nwk = nwk
-		m.Nwk = make([][]int32, newV)
-		for w := range m.Nwk {
-			m.Nwk[w] = nwk[w*m.K : (w+1)*m.K : (w+1)*m.K]
-		}
+		m.Nwk = rowViews(nwk, m.K)
 		m.V = newV
 		m.BetaSum = m.Beta * float64(newV)
 	}
@@ -62,10 +60,7 @@ func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 	ndk := make([]int32, nD*m.K)
 	copy(ndk, m.ndk)
 	m.ndk = ndk
-	m.Ndk = make([][]int32, nD)
-	for d := range m.Ndk {
-		m.Ndk[d] = ndk[d*m.K : (d+1)*m.K : (d+1)*m.K]
-	}
+	m.Ndk = rowViews(ndk, m.K)
 	m.Docs = append(m.Docs, newDocs...)
 	m.Z = append(m.Z, make([][]int32, len(newDocs))...)
 	m.Nd = append(m.Nd, make([]int32, len(newDocs))...)

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"topmine/internal/secfile"
 )
 
 // EncodeFlat returns the model's serving parameters as the two flat
@@ -20,9 +18,11 @@ import (
 //	        topic minus one past the previous pair's topic (the first
 //	        pair's gap is its topic).
 //
-// Counts are written as they are; DecodeFlat rejects the ones that are
-// not positive. A model whose matrices disagree with K and V cannot be
-// written.
+// The nwk section is N_wk's one sparse form: a frozen model holds it
+// as decoded and returns it as it is; a model with dense rows is
+// walked once. Counts are written as they are; DecodeFlat rejects the
+// ones that are not positive. A model whose matrices disagree with K
+// and V cannot be written.
 func (m *Model) EncodeFlat() (priors, nwk []byte, err error) {
 	if err := m.checkServingShapes(); err != nil {
 		return nil, nil, err
@@ -38,7 +38,17 @@ func (m *Model) EncodeFlat() (priors, nwk []byte, err error) {
 	for _, n := range m.Nk {
 		priors = binary.LittleEndian.AppendUint64(priors, uint64(n))
 	}
-	for _, row := range m.Nwk {
+	return priors, m.sparseNwk(), nil
+}
+
+// sparseNwk returns N_wk as the nwk section EncodeFlat documents.
+func (m *Model) sparseNwk() []byte {
+	if m.flatNwk != nil {
+		return m.flatNwk
+	}
+	var nwk []byte
+	for w := int32(0); int(w) < m.V; w++ {
+		row := m.nwkRow(w)
 		nnz := 0
 		for _, c := range row {
 			if c != 0 {
@@ -55,12 +65,12 @@ func (m *Model) EncodeFlat() (priors, nwk []byte, err error) {
 			}
 		}
 	}
-	return priors, nwk, nil
+	return nwk
 }
 
 // checkServingShapes rejects priors and counts inconsistent with K/V.
 func (m *Model) checkServingShapes() error {
-	if m.K <= 0 || len(m.Alpha) != m.K || len(m.Nk) != m.K || len(m.Nwk) != m.V {
+	if m.K <= 0 || len(m.Alpha) != m.K || len(m.Nk) != m.K || m.flatNwk == nil && len(m.Nwk) != m.V {
 		return fmt.Errorf("topicmodel: model shapes inconsistent: K=%d V=%d but len(Alpha)=%d len(Nk)=%d len(Nwk)=%d",
 			m.K, m.V, len(m.Alpha), len(m.Nk), len(m.Nwk))
 	}
@@ -73,12 +83,12 @@ func (m *Model) checkServingShapes() error {
 }
 
 // DecodeFlat rebuilds a frozen model over a vocabulary of v words from
-// the two sections EncodeFlat writes, in one pass: N_wk is scattered
-// into the flat V×K arena the exported rows view. It checks every
-// length against the bytes present, every topic against K and every
-// count for being positive, and refuses models whose V×K arena exceeds
-// maxCells — the one allocation the section sizes do not bound. The
-// caller arms the sampler (ResetSampler), as after any decode.
+// the two sections EncodeFlat writes. N_wk stays in its sparse form,
+// checked in one pass: every length against the bytes present, every
+// topic against K and every count for being positive. Models whose
+// V×K rows would exceed maxCells are refused, so Materialize is bounded
+// by the input too. The caller arms the sampler (ResetSampler), as
+// after any decode.
 func DecodeFlat(priors, nwk []byte, v, maxCells int) (*Model, error) {
 	const fixed = 8 + 24
 	if len(priors) < fixed {
@@ -104,36 +114,58 @@ func DecodeFlat(priors, nwk []byte, v, maxCells int) (*Model, error) {
 			return nil, fmt.Errorf("topicmodel: decoded model corrupt: Nk[%d] = %d", i, m.Nk[i])
 		}
 	}
+	if err := eachCount(nwk, v, k, nil); err != nil {
+		return nil, fmt.Errorf("topicmodel: decoding N_wk: %w", err)
+	}
+	m.flatNwk = append([]byte{}, nwk...)
+	return m, nil
+}
 
-	m.nwk = make([]int32, v*k)
-	m.Nwk = make([][]int32, v)
-	r := secfile.NewReader(nwk)
-	for w := range m.Nwk {
-		row := m.nwk[w*k : (w+1)*k : (w+1)*k]
-		m.Nwk[w] = row
-		nnz := r.Count(2) // a pair is at least two bytes
-		if nnz > k {
-			r.Fail("word %d lists %d topics, K=%d", w, nnz, k)
+// eachCount walks an nwk section over v words and k topics, checking it
+// as DecodeFlat documents, and passes every cell to fn, if not nil, in
+// ascending (word, topic) order.
+func eachCount(nwk []byte, v, k int, fn func(w, k int, c int32)) error {
+	off := 0
+	for w := 0; w < v; w++ {
+		nnz, n := uvarintAt(nwk, off)
+		if n < 0 || nnz > uint64(k) || nnz > uint64(len(nwk)-n)/2 { // a pair is at least two bytes
+			return fmt.Errorf("word %d: bad topic count %d at byte %d of %d, K=%d", w, nnz, off, len(nwk), k)
 		}
+		off = n
 		next := 0
 		for ; nnz > 0; nnz-- {
-			gap := r.Uvarint()
-			c := r.Uvarint()
-			if gap >= uint64(k-next) {
-				r.Fail("word %d lists topic %d+%d, K=%d", w, next, gap, k)
-				break
+			gap, n := uvarintAt(nwk, off)
+			c, n := uvarintAt(nwk, n)
+			if n < 0 || gap >= uint64(k-next) || c == 0 || c > math.MaxInt32 {
+				return fmt.Errorf("word %d: bad pair (topic %d+%d, count %d) at byte %d, K=%d", w, next, gap, c, off, k)
 			}
-			if c == 0 || c > math.MaxInt32 {
-				r.Fail("word %d topic %d has count %d", w, next+int(gap), c)
-				break
-			}
+			off = n
 			next += int(gap)
-			row[next] = int32(c)
+			if fn != nil {
+				fn(w, next, int32(c))
+			}
 			next++
 		}
 	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("topicmodel: decoding N_wk: %w", err)
+	if off != len(nwk) {
+		return fmt.Errorf("%d trailing bytes", len(nwk)-off)
 	}
-	return m, nil
+	return nil
+}
+
+// uvarintAt decodes the uvarint at b[off:] and returns it with the
+// offset past it. That offset is -1 for a truncated or overlong
+// varint, and stays -1 once a read has failed.
+func uvarintAt(b []byte, off int) (uint64, int) {
+	if off < 0 {
+		return 0, off // an earlier read failed
+	}
+	if off < len(b) && b[off] < 0x80 { // the common one-byte case
+		return uint64(b[off]), off + 1
+	}
+	x, n := binary.Uvarint(b[off:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return x, off + n
 }

@@ -69,6 +69,7 @@ func (m *Model) OptimizeBeta(iters int) {
 	if m.V == 0 || m.K == 0 {
 		return
 	}
+	m.Materialize()
 	kf, vf := float64(m.K), float64(m.V)
 	for it := 0; it < iters; it++ {
 		psiB := Digamma(m.Beta)

@@ -83,15 +83,17 @@ type InferIndex struct {
 	betaPow []float64   // [W] β^W
 }
 
-// NewInferIndex builds the index from m's current counts and priors:
-// one pass over the V·K count arena. maxLen is the longest clique the
-// tables cover (at least 1); longer cliques are still sampled exactly,
-// at O(K) per draw.
+// NewInferIndex builds the index from m's priors and its sparse N_wk
+// (EncodeFlat's nwk section): a frozen model's as decoded, so a cold
+// load never builds the V×K rows, or one walk over a trained model's.
+// maxLen is the longest clique the tables cover (at least 1); longer
+// cliques are still sampled exactly, at O(K) per draw.
 func NewInferIndex(m *Model, maxLen int) *InferIndex {
 	if maxLen < 1 {
 		maxLen = 1
 	}
 	K := m.K
+	nwk := m.sparseNwk()
 	ix := &InferIndex{
 		k:        K,
 		alpha:    append([]float64(nil), m.Alpha...),
@@ -101,38 +103,22 @@ func NewInferIndex(m *Model, maxLen int) *InferIndex {
 		den:      make([]float64, K),
 		bden:     make([]float64, K),
 		off:      make([]uint32, m.V+1),
-		ent:      make([]wordTopic, 0, 4*m.V),
+		// Past each word's count byte, a cell takes at least two bytes.
+		ent: make([]wordTopic, 0, max(len(nwk)-m.V, 0)/2),
 	}
 	for k := range ix.den {
 		ix.den[k] = m.BetaSum + float64(m.Nk[k])
 		ix.bden[k] = m.Beta / ix.den[k]
 	}
-	// One pass over the V·K arena, in (word, topic) order. It is almost
-	// all zero, so eight cells share one branch; off[w+1] first counts
-	// word w's cells, then becomes their end offset.
-	emit := func(cell int, c int32) {
-		w, k := cell/K, cell%K
-		ix.ent = append(ix.ent, wordTopic{int32(k), c, float64(c) / ix.den[k]})
-		ix.off[w+1]++
-	}
-	arena := m.nwk[:m.V*K]
-	i := 0
-	for ; i+8 <= len(arena); i += 8 {
-		oct := arena[i : i+8 : i+8]
-		if oct[0]|oct[1]|oct[2]|oct[3]|oct[4]|oct[5]|oct[6]|oct[7] == 0 {
-			continue
-		}
-		for j, c := range oct {
-			if c > 0 {
-				emit(i+j, c)
-			}
-		}
-	}
-	for ; i < len(arena); i++ {
-		if c := arena[i]; c > 0 {
-			emit(i, c)
-		}
-	}
+	// Cells come in (word, topic) order; off[w+1] first counts word w's
+	// cells, then becomes their end offset. The walk cannot fail: a
+	// decoded section was checked, and trained counts are not negative.
+	ent, off, den := ix.ent, ix.off, ix.den
+	eachCount(nwk, m.V, K, func(w, k int, c int32) {
+		ent = append(ent, wordTopic{int32(k), c, float64(c) / den[k]})
+		off[w+1]++
+	})
+	ix.ent = ent
 	for w := 0; w < m.V; w++ {
 		ix.off[w+1] += ix.off[w]
 		// Count-descending, ties in topic order: lists are two or

@@ -111,6 +111,7 @@ type Model struct {
 	// Nwk[w][k]: tokens with word w assigned to topic k. Arena-backed
 	// like Ndk. Callers must treat the rows as read-only: the sampler
 	// maintains sparse per-word topic indexes that mirror these counts.
+	// Nil on a frozen model from DecodeFlat until Materialize.
 	Nwk [][]int32
 	// Nk[k]: tokens assigned to topic k.
 	Nk []int64
@@ -122,9 +123,13 @@ type Model struct {
 
 	// Flat count arenas backing the exported row views. nwk has V×K
 	// entries (row w at nwk[w*K:]), ndk has len(Docs)×K. They are nil
-	// only on a freshly gob-decoded model before ResetSampler runs.
+	// on a freshly gob-decoded model before ResetSampler runs, and nwk
+	// is nil on a frozen model, which holds N_wk as flatNwk instead.
 	nwk []int32
 	ndk []int32
+	// flatNwk is a frozen model's N_wk in its sparse section form (see
+	// EncodeFlat); Materialize scatters it into nwk and drops it.
+	flatNwk []byte
 
 	rng        *xrand.RNG
 	sp         *sparseSampler
@@ -154,17 +159,13 @@ func NewModel(docs []Doc, vocabSize int, opt Options) *Model {
 
 	m.Z = make([][]int32, len(docs))
 	m.nwk = make([]int32, vocabSize*opt.K)
-	m.Nwk = make([][]int32, vocabSize)
-	for w := range m.Nwk {
-		m.Nwk[w] = m.nwk[w*opt.K : (w+1)*opt.K : (w+1)*opt.K]
-	}
+	m.Nwk = rowViews(m.nwk, opt.K)
 	m.ndk = make([]int32, len(docs)*opt.K)
-	m.Ndk = make([][]int32, len(docs))
+	m.Ndk = rowViews(m.ndk, opt.K)
 	m.Nk = make([]int64, opt.K)
 	m.Nd = make([]int32, len(docs))
 
 	for d := range docs {
-		m.Ndk[d] = m.ndk[d*opt.K : (d+1)*opt.K : (d+1)*opt.K]
 		m.Z[d] = make([]int32, len(docs[d].Cliques))
 		for g, clique := range docs[d].Cliques {
 			k := int32(m.rng.Intn(opt.K))
@@ -176,10 +177,35 @@ func NewModel(docs []Doc, vocabSize int, opt Options) *Model {
 	return m
 }
 
+// rowViews returns the K-stride rows of a flat count arena.
+func rowViews(arena []int32, k int) [][]int32 {
+	rows := make([][]int32, len(arena)/k)
+	for i := range rows {
+		rows[i] = arena[i*k : (i+1)*k : (i+1)*k]
+	}
+	return rows
+}
+
+// Materialize gives a frozen model (DecodeFlat) the dense V×K rows
+// that Nwk exposes, scattering its sparse N_wk into them once; on any
+// other model it does nothing. Every method that reads the dense rows
+// calls it first, and EncodeFlat and NewInferIndex do without it. It
+// writes to the model, so it must not run concurrently with any other
+// use of the model.
+func (m *Model) Materialize() {
+	if m.flatNwk == nil {
+		return
+	}
+	m.nwk = make([]int32, m.V*m.K)
+	m.Nwk = rowViews(m.nwk, m.K)
+	eachCount(m.flatNwk, m.V, m.K, func(w, k int, c int32) { m.nwk[w*m.K+k] = c })
+	m.flatNwk = nil
+}
+
 // nwkRow returns word w's topic-count row out of the flat arena.
-// Every construction path arms the arena (NewModel and DecodeFlat
-// natively, Load and gob-decoded snapshots via shape validation +
-// ResetSampler), so no view fallback is needed.
+// Every construction path arms the arena (NewModel natively, Load and
+// gob-decoded snapshots via shape validation + ResetSampler, a frozen
+// model via Materialize), so no view fallback is needed.
 func (m *Model) nwkRow(w int32) []int32 {
 	return m.nwk[int(w)*m.K : (int(w)+1)*m.K]
 }
@@ -334,23 +360,6 @@ func (m *Model) Theta(d int, dst []float64) []float64 {
 	return dst
 }
 
-// Phi returns the point estimate of topic k's word distribution.
-func (m *Model) Phi(k int, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, m.V)
-	}
-	denom := float64(m.Nk[k]) + m.BetaSum
-	for w := 0; w < m.V; w++ {
-		dst[w] = (float64(m.nwkRow(int32(w))[k]) + m.Beta) / denom
-	}
-	return dst
-}
-
-// PhiAt returns φ_k,w without materialising the full row.
-func (m *Model) PhiAt(k int, w int32) float64 {
-	return (float64(m.nwkRow(w)[k]) + m.Beta) / (float64(m.Nk[k]) + m.BetaSum)
-}
-
 // TotalTokens returns the number of tokens in the training set.
 func (m *Model) TotalTokens() int {
 	n := 0
@@ -365,6 +374,7 @@ func (m *Model) TotalTokens() int {
 // violation found. When the sparse sampler's word-topic index is
 // live, its agreement with the count matrix is verified too.
 func (m *Model) CheckInvariants() error {
+	m.Materialize()
 	ndk := make([][]int32, len(m.Docs))
 	nwk := make(map[int64]int32)
 	nk := make([]int64, m.K)

@@ -342,3 +342,50 @@ func TestDocsUnigramSingletons(t *testing.T) {
 		}
 	}
 }
+
+// Phi returns the point estimate of topic k's word distribution. It
+// has no caller outside the tests, which keep it as an oracle.
+func (m *Model) Phi(k int, dst []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, m.V)
+	}
+	denom := float64(m.Nk[k]) + m.BetaSum
+	for w := 0; w < m.V; w++ {
+		dst[w] = (float64(m.nwkRow(int32(w))[k]) + m.Beta) / denom
+	}
+	return dst
+}
+
+// PhiAt returns φ_k,w without materialising the full row.
+func (m *Model) PhiAt(k int, w int32) float64 {
+	return (float64(m.nwkRow(w)[k]) + m.Beta) / (float64(m.Nk[k]) + m.BetaSum)
+}
+
+// TrainPerplexity computes in-sample per-token perplexity over the
+// training documents themselves: a quick convergence check.
+func TrainPerplexity(m *Model) float64 {
+	theta := make([]float64, m.K)
+	var logSum float64
+	var n int
+	for d := range m.Docs {
+		if len(m.Docs[d].Cliques) == 0 {
+			continue
+		}
+		m.Theta(d, theta)
+		for _, clique := range m.Docs[d].Cliques {
+			for _, w := range clique {
+				row := m.nwkRow(w)
+				var p float64
+				for k := 0; k < m.K; k++ {
+					p += theta[k] * (float64(row[k]) + m.Beta) / (float64(m.Nk[k]) + m.BetaSum)
+				}
+				logSum += math.Log(p)
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return math.Exp(-logSum / float64(n))
+}

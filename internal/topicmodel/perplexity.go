@@ -45,33 +45,3 @@ func Perplexity(m *Model, test [][]int32) float64 {
 	}
 	return math.Exp(-logSum / float64(n))
 }
-
-// TrainPerplexity computes in-sample per-token perplexity over the
-// training documents themselves — cheap to evaluate every sweep and
-// monotone-ish as the chain mixes; used for quick convergence checks.
-func TrainPerplexity(m *Model) float64 {
-	theta := make([]float64, m.K)
-	var logSum float64
-	var n int
-	for d := range m.Docs {
-		if len(m.Docs[d].Cliques) == 0 {
-			continue
-		}
-		m.Theta(d, theta)
-		for _, clique := range m.Docs[d].Cliques {
-			for _, w := range clique {
-				row := m.nwkRow(w)
-				var p float64
-				for k := 0; k < m.K; k++ {
-					p += theta[k] * (float64(row[k]) + m.Beta) / (float64(m.Nk[k]) + m.BetaSum)
-				}
-				logSum += math.Log(p)
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return math.Exp(-logSum / float64(n))
-}

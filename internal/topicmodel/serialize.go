@@ -13,6 +13,7 @@ import (
 // with encoding/gob. The sampler's RNG position is not saved; a loaded
 // model resumes from a fresh seed.
 func (m *Model) Save(w io.Writer) error {
+	m.Materialize()
 	if err := gob.NewEncoder(w).Encode(m); err != nil {
 		return fmt.Errorf("topicmodel: encoding model: %w", err)
 	}
@@ -43,7 +44,8 @@ func (m *Model) SaveFile(path string) error {
 // samplers index. Any incremental sampler state (the sparse word-
 // topic index, parallel worker deltas) is dropped and will be rebuilt
 // lazily. Inference (NewInferIndex) and visualisation work without
-// that state, but Sweep/Train need it.
+// that state, but Sweep/Train need it. A frozen model (DecodeFlat)
+// stays frozen: its dense rows wait for Materialize.
 func (m *Model) ResetSampler(seed uint64) {
 	m.rng = xrand.New(seed)
 	m.sp = nil
@@ -79,6 +81,7 @@ func Load(r io.Reader, seed uint64) (*Model, error) {
 // in their own serialised structures (pipeline snapshots) run this
 // after decode, before ResetSampler.
 func (m *Model) Validate() error {
+	m.Materialize()
 	if err := m.validateShapes(); err != nil {
 		return err
 	}

@@ -171,6 +171,7 @@ func newSparseSampler(m *Model, lengths []int) *sparseSampler {
 // ensureSparse returns the model's own sampler with its word-topic
 // index in sync with the count matrices, building whatever is stale.
 func (m *Model) ensureSparse() *sparseSampler {
+	m.Materialize()
 	if m.sp == nil {
 		m.sp = newSparseSampler(m, cliqueLengths(m.Docs))
 	}

@@ -41,16 +41,12 @@ func NewModelFromState(docs []Doc, vocabSize, k int, alpha []float64, alphaSum, 
 	}
 	m.Z = make([][]int32, len(docs))
 	m.nwk = make([]int32, vocabSize*k)
-	m.Nwk = make([][]int32, vocabSize)
-	for w := range m.Nwk {
-		m.Nwk[w] = m.nwk[w*k : (w+1)*k : (w+1)*k]
-	}
+	m.Nwk = rowViews(m.nwk, k)
 	m.ndk = make([]int32, len(docs)*k)
-	m.Ndk = make([][]int32, len(docs))
+	m.Ndk = rowViews(m.ndk, k)
 	m.Nk = make([]int64, k)
 	m.Nd = make([]int32, len(docs))
 	for d := range docs {
-		m.Ndk[d] = m.ndk[d*k : (d+1)*k : (d+1)*k]
 		if len(z[d]) != len(docs[d].Cliques) {
 			return nil, fmt.Errorf("topicmodel: restored doc %d has %d assignments for %d cliques", d, len(z[d]), len(docs[d].Cliques))
 		}

@@ -263,6 +263,7 @@ func (m *Model) Visualize(c *corpus.Corpus, opt VisualizeOptions) []TopicSummary
 // TopUnigrams returns topic k's n most probable words, un-stemmed for
 // display when a corpus is supplied.
 func (m *Model) TopUnigrams(k, n int, c *corpus.Corpus) []string {
+	m.Materialize()
 	type wc struct {
 		w int32
 		n int32

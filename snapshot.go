@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"topmine/internal/atomicfile"
@@ -51,9 +52,10 @@ const (
 )
 
 // maxCellsPerByte caps the one allocation the section sizes do not
-// bound, the V×K count arena, at this many cells per byte of snapshot.
-// Sparse N_wk is what makes files small: the benchmark models need at
-// most 8 cells per byte, and a model over the cap (K in the tens of
+// bound, the V×K count arena of a training snapshot or of a frozen
+// model's Materialize, at this many cells per byte of snapshot. Sparse
+// N_wk is what makes files small: the benchmark models need at most 8
+// cells per byte, and a model over the cap (K in the tens of
 // thousands) fails to load with a named error rather than letting a
 // few crafted bytes ask for gigabytes.
 const maxCellsPerByte = 1024
@@ -198,10 +200,14 @@ func gobBytes(v any) ([]byte, error) {
 // carries the vocabulary but no documents, Segmented is nil, and the
 // Model holds only frozen serving parameters (no per-document training
 // state) unless the file is a training snapshot: all are training-time
-// artifacts the snapshot deliberately omits. Both format versions
-// load to the same Result. LoadSnapshot reads r to its end. Corrupted,
-// truncated, or foreign files return errors — LoadSnapshot never
-// panics on bad input.
+// artifacts the snapshot deliberately omits. A frozen Model keeps K,
+// V, the priors, N_k and N_wk's sparse rows, with Nwk nil: inference
+// and re-saving never build the dense V×K matrix. Its methods that
+// read dense rows build it first; callers that read Nwk themselves
+// call Model.Materialize. Both format versions load to the same
+// Result. LoadSnapshot reads r to its end. Corrupted, truncated, or
+// foreign files return errors — LoadSnapshot never panics on bad
+// input.
 func LoadSnapshot(r io.Reader) (*Result, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -280,7 +286,6 @@ func decodeSnapshotV2(data []byte) (*Result, error) {
 			return nil, fmt.Errorf("%w: model invalid: %v", errSnapFormat, err)
 		}
 	}
-	model.ResetSampler(meta.Options.Seed)
 	mined := &MinedPhrases{
 		Counts:          counts,
 		TotalTokens:     meta.TotalTokens,
@@ -288,7 +293,7 @@ func decodeSnapshotV2(data []byte) (*Result, error) {
 		MaxPhraseLen:    meta.MaxPhraseLen,
 		LevelCandidates: meta.LevelCandidates,
 	}
-	return loadedResult(vocab, mined, model, meta.Topics, meta.Options, meta.CorpusOpts), nil
+	return loadedResult(vocab, mined, model, meta.Topics, meta.Options, meta.CorpusOpts)
 }
 
 // decodeSnapshotV1 decodes the body of a version-1 snapshot: the
@@ -328,16 +333,36 @@ func decodeSnapshotV1(rest []byte) (*Result, error) {
 	// the assignments when the snapshot carries training state — so a
 	// malformed (but CRC-valid) file fails here with an error instead
 	// of panicking inside a later inference call or resumed sweep.
-	if err := payload.Model.Validate(); err != nil {
+	model := payload.Model
+	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("topmine: snapshot model invalid: %w", err)
 	}
-	payload.Model.ResetSampler(payload.Options.Seed)
-	return loadedResult(payload.Vocab, payload.Mined, payload.Model, payload.Topics, payload.Options, payload.CorpusOpts), nil
+	if len(model.Docs) == 0 {
+		// Frozen, as from a version-2 file: N_wk in its sparse form only.
+		model.ResetSampler(0) // arms the arena EncodeFlat walks
+		priors, nwk, err := model.EncodeFlat()
+		if err == nil {
+			model, err = topicmodel.DecodeFlat(priors, nwk, model.V, math.MaxInt)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("topmine: snapshot model invalid: %w", err)
+		}
+	}
+	return loadedResult(payload.Vocab, payload.Mined, model, payload.Topics, payload.Options, payload.CorpusOpts)
 }
 
-// loadedResult assembles a Result from a snapshot's artifacts.
+// loadedResult assembles a Result from a snapshot's artifacts and arms
+// the model's sampler. It rejects a MaxPhraseLen that no mined phrase
+// reaches: NewInferencer sizes the index's smoothing tables by it.
 func loadedResult(vocab *textproc.Vocab, mined *phrasemine.Result, model *Model,
-	topics []TopicSummary, opt Options, copt CorpusOptions) *Result {
+	topics []TopicSummary, opt Options, copt CorpusOptions) (*Result, error) {
+	longest := 0
+	mined.Counts.Each(func(key string, _ int64) { longest = max(longest, counter.KeyLen(key)) })
+	if mined.MaxPhraseLen < min(1, longest) || mined.MaxPhraseLen > longest {
+		return nil, fmt.Errorf("%w: MaxPhraseLen is %d, the longest mined phrase has %d words",
+			errSnapFormat, mined.MaxPhraseLen, longest)
+	}
+	model.ResetSampler(opt.Seed)
 	return &Result{
 		Corpus: &Corpus{
 			Vocab:       vocab,
@@ -348,7 +373,7 @@ func loadedResult(vocab *textproc.Vocab, mined *phrasemine.Result, model *Model,
 		Model:   model,
 		Topics:  topics,
 		Options: opt,
-	}
+	}, nil
 }
 
 // SaveSnapshotFile writes a snapshot to path atomically: the bytes go

@@ -82,6 +82,7 @@ func snapshotDigests(t *testing.T, res *Result) map[string]string {
 
 // hashModel writes the model's exported fields, floats as their bits.
 func hashModel(h hash.Hash, m *Model) {
+	m.Materialize()
 	var b [8]byte
 	f := func(x float64) {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))

@@ -93,6 +93,7 @@ func TestSnapshotStripsTrainingState(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := loaded.Model
+	m.Materialize()
 	if m.Docs != nil || m.Z != nil || m.Ndk != nil || m.Nd != nil {
 		t.Fatal("snapshot carried per-document training state")
 	}
@@ -157,6 +158,7 @@ func TestLoadSnapshotRejectsMalformedModelShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded2.Model.Materialize()
 	loaded2.Model.Nwk[0] = loaded2.Model.Nwk[0][:1]
 	if _, err := LoadSnapshot(bytes.NewReader(encodeSnapshotV1(t, loaded2))); err == nil {
 		t.Fatal("LoadSnapshot accepted a model with a short Nwk row")
@@ -197,6 +199,7 @@ func TestLoadSnapshotRejectsMalformedModelShapes(t *testing.T) {
 		{"trailing N_wk bytes", snapNwk, append(append([]byte(nil), nwk...), 0)},
 		{"vocabulary one word short", snapVocab, encodeVocabPrefix(t, res, v-1)},
 		{"mined phrase beyond the vocabulary", snapMined, []byte{1, 1, 1, 0x80, 0x80, 0x04, 5}},
+		{"MaxPhraseLen beyond the longest mined phrase", snapMeta, metaWithMaxPhraseLen(t, valid, 1<<40)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := LoadSnapshot(bytes.NewReader(withSection(t, valid, tc.id, tc.payload)))

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -24,6 +26,9 @@ func encodeSnapshotV1(t testing.TB, r *Result) []byte {
 	t.Helper()
 	m := r.Model
 	if !r.Resumable() {
+		dense := *m // r stays frozen, so it still equals a fresh load
+		dense.Materialize()
+		m = &dense
 		m = &Model{K: m.K, V: m.V, Alpha: m.Alpha, AlphaSum: m.AlphaSum,
 			Beta: m.Beta, BetaSum: m.BetaSum, Nwk: m.Nwk, Nk: m.Nk}
 	}
@@ -67,6 +72,27 @@ func withSection(t testing.TB, data []byte, id uint32, payload []byte) []byte {
 	return buf.Bytes()
 }
 
+// metaWithMaxPhraseLen returns the meta section of a version-2
+// snapshot with its MaxPhraseLen set to n.
+func metaWithMaxPhraseLen(t testing.TB, data []byte, n int) []byte {
+	t.Helper()
+	im, err := secfile.Decode(data, snapshotMagic, snapErrs, SnapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := im.Body(snapMeta)
+	var meta snapshotMeta
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&meta); err != nil {
+		t.Fatal(err)
+	}
+	meta.MaxPhraseLen = n
+	b, err = gobBytes(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // encodeVocabPrefix encodes the first n words of r's vocabulary as a
 // vocabulary section.
 func encodeVocabPrefix(t testing.TB, r *Result, n int) []byte {
@@ -90,6 +116,43 @@ func smallV2Snapshot(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// wideV2Snapshot is smallV2Snapshot with a model far wider than its
+// file: 5000 words with one count each over K=2000 topics. Its V×K
+// arena would take 40 MB, well over the frozen snapshotAllocBound of
+// about 28 MB for its 104 KB, so a load or Inferencer build that
+// materialises it fails the seed run of FuzzLoadSnapshot.
+func wideV2Snapshot(t testing.TB) []byte {
+	t.Helper()
+	const v, k = 5000, 2000
+	vocab := textproc.NewVocab()
+	for w := 0; w < v; w++ {
+		vocab.Intern(fmt.Sprintf("w%d", w), fmt.Sprintf("w%d", w))
+	}
+	var nwk []byte
+	nk := make([]uint64, k)
+	for w := 0; w < v; w++ {
+		nwk = append(nwk, 1)
+		nwk = binary.AppendUvarint(nwk, uint64(w%k))
+		nwk = append(nwk, 1)
+		nk[w%k]++
+	}
+	le := binary.LittleEndian
+	priors := le.AppendUint64(nil, k)
+	for range k {
+		priors = le.AppendUint64(priors, math.Float64bits(0.1))
+	}
+	for _, x := range []float64{0.1 * k, 0.01, 0.01 * v} {
+		priors = le.AppendUint64(priors, math.Float64bits(x))
+	}
+	for _, n := range nk {
+		priors = le.AppendUint64(priors, n)
+	}
+	data := smallV2Snapshot(t)
+	data = withSection(t, data, snapVocab, vocab.AppendFlat(nil))
+	data = withSection(t, data, snapPriors, priors)
+	return withSection(t, data, snapNwk, nwk)
 }
 
 func isNamedSnapshotError(err error) bool {
@@ -222,26 +285,41 @@ func fixSnapshotCRCs(data []byte) []byte {
 	return out
 }
 
-// snapshotAllocBound is what loading n bytes of version-2 snapshot may
-// allocate: the V×K arena at its cap of maxCellsPerByte int32 cells
-// per byte, a small multiple of n for everything the section sizes
-// bound, and a fixed allowance for the gob decoders.
-func snapshotAllocBound(n int) uint64 {
-	return uint64(4*maxCellsPerByte+256)*uint64(n) + 1<<20
+// snapshotAllocBound is what loading n bytes of version-2 snapshot and
+// building its Inferencer may allocate: a small multiple of n for
+// everything the section sizes bound and a fixed allowance for the gob
+// decoders. Only a training snapshot builds the V×K arena, at its cap
+// of maxCellsPerByte int32 cells per byte; a frozen load serves from
+// the sparse N_wk section.
+func snapshotAllocBound(n int, training bool) uint64 {
+	perByte := uint64(256)
+	if training {
+		perByte += 4 * maxCellsPerByte
+	}
+	return perByte*uint64(n) + 1<<20
 }
 
 // checkSnapshotLoad is FuzzLoadSnapshot's property: LoadSnapshot
 // returns a named error (any error for version-1 input, whose gob
 // errors are gob's) or a Result that builds an Inferencer and serves
-// text without panicking, and a version-2 load allocates no more than
-// snapshotAllocBound.
+// text without panicking, and a version-2 load and Inferencer build
+// allocate no more than snapshotAllocBound.
 func checkSnapshotLoad(t *testing.T, data []byte) {
 	v2 := len(data) >= 10 && binary.LittleEndian.Uint16(data[8:]) == SnapshotVersion
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := LoadSnapshot(bytes.NewReader(data))
+	var inf *Inferencer
+	var infErr error
+	if err == nil {
+		inf, infErr = NewInferencer(res)
+	}
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; v2 && got > snapshotAllocBound(len(data)) {
+	training := false
+	if im, err := secfile.Decode(data, snapshotMagic, snapErrs, SnapshotVersion); err == nil {
+		_, training = im.Sections[snapTraining]
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; v2 && got > snapshotAllocBound(len(data), training) {
 		t.Fatalf("loading %d bytes allocated %d", len(data), got)
 	}
 	if err != nil {
@@ -250,9 +328,8 @@ func checkSnapshotLoad(t *testing.T, data []byte) {
 		}
 		return
 	}
-	inf, err := NewInferencer(res)
-	if err != nil {
-		t.Fatalf("loaded Result does not build an Inferencer: %v", err)
+	if infErr != nil {
+		t.Fatalf("loaded Result does not build an Inferencer: %v", infErr)
 	}
 	words := []string{"zzzz"}
 	for id := int32(0); int(id) < min(res.Corpus.Vocab.Size(), 12); id++ {
@@ -268,7 +345,8 @@ func checkSnapshotLoad(t *testing.T, data []byte) {
 
 // FuzzLoadSnapshot feeds LoadSnapshot arbitrary bytes, as written and
 // with their checksums patched to match, seeded with the version-1
-// fixtures and a small version-2 file.
+// fixtures, a small version-2 file and that file claiming a 2^40-word
+// MaxPhraseLen.
 func FuzzLoadSnapshot(f *testing.F) {
 	for _, path := range []string{"testdata/snapshot_pr3.tpm", fixtureV1Frozen, fixtureV1Training} {
 		data, err := os.ReadFile(path)
@@ -277,11 +355,72 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add(smallV2Snapshot(f))
+	small := smallV2Snapshot(f)
+	f.Add(small)
+	f.Add(wideV2Snapshot(f))
+	f.Add(withSection(f, small, snapMeta, metaWithMaxPhraseLen(f, small, 1<<40)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSnapshotLoad(t, data)
 		if fixed := fixSnapshotCRCs(data); fixed != nil {
 			checkSnapshotLoad(t, fixed)
 		}
 	})
+}
+
+// TestFrozenLoadNeverBuildsArena: a frozen load comes back with Nwk
+// nil, and loading and serving the wide model stays within the frozen
+// allocation bound, far below its V×K arena.
+func TestFrozenLoadNeverBuildsArena(t *testing.T) {
+	data := wideV2Snapshot(t)
+	res, err := LoadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Model.Nwk != nil {
+		t.Fatal("a frozen load built the dense N_wk rows")
+	}
+	checkSnapshotLoad(t, data)
+}
+
+// TestFrozenResaveByteIdentical: a version-2 file loaded frozen and
+// saved again is byte for byte its input, and the save leaves the
+// model frozen.
+func TestFrozenResaveByteIdentical(t *testing.T) {
+	for _, data := range [][]byte{smallV2Snapshot(t), mustSnapshot(t, trainedResult(t))} {
+		res, err := LoadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := mustSnapshot(t, res); !bytes.Equal(again, data) {
+			t.Fatalf("re-saved snapshot is %d bytes and differs from its %d-byte input", len(again), len(data))
+		}
+		if res.Model.Nwk != nil {
+			t.Fatal("re-saving built the dense N_wk rows")
+		}
+	}
+}
+
+// TestLoadSnapshotRejectsMaxPhraseLen: either format version claiming
+// a MaxPhraseLen below one or beyond the longest mined phrase fails
+// the load with the format error, before NewInferencer could size its
+// tables by it.
+func TestLoadSnapshotRejectsMaxPhraseLen(t *testing.T) {
+	res, err := LoadSnapshotFile(fixtureV1Frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{-1, 0, res.Mined.MaxPhraseLen + 1, 1 << 40} {
+		mined := *res.Mined
+		mined.MaxPhraseLen = n
+		bad := &Result{Corpus: res.Corpus, Mined: &mined, Model: res.Model, Topics: res.Topics, Options: res.Options}
+		var v2 bytes.Buffer
+		if err := SaveSnapshot(&v2, bad); err != nil {
+			t.Fatal(err)
+		}
+		for version, data := range map[int][]byte{1: encodeSnapshotV1(t, bad), 2: v2.Bytes()} {
+			if _, err := LoadSnapshot(bytes.NewReader(data)); !errors.Is(err, errSnapFormat) {
+				t.Errorf("version %d, MaxPhraseLen %d: want the format error, got %v", version, n, err)
+			}
+		}
+	}
 }
