@@ -50,8 +50,7 @@ func (k KERT) Run(c *corpus.Corpus, opt Options) []TopicPhrases {
 	for d := range docs {
 		perTopic := make(map[int8][]int32)
 		seen := make(map[int64]bool)
-		for g, clique := range docs[d].Cliques {
-			w := clique[0]
+		for g, w := range docs[d].Words {
 			kk := int8(m.Z[d][g])
 			key := int64(kk)*int64(m.V) + int64(w)
 			if !seen[key] {

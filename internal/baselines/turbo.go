@@ -6,6 +6,7 @@ import (
 
 	"topmine/internal/corpus"
 	"topmine/internal/counter"
+	"topmine/internal/segment"
 	"topmine/internal/xrand"
 )
 
@@ -59,21 +60,18 @@ func (t TurboTopics) Run(c *corpus.Corpus, opt Options) []TopicPhrases {
 	var pos int64
 	for d := range docs {
 		pos += 2 // document boundary breaks adjacency
-		prevSeg := -1
-		for g, clique := range docs[d].Cliques {
-			if seg := docs[d].Origin[g].Segment; seg != prevSeg {
+		docs[d].EachOrigin(c.Docs[d], func(g, _ int, sp segment.Span) {
+			if sp.Start == 0 {
 				pos += 2 // segment boundary breaks adjacency
-				prevSeg = seg
 			}
-			w := clique[0]
-			k := m.Z[d][g]
+			w, k := docs[d].Words[g], m.Z[d][g]
 			if lastPos[k] != pos-1 && len(streams[k]) > 0 {
 				streams[k] = append(streams[k], -1)
 			}
 			streams[k] = append(streams[k], w)
 			lastPos[k] = pos
 			pos++
-		}
+		})
 	}
 
 	out := make([]TopicPhrases, opt.K)

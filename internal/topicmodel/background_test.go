@@ -8,21 +8,20 @@ import "testing"
 func TestBackgroundDFCriterion(t *testing.T) {
 	var docs []Doc
 	for d := 0; d < 40; d++ {
-		doc := Doc{ID: d}
 		// Ubiquitous phrase in every document.
-		doc.Cliques = append(doc.Cliques, []int32{8, 9})
+		cliques := [][]int32{{8, 9}}
 		if d%2 == 0 {
-			doc.Cliques = append(doc.Cliques, []int32{0, 1}, []int32{2})
+			cliques = append(cliques, []int32{0, 1}, []int32{2})
 		} else {
-			doc.Cliques = append(doc.Cliques, []int32{4, 5}, []int32{6})
+			cliques = append(cliques, []int32{4, 5}, []int32{6})
 		}
-		docs = append(docs, doc)
+		docs = append(docs, NewDoc(d, cliques...))
 	}
 	m := Train(docs, 10, Options{K: 2, Alpha: 25, Iterations: 60, Seed: 111})
 	// Force the scenario: reassign every {8,9} clique to topic 0 so the
 	// spread criterion cannot fire.
 	for d := range m.Docs {
-		for g, clique := range m.Docs[d].Cliques {
+		for g, clique := range cliquesOf(&m.Docs[d]) {
 			if len(clique) == 2 && clique[0] == 8 {
 				old := m.Z[d][g]
 				m.addClique(d, clique, old, -1)
@@ -73,7 +72,7 @@ func TestBackgroundDFCriterion(t *testing.T) {
 // TestBackgroundDFDisabledByDefault ensures maxDocFrac = 0 keeps the
 // pre-existing spread-only behaviour.
 func TestBackgroundDFDisabledByDefault(t *testing.T) {
-	docs := []Doc{{ID: 0, Cliques: [][]int32{{0, 1}}}}
+	docs := []Doc{NewDoc(0, []int32{0, 1})}
 	m := Train(docs, 4, Options{K: 1, Iterations: 5, Seed: 1})
 	// One doc, one phrase, fully concentrated: not background.
 	sums := m.Visualize(nil, VisualizeOptions{TopPhrases: 5, FilterBackground: true})

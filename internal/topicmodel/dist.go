@@ -148,17 +148,16 @@ func NewShardModel(docs []Doc, vocabSize, k int, alpha []float64, alphaSum, beta
 	m.Nd = make([]int32, len(docs))
 	for d := range docs {
 		row := m.Ndk[d]
-		if len(z[d]) != len(docs[d].Cliques) {
-			return nil, fmt.Errorf("topicmodel: shard doc %d has %d assignments for %d cliques", d, len(z[d]), len(docs[d].Cliques))
+		if len(z[d]) != docs[d].NumCliques() {
+			return nil, fmt.Errorf("topicmodel: shard doc %d has %d assignments for %d cliques", d, len(z[d]), docs[d].NumCliques())
 		}
-		for g, clique := range docs[d].Cliques {
-			zk := z[d][g]
+		for g, zk := range z[d] {
 			if zk < 0 || int(zk) >= k {
 				return nil, fmt.Errorf("topicmodel: shard doc %d clique %d: topic %d out of range", d, g, zk)
 			}
-			row[zk] += int32(len(clique))
-			m.Nd[d] += int32(len(clique))
+			row[zk] += int32(len(docs[d].Clique(g)))
 		}
+		m.Nd[d] = int32(docs[d].NumTokens())
 	}
 	return m, nil
 }
@@ -363,8 +362,8 @@ func (m *Model) InstallShardState(lo int, z [][]int32) error {
 	}
 	for i, zr := range z {
 		d := lo + i
-		if len(zr) != len(m.Docs[d].Cliques) {
-			return fmt.Errorf("topicmodel: shard doc %d has %d assignments for %d cliques", d, len(zr), len(m.Docs[d].Cliques))
+		if len(zr) != m.Docs[d].NumCliques() {
+			return fmt.Errorf("topicmodel: shard doc %d has %d assignments for %d cliques", d, len(zr), m.Docs[d].NumCliques())
 		}
 		row := m.ndkRow(d)
 		for k := range row {
@@ -374,7 +373,7 @@ func (m *Model) InstallShardState(lo int, z [][]int32) error {
 			if k < 0 || int(k) >= m.K {
 				return fmt.Errorf("topicmodel: shard doc %d clique %d: topic %d out of range", d, g, k)
 			}
-			row[k] += int32(len(m.Docs[d].Cliques[g]))
+			row[k] += int32(len(m.Docs[d].Clique(g)))
 		}
 		copy(m.Z[d], zr)
 	}
@@ -393,8 +392,9 @@ func DocsChecksum(docs []Doc) uint32 {
 		crc.Write(buf[:])
 	}
 	for i := range docs {
-		put(uint32(len(docs[i].Cliques)))
-		for _, clique := range docs[i].Cliques {
+		put(uint32(docs[i].NumCliques()))
+		for g := range docs[i].NumCliques() {
+			clique := docs[i].Clique(g)
 			put(uint32(len(clique)))
 			for _, w := range clique {
 				put(uint32(w))

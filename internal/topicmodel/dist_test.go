@@ -10,15 +10,15 @@ import (
 func mixedCliqueDocs(n int) []Doc {
 	docs := make([]Doc, n)
 	for d := 0; d < n; d++ {
-		doc := Doc{ID: d, Cliques: [][]int32{
+		cliques := [][]int32{
 			{int32(d % 4), int32((d + 1) % 4)},
 			{int32(d % 7)},
 			{4, 5, 6},
-		}}
-		for j := 0; j < d%5; j++ {
-			doc.Cliques = append(doc.Cliques, [][]int32{{int32((d + j) % 9)}}...)
 		}
-		docs[d] = doc
+		for j := 0; j < d%5; j++ {
+			cliques = append(cliques, [][]int32{{int32((d + j) % 9)}}...)
+		}
+		docs[d] = NewDoc(d, cliques...)
 	}
 	return docs
 }
@@ -226,7 +226,7 @@ func TestNewShardModelValidation(t *testing.T) {
 	alpha := []float64{1, 1}
 	goodZ := make([][]int32, len(docs))
 	for i := range goodZ {
-		goodZ[i] = make([]int32, len(docs[i].Cliques))
+		goodZ[i] = make([]int32, docs[i].NumCliques())
 	}
 	nwk := make([]int32, 10*2)
 	nk := make([]int64, 2)
@@ -244,7 +244,7 @@ func TestNewShardModelValidation(t *testing.T) {
 	}
 	badZ := make([][]int32, len(docs))
 	for i := range badZ {
-		badZ[i] = make([]int32, len(docs[i].Cliques))
+		badZ[i] = make([]int32, docs[i].NumCliques())
 	}
 	badZ[0][0] = 7
 	if _, err := NewShardModel(docs, 10, 2, alpha, 2, 0.01, badZ, nwk, nk); err == nil {
@@ -265,7 +265,7 @@ func TestDocsChecksum(t *testing.T) {
 	if DocsChecksum(a) != DocsChecksum(b) {
 		t.Fatal("doc IDs leaked into the checksum")
 	}
-	b[3].Cliques[0][0]++
+	b[3].Clique(0)[0]++
 	if DocsChecksum(a) == DocsChecksum(b) {
 		t.Fatal("word change not detected")
 	}

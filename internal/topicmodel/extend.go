@@ -24,12 +24,10 @@ func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 	if newV < m.V {
 		return fmt.Errorf("topicmodel: Extend: vocabulary cannot shrink (have %d, got %d); ids are append-only", m.V, newV)
 	}
-	for di, doc := range newDocs {
-		for g, clique := range doc.Cliques {
-			for _, w := range clique {
-				if w < 0 || int(w) >= newV {
-					return fmt.Errorf("topicmodel: Extend: new doc %d clique %d holds word %d, vocabulary is %d", di, g, w, newV)
-				}
+	for di := range newDocs {
+		for _, w := range newDocs[di].Words {
+			if w < 0 || int(w) >= newV {
+				return fmt.Errorf("topicmodel: Extend: new doc %d holds word %d, vocabulary is %d", di, w, newV)
 			}
 		}
 	}
@@ -62,15 +60,14 @@ func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 	m.ndk = ndk
 	m.Ndk = rowViews(ndk, m.K)
 	m.Docs = append(m.Docs, newDocs...)
-	m.Z = append(m.Z, make([][]int32, len(newDocs))...)
+	m.Z = append(m.Z, zRows(newDocs)...)
 	m.Nd = append(m.Nd, make([]int32, len(newDocs))...)
 
 	w := make([]float64, m.K)
 	var rows [][]int32
 	for d := oldD; d < nD; d++ {
-		cliques := m.Docs[d].Cliques
-		m.Z[d] = make([]int32, len(cliques))
-		for g, clique := range cliques {
+		for g := range m.Z[d] {
+			clique := m.Docs[d].Clique(g)
 			rows = rows[:0]
 			for _, word := range clique {
 				rows = append(rows, m.nwkRow(word))
@@ -79,8 +76,8 @@ func (m *Model) Extend(newDocs []Doc, newV int, seed uint64) error {
 			k := int32(m.rng.Categorical(w))
 			m.Z[d][g] = k
 			m.addClique(d, clique, k, 1)
-			m.Nd[d] += int32(len(clique))
 		}
+		m.Nd[d] = int32(m.Docs[d].NumTokens())
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 func grownDocs(n, tokens, extraV int) []Doc {
 	var docs []Doc
 	for d := 0; d < n; d++ {
-		doc := Doc{ID: 1000 + d}
+		var cliques [][]int32
 		for i := 0; i < tokens; i++ {
 			var w int32
 			if i%3 == 0 {
@@ -18,9 +18,9 @@ func grownDocs(n, tokens, extraV int) []Doc {
 			} else {
 				w = int32(10 + (i+d)%extraV)
 			}
-			doc.Cliques = append(doc.Cliques, []int32{w})
+			cliques = append(cliques, []int32{w})
 		}
-		docs = append(docs, doc)
+		docs = append(docs, NewDoc(1000+d, cliques...))
 	}
 	return docs
 }
@@ -160,7 +160,7 @@ func TestExtendRejects(t *testing.T) {
 	if err := m.Extend(nil, 9, 0); err == nil {
 		t.Fatal("shrinking vocabulary should fail")
 	}
-	bad := []Doc{{ID: 1, Cliques: [][]int32{{12}}}}
+	bad := []Doc{NewDoc(1, []int32{12})}
 	if err := m.Extend(bad, 12, 0); err == nil {
 		t.Fatal("out-of-range word id should fail")
 	}

@@ -116,6 +116,12 @@ func fixtureModel(t testing.TB, name string) *Model {
 		t.Fatal(err)
 	}
 	m := payload.Model
+	m.Docs, err = UpgradeLegacyDocs(m.Docs, m.Z, func(l *LegacyDocs) error {
+		return gob.NewDecoder(bytes.NewReader(data[22:])).Decode(&struct{ Model *LegacyDocs }{l})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}

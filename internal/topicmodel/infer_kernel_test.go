@@ -124,7 +124,7 @@ func TestInferIndexMatchesDenseConditional(t *testing.T) {
 	for d := 0; d < 25; d++ {
 		var cliques [][]int32
 		var long []int32
-		for _, c := range docs[d].Cliques {
+		for _, c := range cliquesOf(&docs[d]) {
 			cliques = append(cliques, c)
 			if len(long) <= maxLen {
 				long = append(long, c...)
@@ -276,7 +276,7 @@ func TestInferKernelMatchesDenseOracle(t *testing.T) {
 	const probes, seeds, iters = 20, 48, 20
 	var worst float64
 	for d := 0; d < probes; d++ {
-		cliques := docs[d*7].Cliques
+		cliques := cliquesOf(&docs[d*7])
 		kern, dense := make([]float64, m.K), make([]float64, m.K)
 		for seed := uint64(0); seed < seeds; seed++ {
 			for k, x := range ix.InferTheta(cliques, iters, seed, s) {

@@ -87,14 +87,14 @@ func TestMergeReorderingsVisualize(t *testing.T) {
 	// with MergeReorderings the visualisation pools them.
 	var docs []Doc
 	for d := 0; d < 30; d++ {
-		doc := Doc{ID: d}
+		var cliques [][]int32
 		if d%3 == 0 {
-			doc.Cliques = append(doc.Cliques, []int32{1, 0}) // minority order
+			cliques = append(cliques, []int32{1, 0}) // minority order
 		} else {
-			doc.Cliques = append(doc.Cliques, []int32{0, 1}) // majority order
+			cliques = append(cliques, []int32{0, 1}) // majority order
 		}
-		doc.Cliques = append(doc.Cliques, []int32{2}, []int32{3})
-		docs = append(docs, doc)
+		cliques = append(cliques, []int32{2}, []int32{3})
+		docs = append(docs, NewDoc(d, cliques...))
 	}
 	m := Train(docs, 4, Options{K: 1, Iterations: 10, Seed: 89})
 	plain := m.Visualize(nil, VisualizeOptions{TopPhrases: 5})

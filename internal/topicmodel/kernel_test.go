@@ -58,7 +58,7 @@ func shortDocs(n, v int, seed uint64) []Doc {
 			}
 			cliques[g] = c
 		}
-		docs[d] = Doc{ID: d, Cliques: cliques}
+		docs[d] = NewDoc(d, cliques...)
 	}
 	return docs
 }
@@ -150,8 +150,8 @@ func TestParallelMatchesOraclePerplexity(t *testing.T) {
 // an asymmetric α.
 func toyTraining(seed uint64) *Model {
 	docs := []Doc{
-		{ID: 0, Cliques: [][]int32{{0}, {1, 2}, {3}}},
-		{ID: 1, Cliques: [][]int32{{3, 0, 1}, {2}}},
+		NewDoc(0, []int32{0}, []int32{1, 2}, []int32{3}),
+		NewDoc(1, []int32{3, 0, 1}, []int32{2}),
 	}
 	m := NewModel(docs, 4, Options{K: 3, Beta: 0.5, Iterations: 1, Seed: seed})
 	m.Alpha = []float64{0.3, 0.7, 1.1}
@@ -176,7 +176,7 @@ func TestTrainingKernelExactPosterior(t *testing.T) {
 	var cliques [][]int32
 	var docOf []int
 	for d := range ref.Docs {
-		for _, c := range ref.Docs[d].Cliques {
+		for _, c := range cliquesOf(&ref.Docs[d]) {
 			cliques = append(cliques, c)
 			docOf = append(docOf, d)
 		}
@@ -295,7 +295,7 @@ func TestExactGuard(t *testing.T) {
 	}
 	phrases := int64(0)
 	for _, doc := range mixedCliqueDocs(60) {
-		for _, c := range doc.Cliques {
+		for _, c := range cliquesOf(&doc) {
 			if len(c) > 1 {
 				phrases++
 			}
@@ -366,7 +366,7 @@ func TestExactGuard(t *testing.T) {
 			sp.refresh()
 			for d := range m.Docs {
 				sp.beginDoc(d)
-				for g, clique := range m.Docs[d].Cliques {
+				for g, clique := range cliquesOf(&m.Docs[d]) {
 					sp.bind(clique)
 					sp.apply(m.Z[d][g], -1)
 					if sp.ov != nil {

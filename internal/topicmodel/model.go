@@ -157,7 +157,7 @@ func NewModel(docs []Doc, vocabSize int, opt Options) *Model {
 	}
 	m.AlphaSum = opt.Alpha * float64(opt.K)
 
-	m.Z = make([][]int32, len(docs))
+	m.Z = zRows(docs)
 	m.nwk = make([]int32, vocabSize*opt.K)
 	m.Nwk = rowViews(m.nwk, opt.K)
 	m.ndk = make([]int32, len(docs)*opt.K)
@@ -166,15 +166,31 @@ func NewModel(docs []Doc, vocabSize int, opt Options) *Model {
 	m.Nd = make([]int32, len(docs))
 
 	for d := range docs {
-		m.Z[d] = make([]int32, len(docs[d].Cliques))
-		for g, clique := range docs[d].Cliques {
+		for g := range m.Z[d] {
+			clique := docs[d].Clique(g)
 			k := int32(m.rng.Intn(opt.K))
 			m.Z[d][g] = k
 			m.addClique(d, clique, k, 1)
-			m.Nd[d] += int32(len(clique))
 		}
+		m.Nd[d] = int32(docs[d].NumTokens())
 	}
 	return m
+}
+
+// zRows returns a zeroed assignment row for each document's cliques,
+// views into one arena.
+func zRows(docs []Doc) [][]int32 {
+	n := 0
+	for d := range docs {
+		n += docs[d].NumCliques()
+	}
+	arena := make([]int32, n)
+	z := make([][]int32, len(docs))
+	for d := range docs {
+		k := docs[d].NumCliques()
+		z[d], arena = arena[:k:k], arena[k:]
+	}
+	return z
 }
 
 // rowViews returns the K-stride rows of a flat count arena.
@@ -380,8 +396,8 @@ func (m *Model) CheckInvariants() error {
 	nk := make([]int64, m.K)
 	for d := range m.Docs {
 		ndk[d] = make([]int32, m.K)
-		for g, clique := range m.Docs[d].Cliques {
-			k := m.Z[d][g]
+		for g := range m.Docs[d].NumCliques() {
+			clique, k := m.Docs[d].Clique(g), m.Z[d][g]
 			if k < 0 || int(k) >= m.K {
 				return fmt.Errorf("doc %d clique %d: topic %d out of range", d, g, k)
 			}

@@ -18,12 +18,12 @@ func twoTopicDocs(docsPerTopic, tokensPerDoc int) []Doc {
 	id := 0
 	for t := 0; t < 2; t++ {
 		for d := 0; d < docsPerTopic; d++ {
-			doc := Doc{ID: id}
+			var cliques [][]int32
 			for i := 0; i < tokensPerDoc; i++ {
 				w := int32(t*5 + (i+d)%5)
-				doc.Cliques = append(doc.Cliques, []int32{w})
+				cliques = append(cliques, []int32{w})
 			}
-			docs = append(docs, doc)
+			docs = append(docs, NewDoc(id, cliques...))
 			id++
 		}
 	}
@@ -89,10 +89,19 @@ func TestLDARecoversPlantedTopics(t *testing.T) {
 	}
 }
 
+// cliquesOf returns d's cliques as views into its Words.
+func cliquesOf(d *Doc) [][]int32 {
+	out := make([][]int32, d.NumCliques())
+	for g := range out {
+		out[g] = d.Clique(g)
+	}
+	return out
+}
+
 func TestPhraseCliquesShareTopicCounts(t *testing.T) {
 	// One doc with one 3-word clique: all three words' counts must sit
 	// in the clique's single topic.
-	docs := []Doc{{ID: 0, Cliques: [][]int32{{0, 1, 2}}}}
+	docs := []Doc{NewDoc(0, []int32{0, 1, 2})}
 	m := NewModel(docs, 3, Options{K: 4, Iterations: 1, Seed: 5})
 	m.Sweep()
 	k := m.Z[0][0]
@@ -321,7 +330,7 @@ func TestDocsFromSegmentationAlignment(t *testing.T) {
 			t.Fatalf("doc %d token count mismatch: %d vs %d",
 				i, docs[i].NumTokens(), c.Docs[i].Len())
 		}
-		if len(docs[i].Cliques) != segs[i].NumPhrases() {
+		if docs[i].NumCliques() != segs[i].NumPhrases() {
 			t.Fatalf("doc %d clique count mismatch", i)
 		}
 	}
@@ -333,10 +342,10 @@ func TestDocsUnigramSingletons(t *testing.T) {
 	if len(docs) != 1 {
 		t.Fatal("doc count")
 	}
-	if len(docs[0].Cliques) != 4 {
-		t.Fatalf("clique count = %d, want 4", len(docs[0].Cliques))
+	if docs[0].NumCliques() != 4 {
+		t.Fatalf("clique count = %d, want 4", docs[0].NumCliques())
 	}
-	for _, cl := range docs[0].Cliques {
+	for _, cl := range cliquesOf(&docs[0]) {
 		if len(cl) != 1 {
 			t.Fatalf("non-singleton clique in unigram mode: %v", cl)
 		}
@@ -368,11 +377,11 @@ func TrainPerplexity(m *Model) float64 {
 	var logSum float64
 	var n int
 	for d := range m.Docs {
-		if len(m.Docs[d].Cliques) == 0 {
+		if m.Docs[d].NumCliques() == 0 {
 			continue
 		}
 		m.Theta(d, theta)
-		for _, clique := range m.Docs[d].Cliques {
+		for _, clique := range cliquesOf(&m.Docs[d]) {
 			for _, w := range clique {
 				row := m.nwkRow(w)
 				var p float64

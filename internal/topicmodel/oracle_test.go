@@ -34,7 +34,7 @@ func (m *Model) sweepDense() {
 	w := make([]float64, m.K)
 	var rows [][]int32
 	for d := range m.Docs {
-		for g, clique := range m.Docs[d].Cliques {
+		for g, clique := range cliquesOf(&m.Docs[d]) {
 			m.addClique(d, clique, m.Z[d][g], -1)
 			rows = rows[:0]
 			for _, word := range clique {
@@ -114,7 +114,7 @@ func oracleSweepParallel(m *Model, workers int) {
 		dd := newDenseDelta(m)
 		for d := r[0]; d < r[1]; d++ {
 			ndk := m.ndkRow(d)
-			for g, clique := range m.Docs[d].Cliques {
+			for g, clique := range cliquesOf(&m.Docs[d]) {
 				old := m.Z[d][g]
 				ndk[old] -= int32(len(clique))
 				dd.add(m, clique, old, -1)

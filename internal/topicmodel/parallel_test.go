@@ -9,13 +9,13 @@ import (
 // the shape that stalls equal-document chunking at the sweep barrier.
 func skewedDocs(nSmall, bigTokens int) []Doc {
 	docs := make([]Doc, 0, nSmall+1)
-	big := Doc{ID: 0}
+	var big [][]int32
 	for t := 0; t < bigTokens; t++ {
-		big.Cliques = append(big.Cliques, []int32{int32(t % 10)})
+		big = append(big, []int32{int32(t % 10)})
 	}
-	docs = append(docs, big)
+	docs = append(docs, NewDoc(0, big...))
 	for d := 0; d < nSmall; d++ {
-		docs = append(docs, Doc{ID: d + 1, Cliques: [][]int32{{int32(d % 10)}}})
+		docs = append(docs, NewDoc(d+1, []int32{int32(d % 10)}))
 	}
 	return docs
 }
@@ -135,7 +135,7 @@ func TestSweepStatsObservational(t *testing.T) {
 	docs, _, v := synthPhraseDocs(t, "dblp-abstracts", 80)
 	var unigrams, phrases int64
 	for _, doc := range docs {
-		for _, c := range doc.Cliques {
+		for _, c := range cliquesOf(&doc) {
 			if len(c) == 1 {
 				unigrams++
 			} else {
@@ -256,11 +256,11 @@ func TestSweepParallelWithCliques(t *testing.T) {
 	// must hold exactly after reconciliation.
 	var docs []Doc
 	for d := 0; d < 50; d++ {
-		docs = append(docs, Doc{ID: d, Cliques: [][]int32{
-			{int32(d % 4), int32((d + 1) % 4)},
-			{int32(d % 7)},
-			{4, 5, 6},
-		}})
+		docs = append(docs, NewDoc(d,
+			[]int32{int32(d % 4), int32((d + 1) % 4)},
+			[]int32{int32(d % 7)},
+			[]int32{4, 5, 6},
+		))
 	}
 	m := NewModel(docs, 10, Options{K: 4, Iterations: 1, Seed: 107})
 	for i := 0; i < 8; i++ {

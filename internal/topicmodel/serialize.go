@@ -1,10 +1,12 @@
 package topicmodel
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"topmine/internal/xrand"
 )
@@ -62,8 +64,18 @@ func (m *Model) ResetSampler(seed uint64) {
 // later sweep. Loading is a cold path; the recount is O(corpus) like
 // the decode itself.
 func Load(r io.Reader, seed uint64) (*Model, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("topicmodel: reading model: %w", err)
+	}
 	var m Model
-	if err := gob.NewDecoder(r).Decode(&m); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
+		return nil, fmt.Errorf("topicmodel: decoding model: %w", err)
+	}
+	m.Docs, err = UpgradeLegacyDocs(m.Docs, m.Z, func(l *LegacyDocs) error {
+		return gob.NewDecoder(bytes.NewReader(data)).Decode(l)
+	})
+	if err != nil {
 		return nil, fmt.Errorf("topicmodel: decoding model: %w", err)
 	}
 	if err := m.Validate(); err != nil {
@@ -71,6 +83,40 @@ func Load(r io.Reader, seed uint64) (*Model, error) {
 	}
 	m.ResetSampler(seed)
 	return &m, nil
+}
+
+// LegacyDocs is the decode-only shape of a Docs field written before
+// documents were flat, when Doc was {ID, Cliques, Origin}. Origin is
+// not read: EachOrigin derives it.
+type LegacyDocs struct {
+	Docs []struct {
+		ID      int
+		Cliques [][]int32
+	}
+}
+
+// UpgradeLegacyDocs returns docs, decoded along with z from a gob
+// stream, unless the stream was written before documents were flat:
+// then docs hold no words where z holds assignments, and decode, which
+// decodes the same stream again into the *LegacyDocs it is given
+// (wrapped to the field's depth), supplies the documents instead.
+func UpgradeLegacyDocs(docs []Doc, z [][]int32, decode func(*LegacyDocs) error) ([]Doc, error) {
+	legacy := false
+	for d := range min(len(docs), len(z)) {
+		legacy = legacy || docs[d].NumCliques() == 0 && len(z[d]) > 0
+	}
+	if !legacy {
+		return docs, nil
+	}
+	var old LegacyDocs
+	if err := decode(&old); err != nil {
+		return nil, err
+	}
+	docs = make([]Doc, len(old.Docs))
+	for d, o := range old.Docs {
+		docs[d] = NewDoc(o.ID, o.Cliques...)
+	}
+	return docs, nil
 }
 
 // Validate checks a decoded model before its samplers arm: shape
@@ -135,21 +181,26 @@ func (m *Model) validateShapes() error {
 			len(m.Docs), len(m.Ndk), len(m.Nd), len(m.Z))
 	}
 	for d := range m.Docs {
+		doc := &m.Docs[d]
 		if len(m.Ndk[d]) != m.K {
 			return fmt.Errorf("topicmodel: decoded model shapes inconsistent: Ndk[%d] has %d topics, want %d", d, len(m.Ndk[d]), m.K)
 		}
-		if len(m.Z[d]) != len(m.Docs[d].Cliques) {
+		if len(m.Z[d]) != doc.NumCliques() {
 			return fmt.Errorf("topicmodel: decoded model shapes inconsistent: doc %d has %d cliques but %d assignments",
-				d, len(m.Docs[d].Cliques), len(m.Z[d]))
+				d, doc.NumCliques(), len(m.Z[d]))
 		}
-		for g, clique := range m.Docs[d].Cliques {
-			if k := m.Z[d][g]; k < 0 || int(k) >= m.K {
+		if n := len(doc.Ends); !slices.IsSorted(doc.Ends) || n > 0 && (doc.Ends[0] < 0 || int(doc.Ends[n-1]) != len(doc.Words)) ||
+			n == 0 && len(doc.Words) > 0 {
+			return fmt.Errorf("topicmodel: decoded model corrupt: doc %d: %d clique ends do not cut its %d words", d, len(doc.Ends), len(doc.Words))
+		}
+		for g, k := range m.Z[d] {
+			if k < 0 || int(k) >= m.K {
 				return fmt.Errorf("topicmodel: decoded model corrupt: Z[%d][%d] = %d, want [0,%d)", d, g, k, m.K)
 			}
-			for _, w := range clique {
-				if w < 0 || int(w) >= m.V {
-					return fmt.Errorf("topicmodel: decoded model corrupt: doc %d clique %d holds word %d, vocabulary is %d", d, g, w, m.V)
-				}
+		}
+		for _, w := range doc.Words {
+			if w < 0 || int(w) >= m.V {
+				return fmt.Errorf("topicmodel: decoded model corrupt: doc %d holds word %d, vocabulary is %d", d, w, m.V)
 			}
 		}
 	}

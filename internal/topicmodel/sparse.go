@@ -128,8 +128,8 @@ func (a *DrawStats) add(b DrawStats) {
 func cliqueLengths(docs []Doc) []int {
 	seen := make(map[int]bool)
 	for d := range docs {
-		for _, c := range docs[d].Cliques {
-			seen[len(c)] = true
+		for g := range docs[d].NumCliques() {
+			seen[len(docs[d].Clique(g))] = true
 		}
 	}
 	lengths := make([]int, 0, len(seen))
@@ -358,12 +358,15 @@ func (m *Model) sweepSparse() DrawStats {
 func (sp *sparseSampler) sweepDocs(lo, hi int) {
 	sp.refresh()
 	for d := lo; d < hi; d++ {
-		if len(sp.m.Docs[d].Cliques) == 0 {
+		doc := &sp.m.Docs[d]
+		if doc.NumCliques() == 0 {
 			continue
 		}
 		sp.beginDoc(d)
-		for g := range sp.m.Docs[d].Cliques {
-			sp.sample(d, g)
+		start := int32(0)
+		for g, end := range doc.Ends {
+			sp.sample(d, g, doc.Words[start:end:end])
+			start = end
 		}
 	}
 }
@@ -393,10 +396,10 @@ func (sp *sparseSampler) beginDoc(d int) {
 	sp.docTopics, sp.docR = topics, r
 }
 
-// sample resamples clique g of the current document d.
-func (sp *sparseSampler) sample(d, g int) {
+// sample resamples clique g of the current document d, whose words
+// are clique.
+func (sp *sparseSampler) sample(d, g int, clique []int32) {
 	m := sp.m
-	clique := m.Docs[d].Cliques[g]
 	sp.bind(clique)
 	sp.apply(m.Z[d][g], -1)
 	var k int32

@@ -132,11 +132,11 @@ func TestSparseMatchesDenseConditional(t *testing.T) {
 		seen := map[bool]int{}
 		sp.refresh()
 		for d := lo; d < hi; d++ {
-			if len(m.Docs[d].Cliques) == 0 {
+			if m.Docs[d].NumCliques() == 0 {
 				continue
 			}
 			sp.beginDoc(d)
-			for g, clique := range m.Docs[d].Cliques {
+			for g, clique := range cliquesOf(&m.Docs[d]) {
 				sp.bind(clique)
 				sp.apply(m.Z[d][g], -1)
 				moved(clique, m.Z[d][g], -1)

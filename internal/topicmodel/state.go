@@ -39,7 +39,7 @@ func NewModelFromState(docs []Doc, vocabSize, k int, alpha []float64, alphaSum, 
 		Docs:     docs,
 		rng:      xrand.New(0),
 	}
-	m.Z = make([][]int32, len(docs))
+	m.Z = zRows(docs)
 	m.nwk = make([]int32, vocabSize*k)
 	m.Nwk = rowViews(m.nwk, k)
 	m.ndk = make([]int32, len(docs)*k)
@@ -47,13 +47,13 @@ func NewModelFromState(docs []Doc, vocabSize, k int, alpha []float64, alphaSum, 
 	m.Nk = make([]int64, k)
 	m.Nd = make([]int32, len(docs))
 	for d := range docs {
-		if len(z[d]) != len(docs[d].Cliques) {
-			return nil, fmt.Errorf("topicmodel: restored doc %d has %d assignments for %d cliques", d, len(z[d]), len(docs[d].Cliques))
+		if len(z[d]) != docs[d].NumCliques() {
+			return nil, fmt.Errorf("topicmodel: restored doc %d has %d assignments for %d cliques", d, len(z[d]), docs[d].NumCliques())
 		}
-		m.Z[d] = append([]int32(nil), z[d]...)
+		copy(m.Z[d], z[d])
 		row := m.Ndk[d]
-		for g, clique := range docs[d].Cliques {
-			zk := z[d][g]
+		for g, zk := range z[d] {
+			clique := docs[d].Clique(g)
 			if zk < 0 || int(zk) >= k {
 				return nil, fmt.Errorf("topicmodel: restored doc %d clique %d: topic %d out of range", d, g, zk)
 			}
@@ -65,8 +65,8 @@ func NewModelFromState(docs []Doc, vocabSize, k int, alpha []float64, alphaSum, 
 			}
 			row[zk] += int32(len(clique))
 			m.Nk[zk] += int64(len(clique))
-			m.Nd[d] += int32(len(clique))
 		}
+		m.Nd[d] = int32(docs[d].NumTokens())
 	}
 	return m, nil
 }

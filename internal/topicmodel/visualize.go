@@ -7,6 +7,7 @@ import (
 
 	"topmine/internal/corpus"
 	"topmine/internal/counter"
+	"topmine/internal/segment"
 )
 
 // PhraseInfo is one ranked phrase in a topic visualisation.
@@ -84,13 +85,11 @@ func (m *Model) topicalFrequencies(c *corpus.Corpus, minLen int) map[string]*tfE
 	agg := make(map[string]*tfEntry)
 	for d := range m.Docs {
 		doc := &m.Docs[d]
-		var src *corpus.Document
-		if c != nil && doc.ID < len(c.Docs) {
-			src = c.Docs[doc.ID]
-		}
-		for g, clique := range doc.Cliques {
+		// tally counts clique g and returns its entry, nil when short.
+		tally := func(g int) *tfEntry {
+			clique := doc.Clique(g)
 			if len(clique) < minLen {
-				continue
+				return nil
 			}
 			key := counter.Key(clique)
 			e := agg[key]
@@ -108,11 +107,22 @@ func (m *Model) topicalFrequencies(c *corpus.Corpus, minLen int) map[string]*tfE
 				e.lastDoc = int32(d)
 				e.df++
 			}
-			if src != nil && doc.Origin != nil {
-				o := doc.Origin[g]
-				seg := &src.Segments[o.Segment]
-				e.displays[c.DisplayPhrase(seg, o.Span.Start, o.Span.End)]++
+			return e
+		}
+		// Display votes need the clique's span in its corpus document.
+		var src *corpus.Document
+		if c != nil && doc.ID < len(c.Docs) {
+			src = c.Docs[doc.ID]
+		}
+		if src != nil && doc.EachOrigin(src, func(g, seg int, sp segment.Span) {
+			if e := tally(g); e != nil {
+				e.displays[c.DisplayPhrase(&src.Segments[seg], sp.Start, sp.End)]++
 			}
+		}) {
+			continue
+		}
+		for g := range doc.NumCliques() {
+			tally(g)
 		}
 	}
 	return agg

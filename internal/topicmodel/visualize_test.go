@@ -111,14 +111,13 @@ func TestBackgroundFilter(t *testing.T) {
 	// every doc the spread phrase.
 	var docs []Doc
 	for d := 0; d < 40; d++ {
-		doc := Doc{ID: d}
-		doc.Cliques = append(doc.Cliques, []int32{2, 3}) // background
+		cliques := [][]int32{{2, 3}} // background
 		if d%2 == 0 {
-			doc.Cliques = append(doc.Cliques, []int32{0, 1}, []int32{4}, []int32{5})
+			cliques = append(cliques, []int32{0, 1}, []int32{4}, []int32{5})
 		} else {
-			doc.Cliques = append(doc.Cliques, []int32{6, 7}, []int32{8}, []int32{9})
+			cliques = append(cliques, []int32{6, 7}, []int32{8}, []int32{9})
 		}
-		docs = append(docs, doc)
+		docs = append(docs, NewDoc(d, cliques...))
 	}
 	// A sparse alpha keeps each document on its planted topic so the
 	// ubiquitous phrase's instances split across topics.

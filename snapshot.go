@@ -276,7 +276,13 @@ func decodeSnapshotV2(data []byte) (*Result, error) {
 	}
 	if b, ok := im.Body(snapTraining); ok {
 		var tr snapshotTraining
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&tr); err != nil {
+		err := gob.NewDecoder(bytes.NewReader(b)).Decode(&tr)
+		if err == nil {
+			tr.Docs, err = topicmodel.UpgradeLegacyDocs(tr.Docs, tr.Z, func(l *topicmodel.LegacyDocs) error {
+				return gob.NewDecoder(bytes.NewReader(b)).Decode(l)
+			})
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%w: training state: %v", errSnapFormat, err)
 		}
 		model.Docs, model.Z, model.Ndk, model.Nd = tr.Docs, tr.Z, tr.Ndk, tr.Nd
@@ -313,7 +319,13 @@ func decodeSnapshotV1(rest []byte) (*Result, error) {
 		return nil, fmt.Errorf("%w: payload CRC %08x, header says %08x", errSnapChecksum, got, wantCRC)
 	}
 	var payload snapshotPayload
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&payload); err != nil {
+	err := gob.NewDecoder(bytes.NewReader(body)).Decode(&payload)
+	if err == nil && payload.Model != nil {
+		payload.Model.Docs, err = topicmodel.UpgradeLegacyDocs(payload.Model.Docs, payload.Model.Z, func(l *topicmodel.LegacyDocs) error {
+			return gob.NewDecoder(bytes.NewReader(body)).Decode(&struct{ Model *topicmodel.LegacyDocs }{l})
+		})
+	}
+	if err != nil {
 		return nil, fmt.Errorf("topmine: decoding snapshot: %w", err)
 	}
 	switch {

@@ -9,7 +9,11 @@ import (
 	"hash"
 	"io"
 	"math"
+	"sync"
 	"testing"
+
+	"topmine/internal/segment"
+	"topmine/internal/topicmodel"
 )
 
 // The two fixtures below were written by the last build whose
@@ -80,7 +84,49 @@ func snapshotDigests(t *testing.T, res *Result) map[string]string {
 	}
 }
 
-// hashModel writes the model's exported fields, floats as their bits.
+// fixtureCorpus rebuilds the corpus the fixtures were trained on, with
+// the commands above.
+var fixtureCorpus = sync.OnceValue(func() *Corpus {
+	raw, err := GenerateExampleCorpus("yelp-reviews", 200, 11)
+	if err != nil {
+		panic(err)
+	}
+	return BuildCorpus(raw, DefaultCorpusOptions())
+})
+
+// legacyDoc is a document in the shape the fixtures' build printed.
+type legacyDoc struct {
+	ID      int
+	Cliques [][]int32
+	Origin  []legacyOrigin
+}
+
+type legacyOrigin struct {
+	Segment int
+	Span    segment.Span
+}
+
+// legacyDocs renders docs as the fixtures' build printed them, each
+// clique's origin derived from c; a document EachOrigin cannot place
+// has none, as that build's unsegmented documents had none.
+func legacyDocs(docs []topicmodel.Doc, c *Corpus) []legacyDoc {
+	var out []legacyDoc
+	for i := range docs {
+		d := &docs[i]
+		ld := legacyDoc{ID: d.ID}
+		for g := range d.NumCliques() {
+			ld.Cliques = append(ld.Cliques, d.Clique(g))
+		}
+		d.EachOrigin(c.Docs[d.ID], func(_, seg int, sp segment.Span) {
+			ld.Origin = append(ld.Origin, legacyOrigin{seg, sp})
+		})
+		out = append(out, ld)
+	}
+	return out
+}
+
+// hashModel writes the model's exported fields, floats as their bits,
+// and its documents as legacyDocs renders them over fixtureCorpus.
 func hashModel(h hash.Hash, m *Model) {
 	m.Materialize()
 	var b [8]byte
@@ -95,7 +141,7 @@ func hashModel(h hash.Hash, m *Model) {
 	f(m.AlphaSum)
 	f(m.Beta)
 	f(m.BetaSum)
-	fmt.Fprintf(h, "%v\n%v\n%v\n%v\n%v\n%v\n", m.Nwk, m.Nk, m.Docs, m.Z, m.Ndk, m.Nd)
+	fmt.Fprintf(h, "%v\n%v\n%v\n%v\n%v\n%v\n", m.Nwk, m.Nk, legacyDocs(m.Docs, fixtureCorpus()), m.Z, m.Ndk, m.Nd)
 }
 
 // fixtureDigests pins each fixture's digests as recorded by the build
