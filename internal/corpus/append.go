@@ -80,25 +80,6 @@ func (a *Appender) Add(text string) *Document {
 	return doc
 }
 
-// AddSource drains src into the corpus and returns how many documents
-// were appended. Unlike BuildFromSource, appending is serial: growth
-// batches are incremental by nature, and serial interning is what
-// keeps the grown corpus bit-identical to a from-scratch build.
-func (a *Appender) AddSource(src Source) (int, error) {
-	n := 0
-	for {
-		doc, ok, err := src.Next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			return n, nil
-		}
-		a.Add(doc)
-		n++
-	}
-}
-
 // Stems returns text's kept stem sequence (see Tokenizer.Stems),
 // appended to dst, through the appender's own tokenizer and stem memo.
 func (a *Appender) Stems(text string, dst []string) []string { return a.tk.Stems(text, dst) }

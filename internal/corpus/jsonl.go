@@ -28,10 +28,3 @@ func LoadJSONLFile(path, field string, opt BuildOptions) (*Corpus, error) {
 	}
 	return ReadJSONL(r, field, opt)
 }
-
-// ReadTSV builds a corpus from tab-separated input, using the given
-// zero-based column as the document text (other columns — ids, labels,
-// dates — are ignored). Rows with too few columns produce an error.
-func ReadTSV(r io.Reader, column int, opt BuildOptions) (*Corpus, error) {
-	return BuildFromSource(TSVSource(r, column), opt)
-}

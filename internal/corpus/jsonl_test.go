@@ -75,7 +75,7 @@ func TestReadJSONLReaderFailure(t *testing.T) {
 
 func TestReadTSV(t *testing.T) {
 	input := "1\tfirst document text\n2\tsecond document text\n"
-	c, err := ReadTSV(strings.NewReader(input), 1, DefaultBuildOptions())
+	c, err := BuildFromSource(TSVSource(strings.NewReader(input), 1), DefaultBuildOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,10 @@ func TestReadTSV(t *testing.T) {
 }
 
 func TestReadTSVErrors(t *testing.T) {
-	if _, err := ReadTSV(strings.NewReader("only-one-col\n"), 1, DefaultBuildOptions()); err == nil {
+	if _, err := BuildFromSource(TSVSource(strings.NewReader("only-one-col\n"), 1), DefaultBuildOptions()); err == nil {
 		t.Error("missing column accepted")
 	}
-	if _, err := ReadTSV(strings.NewReader(""), -1, DefaultBuildOptions()); err == nil {
+	if _, err := BuildFromSource(TSVSource(strings.NewReader(""), -1), DefaultBuildOptions()); err == nil {
 		t.Error("negative column accepted")
 	}
 }

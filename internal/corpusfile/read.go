@@ -3,7 +3,6 @@ package corpusfile
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -270,7 +269,7 @@ func decodeGroup(data []byte, secs map[uint32]secfile.Entry, base *group) (*grou
 		return nil, fmt.Errorf("%w: missing vocabulary section", ErrFormat)
 	}
 	vocab := textproc.NewVocab()
-	if err := gob.NewDecoder(bytes.NewReader(vocB)).Decode(vocab); err != nil {
+	if err := secfile.GobDecode(vocB, vocab); err != nil {
 		return nil, fmt.Errorf("%w: decoding vocabulary: %v", ErrFormat, err)
 	}
 	g.vocab = vocab
@@ -340,7 +339,7 @@ func decode(data []byte) (*File, error) {
 	body := im.Body
 	if artB, ok := body(secArtifacts); ok {
 		var payload artifactsPayload
-		if err := gob.NewDecoder(bytes.NewReader(artB)).Decode(&payload); err != nil {
+		if err := secfile.GobDecode(artB, &payload); err != nil {
 			return nil, fmt.Errorf("%w: decoding artifacts: %v", ErrFormat, err)
 		}
 		if payload.Mined == nil || payload.Mined.Counts == nil {

@@ -12,6 +12,7 @@ import (
 
 	"topmine/internal/atomicfile"
 	"topmine/internal/corpus"
+	"topmine/internal/counter"
 	"topmine/internal/minhash"
 	"topmine/internal/phrasemine"
 	"topmine/internal/secfile"
@@ -47,6 +48,22 @@ type Artifacts struct {
 type artifactsPayload struct {
 	Params Params
 	Mined  *phrasemine.Result
+}
+
+// init numbers the gob types of the vocabulary and artifacts sections,
+// in the order Write meets them, before anything else can: gob numbers
+// types process-wide as it first meets them and writes the numbers into
+// every stream, so a .tpc's bytes would otherwise depend on what the
+// process gob-encoded before. The phrase makes the counter's stream met.
+func init() {
+	counts := counter.New()
+	counts.Add(counter.Key([]int32{0}), 1)
+	if _, err := encodeVocab(textproc.NewVocab()); err != nil {
+		panic(err)
+	}
+	if err := gob.NewEncoder(io.Discard).Encode(artifactsPayload{Mined: &phrasemine.Result{Counts: counts}}); err != nil {
+		panic(err)
+	}
 }
 
 // Write persists the corpus alone; see WriteArtifacts.

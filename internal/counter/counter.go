@@ -59,9 +59,6 @@ type NGrams struct {
 // New returns an empty counter.
 func New() *NGrams { return &NGrams{m: make(map[string]*int64)} }
 
-// NewWithCapacity returns an empty counter pre-sized for n entries.
-func NewWithCapacity(n int) *NGrams { return &NGrams{m: make(map[string]*int64, n)} }
-
 // Inc adds one occurrence of key.
 func (c *NGrams) Inc(key string) { c.Add(key, 1) }
 

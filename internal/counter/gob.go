@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+
+	"topmine/internal/secfile"
 )
 
 // ngramsWire is the gob wire form of an NGrams counter: parallel key
@@ -33,7 +35,7 @@ func (c *NGrams) GobEncode() ([]byte, error) {
 // decoded slice the map points into.
 func (c *NGrams) GobDecode(data []byte) error {
 	var w ngramsWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	if err := secfile.GobDecode(data, &w); err != nil {
 		return fmt.Errorf("counter: decoding ngrams: %w", err)
 	}
 	if len(w.Keys) != len(w.Counts) {

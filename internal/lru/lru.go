@@ -160,18 +160,6 @@ func (c *Cache[K, V]) Remove(key K) bool {
 	return true
 }
 
-// Purge empties the cache (counters are preserved; they are lifetime
-// totals, not occupancy).
-func (c *Cache[K, V]) Purge() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.entries = make(map[K]*list.Element)
-		s.order.Init()
-		s.bytes = 0
-		s.mu.Unlock()
-	}
-}
-
 // Stats snapshots counters and occupancy. Counters are exact; Entries
 // and Bytes are summed shard by shard, so a concurrent writer may make
 // the totals momentarily inconsistent with each other — fine for

@@ -28,6 +28,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -380,4 +381,25 @@ func (r *Reader) Err() error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrPayload, len(r.b)-r.off)
 	}
 	return r.err
+}
+
+// GobDecode decodes the gob stream b, a section payload, into v. Gob
+// allocates each message's claimed length before reading it, so first
+// every message's length prefix — a gob uint: one byte below 0x80, or
+// the negated byte count of a big-endian value — must fit in b.
+func GobDecode(b []byte, v any) error {
+	for rest := b; len(rest) > 0; {
+		n, w := uint64(rest[0]), 1
+		if k := -int(int8(rest[0])); n >= 0x80 && k <= 8 && k < len(rest) {
+			n, w = 0, 1+k
+			for _, c := range rest[1:w] {
+				n = n<<8 | uint64(c)
+			}
+		}
+		if n >= 0x80 && w == 1 || n > uint64(len(rest)-w) {
+			return fmt.Errorf("gob message at byte %d is longer than the %d bytes left", len(b)-len(rest), len(rest))
+		}
+		rest = rest[w+int(n):]
+	}
+	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }

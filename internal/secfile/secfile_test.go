@@ -2,7 +2,9 @@ package secfile
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -77,5 +79,32 @@ func TestReaderBounds(t *testing.T) {
 	r.Uvarint()
 	if !errors.Is(r.Err(), ErrPayload) {
 		t.Fatal("a trailing byte went unnoticed")
+	}
+}
+
+// TestGobDecodeChecksMessageLengths: a stream decodes as gob decodes
+// it, and one whose length prefix claims more bytes than follow — the
+// 64 MiB claim of a crafted section among them — fails before gob
+// allocates for it.
+func TestGobDecodeChecksMessageLengths(t *testing.T) {
+	var buf bytes.Buffer
+	want := map[string][]int{"a": {1, 2}, "b": make([]int, 300)}
+	if err := gob.NewEncoder(&buf).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string][]int
+	if err := GobDecode(buf.Bytes(), &got); err != nil || len(got["b"]) != 300 || got["a"][1] != 2 {
+		t.Fatalf("GobDecode = %v, %v", got, err)
+	}
+	for _, b := range [][]byte{
+		{0xFC, 0x04, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03},
+		{0xF7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		{0xFE, 0x01},
+		{0x05, 1, 2},
+		buf.Bytes()[:buf.Len()-1],
+	} {
+		if err := GobDecode(b, &got); err == nil || !strings.Contains(err.Error(), "longer than") {
+			t.Errorf("GobDecode(% x) = %v, want the length error", b, err)
+		}
 	}
 }

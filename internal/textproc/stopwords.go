@@ -57,7 +57,3 @@ var stopwords = func() map[string]bool {
 // IsStopword reports whether the lowercase token w is an English stop
 // word.
 func IsStopword(w string) bool { return stopwords[w] }
-
-// StopwordCount returns the size of the stop-word table (useful for
-// sanity checks and documentation).
-func StopwordCount() int { return len(stopwords) }

@@ -165,9 +165,6 @@ func TestIsStopword(t *testing.T) {
 			t.Errorf("IsStopword(%q) = true, want false", w)
 		}
 	}
-	if StopwordCount() < 100 {
-		t.Errorf("suspiciously small stop-word table: %d", StopwordCount())
-	}
 }
 
 func TestIsPhraseInvariantPunct(t *testing.T) {

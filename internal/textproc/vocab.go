@@ -2,7 +2,6 @@ package textproc
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Vocab interns stemmed word forms as dense int32 ids and remembers,
@@ -174,25 +173,6 @@ func (v *Vocab) Unstem(id int32) string {
 		return v.Word(id)
 	}
 	return best
-}
-
-// TopWords returns the n most frequent word ids, ties broken by id.
-func (v *Vocab) TopWords(n int) []int32 {
-	ids := make([]int32, len(v.words))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ca, cb := v.counts[ids[a]], v.counts[ids[b]]
-		if ca != cb {
-			return ca > cb
-		}
-		return ids[a] < ids[b]
-	})
-	if n > len(ids) {
-		n = len(ids)
-	}
-	return ids[:n]
 }
 
 // String summarises the vocabulary for debugging.

@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
+
+	"topmine/internal/secfile"
 )
 
 // vocabWire is the gob wire form of a Vocab. The byWord index is not
@@ -57,7 +59,7 @@ func (v *Vocab) GobEncode() ([]byte, error) {
 // is rebuilt and the surface votes land in one arena.
 func (v *Vocab) GobDecode(data []byte) error {
 	var w vocabWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+	if err := secfile.GobDecode(data, &w); err != nil {
 		return fmt.Errorf("textproc: decoding vocab: %w", err)
 	}
 	if len(w.Counts) != len(w.Words) ||

@@ -60,24 +60,6 @@ func TestVocabIDMissing(t *testing.T) {
 	}
 }
 
-func TestVocabTopWords(t *testing.T) {
-	v := NewVocab()
-	for i := 0; i < 5; i++ {
-		v.Intern("common", "common")
-	}
-	for i := 0; i < 2; i++ {
-		v.Intern("rare", "rare")
-	}
-	v.Intern("once", "once")
-	top := v.TopWords(2)
-	if len(top) != 2 || v.Word(top[0]) != "common" || v.Word(top[1]) != "rare" {
-		t.Fatalf("TopWords mis-ordered: %v", top)
-	}
-	if got := v.TopWords(100); len(got) != 3 {
-		t.Fatalf("TopWords(100) len = %d, want 3", len(got))
-	}
-}
-
 func TestVocabBijectionProperty(t *testing.T) {
 	v := NewVocab()
 	seen := map[string]int32{}

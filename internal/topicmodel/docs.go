@@ -19,12 +19,10 @@ import (
 // to share one topic. Singleton cliques reduce the model to plain LDA.
 type Doc struct {
 	ID int
-	// Words holds the word ids of the cliques back to back, in
-	// document order.
-	Words []int32
-	// Ends[g] is the end offset of clique g in Words; clique g is
-	// Words[Ends[g-1]:Ends[g]], the first starting at 0.
-	Ends []int32
+	// Words holds the cliques' word ids back to back, in document
+	// order. Clique g ends at offset Ends[g] and starts where clique
+	// g-1 ends, the first at 0.
+	Words, Ends []int32
 }
 
 // NewDoc builds a document from its cliques, copying their words.
@@ -58,41 +56,36 @@ func (d *Doc) NumTokens() int { return len(d.Words) }
 // lengths. If d's cliques do not cut src's segments into d's tokens,
 // EachOrigin calls fn for none and returns false.
 func (d *Doc) EachOrigin(src *corpus.Document, fn func(g, seg int, sp segment.Span)) bool {
-	if !d.walkOrigins(src, nil) {
-		return false
+	for pass := range 2 { // the first pass only checks
+		g, base := 0, int32(0) // next clique; offset of segment si in Words
+		for si := range src.Segments {
+			words := src.Segments[si].Words()
+			end := base + int32(len(words))
+			if int(end) > len(d.Words) || !slices.Equal(words, d.Words[base:end]) {
+				return false
+			}
+			for lo := base; g < len(d.Ends) && lo < end; g++ {
+				hi := d.Ends[g]
+				if hi < lo || hi > end {
+					return false
+				}
+				if pass == 1 {
+					fn(g, si, segment.Span{Start: int(lo - base), End: int(hi - base)})
+				}
+				lo = hi
+			}
+			base = end
+		}
+		if g != len(d.Ends) || int(base) != len(d.Words) {
+			return false
+		}
 	}
-	d.walkOrigins(src, fn)
 	return true
 }
 
-// walkOrigins is EachOrigin's walk; a nil fn only checks.
-func (d *Doc) walkOrigins(src *corpus.Document, fn func(g, seg int, sp segment.Span)) bool {
-	g, base := 0, int32(0) // next clique; offset of segment si in Words
-	for si := range src.Segments {
-		words := src.Segments[si].Words()
-		end := base + int32(len(words))
-		if int(end) > len(d.Words) || !slices.Equal(words, d.Words[base:end]) {
-			return false
-		}
-		for lo := base; g < len(d.Ends) && lo < end; g++ {
-			hi := d.Ends[g]
-			if hi < lo || hi > end {
-				return false
-			}
-			if fn != nil {
-				fn(g, si, segment.Span{Start: int(lo - base), End: int(hi - base)})
-			}
-			lo = hi
-		}
-		base = end
-	}
-	return g == len(d.Ends) && int(base) == len(d.Words)
-}
-
-// flatDocs allocates n documents over exactly sized corpus-wide token
-// and clique-end arenas, and returns a fill function that appends one
-// clique to the document being built and a next function that closes
-// it with its ID and starts the next.
+// flatDocs allocates n documents over corpus-wide token and clique-end
+// arenas of the given capacities. add appends a clique to the document
+// being built; next closes it with its ID.
 func flatDocs(n, tokens, cliques int) (docs []Doc, add func(clique []int32), next func(id int)) {
 	docs = make([]Doc, n)
 	words := make([]int32, 0, tokens)

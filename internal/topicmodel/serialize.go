@@ -87,7 +87,7 @@ func Load(r io.Reader, seed uint64) (*Model, error) {
 
 // LegacyDocs is the decode-only shape of a Docs field written before
 // documents were flat, when Doc was {ID, Cliques, Origin}. Origin is
-// not read: EachOrigin derives it.
+// dropped: EachOrigin derives it.
 type LegacyDocs struct {
 	Docs []struct {
 		ID      int
@@ -95,26 +95,21 @@ type LegacyDocs struct {
 	}
 }
 
-// UpgradeLegacyDocs returns docs, decoded along with z from a gob
-// stream, unless the stream was written before documents were flat:
-// then docs hold no words where z holds assignments, and decode, which
-// decodes the same stream again into the *LegacyDocs it is given
-// (wrapped to the field's depth), supplies the documents instead.
+// UpgradeLegacyDocs returns docs, decoded with z from a gob stream. If
+// the stream predates flat documents, docs lack the cliques z assigns,
+// and decode, which decodes the stream again into a *LegacyDocs
+// (wrapped to the depth of its Docs field), supplies them instead.
 func UpgradeLegacyDocs(docs []Doc, z [][]int32, decode func(*LegacyDocs) error) ([]Doc, error) {
-	legacy := false
 	for d := range min(len(docs), len(z)) {
-		legacy = legacy || docs[d].NumCliques() == 0 && len(z[d]) > 0
-	}
-	if !legacy {
-		return docs, nil
-	}
-	var old LegacyDocs
-	if err := decode(&old); err != nil {
-		return nil, err
-	}
-	docs = make([]Doc, len(old.Docs))
-	for d, o := range old.Docs {
-		docs[d] = NewDoc(o.ID, o.Cliques...)
+		if docs[d].NumCliques() == 0 && len(z[d]) > 0 {
+			var old LegacyDocs
+			err := decode(&old)
+			docs = make([]Doc, len(old.Docs))
+			for i, o := range old.Docs {
+				docs[i] = NewDoc(o.ID, o.Cliques...)
+			}
+			return docs, err
+		}
 	}
 	return docs, nil
 }
@@ -205,14 +200,4 @@ func (m *Model) validateShapes() error {
 		}
 	}
 	return nil
-}
-
-// LoadFile reads a model from path.
-func LoadFile(path string, seed uint64) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("topicmodel: %w", err)
-	}
-	defer f.Close()
-	return Load(f, seed)
 }

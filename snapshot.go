@@ -259,7 +259,7 @@ func decodeSnapshotV2(data []byte) (*Result, error) {
 	}
 	body := func(id uint32) []byte { b, _ := im.Body(id); return b }
 	var meta snapshotMeta
-	if err := gob.NewDecoder(bytes.NewReader(body(snapMeta))).Decode(&meta); err != nil {
+	if err := secfile.GobDecode(body(snapMeta), &meta); err != nil {
 		return nil, fmt.Errorf("%w: options: %v", errSnapFormat, err)
 	}
 	vocab, err := textproc.DecodeFlatVocab(body(snapVocab))
@@ -276,10 +276,10 @@ func decodeSnapshotV2(data []byte) (*Result, error) {
 	}
 	if b, ok := im.Body(snapTraining); ok {
 		var tr snapshotTraining
-		err := gob.NewDecoder(bytes.NewReader(b)).Decode(&tr)
+		err := secfile.GobDecode(b, &tr)
 		if err == nil {
 			tr.Docs, err = topicmodel.UpgradeLegacyDocs(tr.Docs, tr.Z, func(l *topicmodel.LegacyDocs) error {
-				return gob.NewDecoder(bytes.NewReader(b)).Decode(l)
+				return secfile.GobDecode(b, l)
 			})
 		}
 		if err != nil {
@@ -319,10 +319,10 @@ func decodeSnapshotV1(rest []byte) (*Result, error) {
 		return nil, fmt.Errorf("%w: payload CRC %08x, header says %08x", errSnapChecksum, got, wantCRC)
 	}
 	var payload snapshotPayload
-	err := gob.NewDecoder(bytes.NewReader(body)).Decode(&payload)
+	err := secfile.GobDecode(body, &payload)
 	if err == nil && payload.Model != nil {
 		payload.Model.Docs, err = topicmodel.UpgradeLegacyDocs(payload.Model.Docs, payload.Model.Z, func(l *topicmodel.LegacyDocs) error {
-			return gob.NewDecoder(bytes.NewReader(body)).Decode(&struct{ Model *topicmodel.LegacyDocs }{l})
+			return secfile.GobDecode(body, &struct{ Model *topicmodel.LegacyDocs }{l})
 		})
 	}
 	if err != nil {

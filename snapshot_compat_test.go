@@ -1,6 +1,7 @@
 package topmine
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -50,4 +51,41 @@ func TestLoadPrePR4Snapshot(t *testing.T) {
 	if !reflect.DeepEqual(theta, again) {
 		t.Fatal("repeated inference on loaded snapshot diverged")
 	}
+}
+
+// TestLoadLegacyV2TrainingSnapshot: testdata/snapshot_v2_training_legacy.tpm
+// is a version-2 training snapshot written before modelling documents
+// were flat, its training section holding Doc as {ID, Cliques, Origin},
+// by a build running this test's Run. It must load to the Result this
+// build trains: re-saved, the two are the same bytes.
+func TestLoadLegacyV2TrainingSnapshot(t *testing.T) {
+	loaded, err := LoadSnapshotFile("testdata/snapshot_v2_training_legacy.tpm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := GenerateExampleCorpus("20conf", 120, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Topics, opt.Iterations, opt.MinSupport, opt.Seed = 4, 15, 3, 9
+	fresh, err := Run(docs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !loaded.Resumable() {
+		t.Fatal("the legacy training snapshot loaded without its training state")
+	}
+	if a, b := mustTrainingSnapshot(t, loaded), mustTrainingSnapshot(t, fresh); !bytes.Equal(a, b) {
+		t.Fatalf("re-saved legacy snapshot is %d bytes and differs from this build's %d", len(a), len(b))
+	}
+}
+
+func mustTrainingSnapshot(t *testing.T, r *Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveTrainingSnapshot(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -272,3 +272,20 @@ func TestResumeFromResavedFixture(t *testing.T) {
 		t.Fatal("resuming the re-saved training fixture diverged from resuming the fixture as written")
 	}
 }
+
+// TestFixtureTopicsRerender: the training fixture's topics, which the
+// build that wrote it rendered from the clique origins its documents
+// stored, are what Visualize renders today from origins it derives over
+// the same corpus.
+func TestFixtureTopicsRerender(t *testing.T) {
+	res, err := LoadSnapshotFile(fixtureV1Training)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := FormatTopics(res.Topics)
+	res.Corpus = fixtureCorpus()
+	res.render()
+	if got := FormatTopics(res.Topics); got != stored {
+		t.Fatalf("re-rendered topics:\n%s\nstored:\n%s", got, stored)
+	}
+}

@@ -200,6 +200,7 @@ func TestLoadSnapshotRejectsMalformedModelShapes(t *testing.T) {
 		{"vocabulary one word short", snapVocab, encodeVocabPrefix(t, res, v-1)},
 		{"mined phrase beyond the vocabulary", snapMined, []byte{1, 1, 1, 0x80, 0x80, 0x04, 5}},
 		{"MaxPhraseLen beyond the longest mined phrase", snapMeta, metaWithMaxPhraseLen(t, valid, 1<<40)},
+		{"gob message longer than its section", snapMeta, []byte{0xFC, 0x04, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := LoadSnapshot(bytes.NewReader(withSection(t, valid, tc.id, tc.payload)))

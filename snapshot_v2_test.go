@@ -346,7 +346,7 @@ func checkSnapshotLoad(t *testing.T, data []byte) {
 // FuzzLoadSnapshot feeds LoadSnapshot arbitrary bytes, as written and
 // with their checksums patched to match, seeded with the version-1
 // fixtures, a small version-2 file and that file claiming a 2^40-word
-// MaxPhraseLen.
+// MaxPhraseLen, besides the inputs under testdata/fuzz/FuzzLoadSnapshot.
 func FuzzLoadSnapshot(f *testing.F) {
 	for _, path := range []string{"testdata/snapshot_pr3.tpm", fixtureV1Frozen, fixtureV1Training} {
 		data, err := os.ReadFile(path)

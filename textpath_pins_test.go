@@ -3,10 +3,12 @@ package topmine
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -91,10 +93,18 @@ func TestTextPathPinned(t *testing.T) {
 		}
 	}
 
+	checkTPCPinned(t, 1, 2, 8)
+}
+
+// checkTPCPinned writes the .tpc image of a surface-keeping corpus at
+// each Workers setting and compares its digest with the pinned one.
+func checkTPCPinned(t *testing.T, workerCounts ...int) {
+	t.Helper()
+	pins := readTextPins(t)
 	raw := corpusFileTestDocs(t)
 	raw = append(append(pins, raw...), pins...)
 	const wantTPC = "f86b76db6a88d15649c3a2ca26e0e721ce8bc4a384b148da2c1de00d39742cc8"
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range workerCounts {
 		o := corpusFileTestOptions()
 		o.Workers = workers
 		pre, err := Preprocess(SliceSource(raw), o)
@@ -114,4 +124,27 @@ func TestTextPathPinned(t *testing.T) {
 			t.Errorf("workers=%d: .tpc digest %s, want %s", workers, got, wantTPC)
 		}
 	}
+}
+
+// TestTPCPinnedAfterUnrelatedGob: a process that gob-encodes a type of
+// its own before it writes a .tpc still writes the pinned bytes. Gob
+// numbers types in the order a process meets them, so the check runs
+// in a fresh process, re-executed from this test binary.
+func TestTPCPinnedAfterUnrelatedGob(t *testing.T) {
+	if os.Getenv("TOPMINE_TEST_GOB_FIRST") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestTPCPinnedAfterUnrelatedGob$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "TOPMINE_TEST_GOB_FIRST=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		return
+	}
+	type unrelated struct {
+		A []float32
+		B map[string]uint8
+	}
+	if err := gob.NewEncoder(io.Discard).Encode(unrelated{B: map[string]uint8{"x": 1}}); err != nil {
+		t.Fatal(err)
+	}
+	checkTPCPinned(t, 1)
 }
