@@ -50,7 +50,7 @@ func (k KERT) Run(c *corpus.Corpus, opt Options) []TopicPhrases {
 	for d := range docs {
 		perTopic := make(map[int8][]int32)
 		seen := make(map[int64]bool)
-		for g, w := range docs[d].Words {
+		for g, w := range docs[d].Words { // unigram cliques: word g is clique g
 			kk := int8(m.Z[d][g])
 			key := int64(kk)*int64(m.V) + int64(w)
 			if !seen[key] {

@@ -64,7 +64,7 @@ func (t TurboTopics) Run(c *corpus.Corpus, opt Options) []TopicPhrases {
 			if sp.Start == 0 {
 				pos += 2 // segment boundary breaks adjacency
 			}
-			w, k := docs[d].Words[g], m.Z[d][g]
+			w, k := docs[d].Clique(g)[0], m.Z[d][g]
 			if lastPos[k] != pos-1 && len(streams[k]) > 0 {
 				streams[k] = append(streams[k], -1)
 			}

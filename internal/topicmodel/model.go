@@ -99,7 +99,8 @@ type Model struct {
 
 	// Docs are the training documents (cliques).
 	Docs []Doc
-	// Z[d][g] is the topic of clique g in document d.
+	// Z[d][g] is the topic of clique g in document d. The rows view
+	// one arena (zRows) on every model this package builds.
 	Z [][]int32
 
 	// Ndk[d][k]: tokens of doc d assigned to topic k. The rows are

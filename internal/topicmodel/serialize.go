@@ -103,12 +103,14 @@ func UpgradeLegacyDocs(docs []Doc, z [][]int32, decode func(*LegacyDocs) error) 
 	for d := range min(len(docs), len(z)) {
 		if docs[d].NumCliques() == 0 && len(z[d]) > 0 {
 			var old LegacyDocs
-			err := decode(&old)
+			if err := decode(&old); err != nil {
+				return nil, err
+			}
 			docs = make([]Doc, len(old.Docs))
 			for i, o := range old.Docs {
 				docs[i] = NewDoc(o.ID, o.Cliques...)
 			}
-			return docs, err
+			return docs, nil
 		}
 	}
 	return docs, nil
