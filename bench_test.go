@@ -216,7 +216,7 @@ func BenchmarkFig8_PhraseMining(b *testing.B) {
 	for _, docs := range []int{250, 500, 1000} {
 		c := benchCorpus("dblp-abstracts", docs)
 		b.Run(sizeName(docs), func(b *testing.B) {
-			opt := phrasemine.Options{MinSupport: 5, MaxLen: 8, Workers: 1}
+			opt := phrasemine.Options{MinSupport: 5, MaxLen: 8}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = phrasemine.Mine(c, opt)
@@ -265,7 +265,7 @@ func sizeName(docs int) string {
 func ablationSegmenter(b *testing.B, score segment.ScoreFunc) {
 	b.Helper()
 	c := benchCorpus("dblp-abstracts", 400)
-	mined := phrasemine.Mine(c, phrasemine.Options{MinSupport: 5, MaxLen: 8, Workers: 1})
+	mined := phrasemine.Mine(c, phrasemine.Options{MinSupport: 5, MaxLen: 8})
 	seg := segment.NewSegmenter(mined, segment.Options{
 		Alpha: 3, MaxPhraseLen: 8, Workers: 1, Score: score,
 	})
@@ -278,20 +278,6 @@ func ablationSegmenter(b *testing.B, score segment.ScoreFunc) {
 func BenchmarkAblation_Significance_TStat(b *testing.B) { ablationSegmenter(b, segment.TStat) }
 func BenchmarkAblation_Significance_PMI(b *testing.B)   { ablationSegmenter(b, segment.PMI) }
 func BenchmarkAblation_Significance_Chi(b *testing.B)   { ablationSegmenter(b, segment.ChiSquare) }
-
-// Parallel mining speedup (the scalability extension).
-func ablationMiningWorkers(b *testing.B, workers int) {
-	b.Helper()
-	c := benchCorpus("dblp-abstracts", 1000)
-	opt := phrasemine.Options{MinSupport: 5, MaxLen: 8, Workers: workers}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = phrasemine.Mine(c, opt)
-	}
-}
-
-func BenchmarkAblation_MiningWorkers_1(b *testing.B) { ablationMiningWorkers(b, 1) }
-func BenchmarkAblation_MiningWorkers_4(b *testing.B) { ablationMiningWorkers(b, 4) }
 
 // Hyperparameter optimisation cost (on top of plain sweeps).
 func BenchmarkAblation_HyperOpt(b *testing.B) {

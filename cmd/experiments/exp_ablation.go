@@ -62,7 +62,7 @@ func ablation(cfg config, w io.Writer) error {
 		return prec, rec, total
 	}
 
-	mined := phrasemine.Mine(c, phrasemine.Options{MinSupport: 5, MaxLen: 8, Workers: 1})
+	mined := phrasemine.Mine(c, phrasemine.Options{MinSupport: 5, MaxLen: 8})
 
 	// The three scores live on different scales (standard deviations,
 	// log-lift, chi-square mass), so each is swept over its own
@@ -105,7 +105,7 @@ func ablation(cfg config, w io.Writer) error {
 	fmt.Fprintf(w, "\n(c) minimum support eps (t-stat, alpha=3)\n%-10s %10s %8s %8s\n",
 		"eps", "precision", "recall", "types")
 	for _, e := range []int{2, 5, 10, 20} {
-		m := phrasemine.Mine(c, phrasemine.Options{MinSupport: e, MaxLen: 8, Workers: 1})
+		m := phrasemine.Mine(c, phrasemine.Options{MinSupport: e, MaxLen: 8})
 		p, r, n := evaluate(m, segment.Options{Alpha: 3, MaxPhraseLen: 8, Workers: 1})
 		fmt.Fprintf(w, "%-10d %10.2f %8.2f %8d\n", e, p, r, n)
 	}

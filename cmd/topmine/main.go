@@ -98,7 +98,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	sig := fs.Float64("alpha", 5, "significance threshold for merging (Algorithm 2)")
 	maxLen := fs.Int("maxlen", 8, "maximum phrase length (0 = unbounded)")
 	seed := fs.Uint64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "parallel workers for ingest/mining/segmentation (0 = all cores)")
+	workers := fs.Int("workers", 0, "parallel workers for ingest and segmentation (0 = all cores)")
 	topicWorkers := fs.Int("topic-workers", 0, "parallel Gibbs workers for topic training (approximate AD-LDA sampler, "+
 		"deterministic per worker count, O(touched cells) extra memory per sweep; 0/1 = exact serial sparse sampler)")
 	trainCoordinator := fs.String("train-coordinator", "", "coordinate distributed training: listen on this address (host:port) "+

@@ -17,7 +17,7 @@ type ToPMine struct {
 	SigAlpha float64
 	// MaxPhraseLen bounds phrases (default 8).
 	MaxPhraseLen int
-	// Workers parallelises mining and segmentation (default 1, so
+	// Workers parallelises segmentation (default 1, so
 	// runtime comparisons are one-core against one-core).
 	Workers int
 	// FilterBackground applies the §8 background-phrase filter to the

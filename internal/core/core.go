@@ -48,8 +48,9 @@ type Options struct {
 	TopUnigrams, TopPhrases int
 	// Seed drives every random choice.
 	Seed uint64
-	// Workers parallelises corpus ingestion (Run/RunSource), mining
-	// and segmentation (0 = GOMAXPROCS). It never changes any output.
+	// Workers parallelises corpus ingestion (Run/RunSource) and
+	// segmentation (0 = GOMAXPROCS); mining is serial. It never
+	// changes any output.
 	Workers int
 	// TopicWorkers > 1 trains the topic model with the approximate
 	// AD-LDA-style distributed sampler (see internal/topicmodel's
@@ -167,7 +168,6 @@ func Mine(c *corpus.Corpus, opt Options) *phrasemine.Result {
 	return phrasemine.Mine(c, phrasemine.Options{
 		MinSupport: opt.effectiveSupport(c),
 		MaxLen:     opt.MaxPhraseLen,
-		Workers:    opt.Workers,
 	})
 }
 

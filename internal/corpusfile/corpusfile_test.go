@@ -32,7 +32,7 @@ func buildTestCorpus(t testing.TB, keepSurface bool) *corpus.Corpus {
 
 func mineAndSegment(t testing.TB, c *corpus.Corpus) *Artifacts {
 	t.Helper()
-	mined := phrasemine.Mine(c, phrasemine.Options{MinSupport: 2, MaxLen: 8, Workers: 1})
+	mined := phrasemine.Mine(c, phrasemine.Options{MinSupport: 2, MaxLen: 8})
 	segs := segment.NewSegmenter(mined, segment.Options{Alpha: 1, MaxPhraseLen: 8, Workers: 1}).SegmentCorpus(c)
 	return &Artifacts{
 		Params: Params{MinSupport: 2, MaxPhraseLen: 8, SigThreshold: 1},
@@ -216,7 +216,7 @@ func loadCorrupt(t *testing.T, img []byte, mutate func([]byte)) error {
 	return err
 }
 
-func validImage(t *testing.T) []byte {
+func validImage(t testing.TB) []byte {
 	t.Helper()
 	c := buildTestCorpus(t, true)
 	art := mineAndSegment(t, c)

@@ -36,7 +36,7 @@ func writeShard(t *testing.T, dir, name string, docs []string, keep bool) string
 	return path
 }
 
-func appendDocsTo(t *testing.T, path string, docs []string, opt AppendOptions) *AppendStats {
+func appendDocsTo(t testing.TB, path string, docs []string, opt AppendOptions) *AppendStats {
 	t.Helper()
 	stats, err := AppendFile(path, corpus.SliceSource(docs), opt)
 	if err != nil {
@@ -416,7 +416,7 @@ func TestMergeFilesEquivalence(t *testing.T) {
 func TestMergeFilesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	shards := [][]string{testDocs, appendDocs}
-	mineOpt := phrasemine.Options{MinSupport: 1, MaxLen: 8, Workers: 1}
+	mineOpt := phrasemine.Options{MinSupport: 1, MaxLen: 8}
 	prm := Params{MinSupport: 1, MaxPhraseLen: 8, SigThreshold: 1}
 	var paths []string
 	var all []string
@@ -458,7 +458,7 @@ func TestMergeFilesArtifacts(t *testing.T) {
 	for i, docs := range shards {
 		c := corpus.FromStrings(docs, corpus.DefaultBuildOptions())
 		path := filepath.Join(dir, "p"+string(rune('a'+i))+".tpc")
-		art := &Artifacts{Params: prunedPrm, Mined: phrasemine.Mine(c, phrasemine.Options{MinSupport: 2, MaxLen: 8, Workers: 1})}
+		art := &Artifacts{Params: prunedPrm, Mined: phrasemine.Mine(c, phrasemine.Options{MinSupport: 2, MaxLen: 8})}
 		if err := WriteFile(path, c, art); err != nil {
 			t.Fatal(err)
 		}
@@ -498,7 +498,7 @@ func TestMergeFilesRejects(t *testing.T) {
 // grownImage builds a version-2 image (base with artifacts and
 // sketches, one sketched appended segment) for the corrupt-tail
 // sweeps, returning the image and the base image's length.
-func grownImage(t *testing.T) ([]byte, int) {
+func grownImage(t testing.TB) ([]byte, int) {
 	t.Helper()
 	dir := t.TempDir()
 	opt := corpus.DefaultBuildOptions()

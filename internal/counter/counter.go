@@ -1,7 +1,7 @@
-// Package counter implements the hash-based n-gram counter that
-// Algorithm 1 of the paper uses to collect aggregate phrase counts
-// ("fixed-length candidate phrases beginning at each active index are
-// counted using an appropriate hash-based counter", §4.1).
+// Package counter implements the string-keyed phrase counter that holds
+// Algorithm 1's result, {(P, C(P))}: the form the segmenter probes and
+// the corpus and snapshot files store. (Algorithm 1 itself counts on
+// integer phrase ids; see internal/phrasemine.)
 //
 // Keys are contiguous word-id sequences packed 4 bytes big-endian per
 // id into a Go string: collision-free, order-preserving within one
@@ -100,9 +100,6 @@ func (c *NGrams) GetBytes(key []byte) int64 {
 	return 0
 }
 
-// Has reports whether key is present.
-func (c *NGrams) Has(key string) bool { _, ok := c.m[key]; return ok }
-
 // Len returns the number of distinct keys.
 func (c *NGrams) Len() int { return len(c.m) }
 
@@ -117,13 +114,6 @@ func (c *NGrams) Prune(min int64) int {
 		}
 	}
 	return removed
-}
-
-// Merge adds all counts from other into c.
-func (c *NGrams) Merge(other *NGrams) {
-	for k, v := range other.m {
-		c.Add(k, *v)
-	}
 }
 
 // Each calls f for every (key, count) pair in unspecified order.

@@ -9,11 +9,11 @@ import (
 	"topmine/internal/secfile"
 )
 
-// fromColumns builds a counter over decoded columns — the one
+// FromColumns builds a counter over decoded columns — the one
 // constructor behind both the gob and the flat decoder: key i maps to
 // a pointer into counts, so the values live in one arena instead of
 // one heap int64 per key.
-func fromColumns(keys []string, counts []int64) *NGrams {
+func FromColumns(keys []string, counts []int64) *NGrams {
 	c := &NGrams{m: make(map[string]*int64, len(keys))}
 	for i, k := range keys {
 		c.m[k] = &counts[i]
@@ -107,5 +107,5 @@ func DecodeFlat(b []byte, vocabSize int) (*NGrams, error) {
 		}
 		start = end
 	}
-	return fromColumns(keys, counts), nil
+	return FromColumns(keys, counts), nil
 }

@@ -31,7 +31,7 @@ func (c *NGrams) GobEncode() ([]byte, error) {
 }
 
 // GobDecode restores a counter serialised by GobEncode through the
-// flat decoder's constructor (fromColumns): the counts stay in the one
+// flat decoder's constructor (FromColumns): the counts stay in the one
 // decoded slice the map points into.
 func (c *NGrams) GobDecode(data []byte) error {
 	var w ngramsWire
@@ -41,6 +41,6 @@ func (c *NGrams) GobDecode(data []byte) error {
 	if len(w.Keys) != len(w.Counts) {
 		return fmt.Errorf("counter: decoding ngrams: %d keys but %d counts", len(w.Keys), len(w.Counts))
 	}
-	*c = *fromColumns(w.Keys, w.Counts)
+	*c = *FromColumns(w.Keys, w.Counts)
 	return nil
 }

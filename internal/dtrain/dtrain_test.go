@@ -57,7 +57,7 @@ func buildFixture(tb testing.TB, domain string, nDocs int) *fixture {
 	}
 	tb.Cleanup(func() { f.Close() })
 	fc := f.Corpus()
-	mined := phrasemine.Mine(fc, phrasemine.Options{MinSupport: 5, MaxLen: fixMaxLen, Workers: 1})
+	mined := phrasemine.Mine(fc, phrasemine.Options{MinSupport: 5, MaxLen: fixMaxLen})
 	segs := segment.NewSegmenter(mined, segment.Options{Alpha: fixSigAlpha, MaxPhraseLen: fixMaxLen}).
 		SegmentCorpus(fc)
 	docs := topicmodel.DocsFromSegmentation(fc, segs)

@@ -7,13 +7,20 @@
 // corpus size. At iteration n, candidate phrases of length n are
 // counted only at "active indices" — positions whose length-(n-1)
 // prefix is frequent and whose successor position is also active (so
-// the length-(n-1) suffix is frequent too). Segments whose active set
-// empties are dropped from all further consideration.
+// the length-(n-1) suffix is frequent too). Segments left with fewer
+// than two active indices drop out of all further consideration.
+//
+// Mining runs on integer ids: a frequent phrase has a dense id at its
+// level (a unigram's is its word id), and a length-n candidate is the
+// key (id of its length-(n-1) prefix, next word id) in one
+// open-addressed table per level. String keys are built only for the
+// frequent phrases, when the result crosses into counter.NGrams.
 package phrasemine
 
 import (
-	"runtime"
-	"sync"
+	"encoding/binary"
+	"math/bits"
+	"slices"
 
 	"topmine/internal/corpus"
 	"topmine/internal/counter"
@@ -27,15 +34,11 @@ type Options struct {
 	// MaxLen bounds phrase length; 0 means unbounded (mining stops when
 	// no candidates survive, the natural termination of Algorithm 1).
 	MaxLen int
-	// Workers > 1 shards the per-level counting across goroutines with
-	// per-worker counters merged between levels. Results are identical
-	// to the serial run. 0 means GOMAXPROCS.
-	Workers int
 }
 
 // DefaultOptions returns the options used throughout the paper's
 // experiments: an absolute support floor suitable for medium corpora.
-func DefaultOptions() Options { return Options{MinSupport: 5, MaxLen: 8, Workers: 1} }
+func DefaultOptions() Options { return Options{MinSupport: 5, MaxLen: 8} }
 
 // Result carries the mined aggregate statistics.
 type Result struct {
@@ -55,198 +58,210 @@ type Result struct {
 	LevelCandidates []int
 }
 
-// segState tracks one segment still under consideration.
-type segState struct {
-	words  []int32
-	active []int32 // indices whose length-(n-1) phrase is frequent
-}
+// sep follows every segment in the flat token copy. Word ids are
+// non-negative, so sep is never active and no candidate spans it.
+const sep = -1
+
+// site is an active index: a position in the flat token copy and the
+// id of the frequent phrase of the current length starting there.
+type site struct{ pos, id int32 }
 
 // Mine runs Algorithm 1 over the corpus.
 func Mine(c *corpus.Corpus, opt Options) *Result {
 	if opt.MinSupport < 1 {
 		opt.MinSupport = 1
 	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	eps := int64(opt.MinSupport)
-	res := &Result{
-		Counts:          counter.New(),
-		TotalTokens:     c.TotalTokens,
-		MinSupport:      opt.MinSupport,
-		LevelCandidates: []int{0}, // index 0 unused
-	}
 
-	// Level 1: count every unigram.
-	uni := counter.New()
-	var segs []*segState
+	// Level 1: copy every non-empty segment into one flat slice, each
+	// followed by sep (the first also preceded by one), and count
+	// unigrams in an array by word id.
+	size := 1
+	for _, d := range c.Docs {
+		size += d.Len() + len(d.Segments)
+	}
+	words := append(make([]int32, 0, size), sep)
 	for _, d := range c.Docs {
 		for i := range d.Segments {
-			w := d.Segments[i].Words()
-			if len(w) == 0 {
-				continue
-			}
-			segs = append(segs, &segState{words: w})
-			kb := make([]byte, 0, 4)
-			for i := range w {
-				kb = counter.AppendKey(kb, w, i, i+1)
-				uni.IncBytes(kb)
+			if w := d.Segments[i].Words(); len(w) > 0 {
+				words = append(append(words, w...), sep)
 			}
 		}
 	}
-	res.LevelCandidates = append(res.LevelCandidates, uni.Len())
-	uni.Prune(eps)
-	res.Counts.Merge(uni)
-	if uni.Len() > 0 {
-		res.MaxPhraseLen = 1
+	uni := make([]phrase, slices.Max(words)+1) // a unigram's id is its word id
+	for w := range uni {
+		uni[w].key = pair(0, int32(w))
 	}
-
-	// Compute level-2 active indices: positions with a frequent unigram.
-	prev := uni
-	for _, s := range segs {
-		kb := make([]byte, 0, 4)
-		for i := range s.words {
-			kb = counter.AppendKey(kb, s.words, i, i+1)
-			if prev.GetBytes(kb) >= eps {
-				s.active = append(s.active, int32(i))
+	distinct := 0
+	for _, w := range words {
+		if w != sep {
+			if uni[w].count == 0 {
+				distinct++
 			}
+			uni[w].count++
 		}
 	}
-	segs = compact(segs)
+	res := &Result{
+		TotalTokens:     c.TotalTokens,
+		MinSupport:      opt.MinSupport,
+		LevelCandidates: []int{0, distinct}, // index 0 unused
+	}
 
-	for n := 2; len(segs) > 0 && (opt.MaxLen == 0 || n <= opt.MaxLen); n++ {
-		level := countLevel(segs, n, opt.Workers)
-		res.LevelCandidates = append(res.LevelCandidates, level.Len())
-		level.Prune(eps)
-		if level.Len() > 0 {
+	// Level-2 active indices: positions holding a frequent unigram.
+	act := make([]site, 0, len(words))
+	for p, w := range words {
+		if w != sep && int(uni[w].count) >= opt.MinSupport {
+			act = append(act, site{int32(p), w})
+			res.MaxPhraseLen = 1
+		}
+	}
+
+	levels := [][]phrase{uni} // levels[n-1] holds the length-n phrases by id
+	for n := 2; paired(act, words) && (opt.MaxLen == 0 || n <= opt.MaxLen); n++ {
+		// A candidate starts at every active index whose successor is
+		// active too; it extends the prefix there by one word.
+		var t table
+		for k := 0; k+1 < len(act); k++ {
+			if a := act[k]; act[k+1].pos == a.pos+1 {
+				t.inc(pair(a.id, words[int(a.pos)+n-1]))
+			}
+		}
+		res.LevelCandidates = append(res.LevelCandidates, t.n)
+		level := t.prune(opt.MinSupport)
+		if len(level) > 0 {
 			res.MaxPhraseLen = n
 		}
-		res.Counts.Merge(level)
+		levels = append(levels, level)
 
-		// Recompute active indices for level n+1 using level-n counts,
-		// dropping out-of-bounds starts (the paper's removal of the max
-		// index) and exhausted segments (data-antimonotonicity).
-		updateActive(segs, level, n, eps, opt.Workers)
-		segs = compact(segs)
-		if level.Len() == 0 {
-			break // nothing frequent at this length: no longer ones exist
+		// An active index survives iff its candidate is frequent, and
+		// takes that candidate's id. act is compacted in place: act[k+1]
+		// is read before anything is written past k.
+		next := act[:0]
+		for k := 0; k+1 < len(act); k++ {
+			if a := act[k]; act[k+1].pos == a.pos+1 {
+				if id := t.get(pair(a.id, words[int(a.pos)+n-1])); id >= 0 {
+					next = append(next, site{a.pos, id})
+				}
+			}
 		}
+		act = next
 	}
+	res.Counts = ngrams(levels, opt.MinSupport)
 	return res
 }
 
-// countLevel counts all length-n candidates at active positions.
-func countLevel(segs []*segState, n, workers int) *counter.NGrams {
-	if workers <= 1 || len(segs) < 64 {
-		out := counter.New()
-		kb := make([]byte, 0, 4*n)
-		for _, s := range segs {
-			countSegment(out, s, n, &kb)
+// paired reports whether some segment holds two active indices —
+// Algorithm 1's condition for counting another level, met even when
+// no two of them are adjacent (the level then counts no candidates).
+// The scans cover disjoint stretches of words, so the check is linear.
+func paired(act []site, words []int32) bool {
+	for k := 0; k+1 < len(act); k++ {
+		if !slices.Contains(words[act[k].pos:act[k+1].pos], sep) {
+			return true
 		}
-		return out
 	}
-	locals := make([]*counter.NGrams, workers)
-	var wg sync.WaitGroup
-	chunk := (len(segs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(segs) {
-			hi = len(segs)
+	return false
+}
+
+// pair is a candidate's key: its prefix's id and its last word.
+func pair(prefix, word int32) uint64 { return uint64(prefix)<<32 | uint64(word) }
+
+// phrase is one phrase of a level: its pair key and its count.
+type phrase struct {
+	key   uint64
+	count int32
+}
+
+// table counts one level's candidate keys by open addressing with
+// linear probing at load ≤ ¾. A slot holds key+1, so 0 marks it empty.
+// While counting, vals holds each key's count; prune then replaces it
+// with the key's dense id, or -1 when the key is infrequent. The corpus
+// arena is int32-addressed, so no count overflows.
+type table struct {
+	keys  []uint64
+	vals  []int32
+	n     int
+	shift uint // 64 - log2(len(keys))
+}
+
+// slot returns the slot holding key+1, or the empty slot where it
+// belongs.
+func (t *table) slot(k uint64) int {
+	s := int((k * 0x9E3779B97F4A7C15) >> t.shift)
+	for t.keys[s] != k && t.keys[s] != 0 {
+		s = (s + 1) & (len(t.keys) - 1)
+	}
+	return s
+}
+
+func (t *table) inc(key uint64) {
+	if 4*t.n >= 3*len(t.keys) {
+		t.grow()
+	}
+	s := t.slot(key + 1)
+	if t.keys[s] == 0 {
+		t.keys[s] = key + 1
+		t.n++
+	}
+	t.vals[s]++
+}
+
+// grow doubles the table (to 1024 slots from empty) and reinserts
+// every key.
+func (t *table) grow() {
+	keys, vals := t.keys, t.vals
+	size := max(2*len(keys), 1<<10)
+	t.keys, t.vals = make([]uint64, size), make([]int32, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for i, k := range keys {
+		if k != 0 {
+			s := t.slot(k)
+			t.keys[s], t.vals[s] = k, vals[i]
 		}
-		if lo >= hi {
-			locals[w] = counter.New()
+	}
+}
+
+// get returns the id prune gave key, or -1 when it was infrequent.
+func (t *table) get(key uint64) int32 { return t.vals[t.slot(key+1)] }
+
+// prune gives every key counted at least min times the next dense id,
+// in slot order, and returns those keys with their counts by id.
+func (t *table) prune(min int) []phrase {
+	var out []phrase
+	for s, k := range t.keys {
+		if k == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			local := counter.New()
-			kb := make([]byte, 0, 4*n)
-			for _, s := range segs[lo:hi] {
-				countSegment(local, s, n, &kb)
-			}
-			locals[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := locals[0]
-	for _, l := range locals[1:] {
-		out.Merge(l)
+		if int(t.vals[s]) >= min {
+			out = append(out, phrase{k - 1, t.vals[s]})
+			t.vals[s] = int32(len(out) - 1)
+		} else {
+			t.vals[s] = -1
+		}
 	}
 	return out
 }
 
-// countSegment counts length-n candidates in one segment: position i
-// yields a candidate when i and i+1 are both active, i.e. both the
-// length-(n-1) prefix and suffix of the candidate are frequent
-// (Apriori) and the candidate cannot overflow the segment.
-func countSegment(out *counter.NGrams, s *segState, n int, kb *[]byte) {
-	act := s.active
-	for idx := 0; idx+1 < len(act); idx++ {
-		i := act[idx]
-		if act[idx+1] != i+1 {
-			continue
+// ngrams converts the phrases counted at least min times to the
+// string-keyed counter. Each level's keys lie back to back in one
+// string, in id order, every key rebuilt from its prefix's key in the
+// previous level's string and its last word.
+func ngrams(levels [][]phrase, min int) *counter.NGrams {
+	var keys []string
+	var counts []int64
+	prev := ""
+	for i, level := range levels {
+		l := 4 * i // the prefix's key length
+		b := make([]byte, 0, (l+4)*len(level))
+		for _, p := range level {
+			off := l * int(p.key>>32)
+			b = binary.BigEndian.AppendUint32(append(b, prev[off:off+l]...), uint32(p.key))
 		}
-		*kb = counter.AppendKey(*kb, s.words, int(i), int(i)+n)
-		out.IncBytes(*kb)
-	}
-}
-
-// updateActive recomputes per-segment active sets for level n+1: keep
-// index i when the length-n phrase at i is frequent and a length-(n+1)
-// phrase starting at i stays in bounds.
-func updateActive(segs []*segState, level *counter.NGrams, n int, eps int64, workers int) {
-	update := func(s *segState) {
-		kb := make([]byte, 0, 4*n)
-		next := s.active[:0]
-		for _, i := range s.active {
-			if int(i)+n > len(s.words) {
-				continue // length-n phrase itself would overflow
-			}
-			kb = counter.AppendKey(kb, s.words, int(i), int(i)+n)
-			if level.GetBytes(kb) >= eps {
-				next = append(next, i)
+		prev = string(b)
+		for id, p := range level {
+			if int(p.count) >= min {
+				keys, counts = append(keys, prev[(l+4)*id:(l+4)*(id+1)]), append(counts, int64(p.count))
 			}
 		}
-		s.active = next
 	}
-	if workers <= 1 || len(segs) < 64 {
-		for _, s := range segs {
-			update(s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(segs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(segs) {
-			hi = len(segs)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for _, s := range segs[lo:hi] {
-				update(s)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// compact drops segments whose active set is empty (or too small to
-// ever produce another candidate: a single active index cannot form a
-// pair). This is the data-antimonotonicity pruning of Algorithm 1.
-func compact(segs []*segState) []*segState {
-	out := segs[:0]
-	for _, s := range segs {
-		if len(s.active) >= 2 {
-			out = append(out, s)
-		}
-	}
-	return out
+	return counter.FromColumns(keys, counts)
 }

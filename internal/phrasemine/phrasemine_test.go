@@ -1,6 +1,9 @@
 package phrasemine
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -189,29 +192,6 @@ func TestMineMinSupportFloor(t *testing.T) {
 	}
 }
 
-func TestMineParallelMatchesSerial(t *testing.T) {
-	spec := synth.DBLPAbstracts()
-	c := synth.GenerateCorpus(spec, synth.Options{Docs: 150, Seed: 21}, corpus.DefaultBuildOptions())
-	serial := Mine(c, Options{MinSupport: 4, MaxLen: 6, Workers: 1})
-	parallel := Mine(c, Options{MinSupport: 4, MaxLen: 6, Workers: 4})
-	if serial.Counts.Len() != parallel.Counts.Len() {
-		t.Fatalf("entry counts differ: serial %d, parallel %d",
-			serial.Counts.Len(), parallel.Counts.Len())
-	}
-	mismatch := false
-	serial.Counts.Each(func(k string, v int64) {
-		if parallel.Counts.Get(k) != v {
-			mismatch = true
-		}
-	})
-	if mismatch {
-		t.Fatal("parallel counts diverge from serial")
-	}
-	if serial.MaxPhraseLen != parallel.MaxPhraseLen {
-		t.Fatal("MaxPhraseLen differs between serial and parallel")
-	}
-}
-
 func TestMineLevelCandidatesShrink(t *testing.T) {
 	spec := synth.TwentyConf()
 	c := synth.GenerateCorpus(spec, synth.Options{Docs: 300, Seed: 2}, corpus.DefaultBuildOptions())
@@ -264,4 +244,45 @@ func phraseIDs(c *corpus.Corpus, phrase string) ([]int32, bool) {
 		ids = append(ids, id)
 	}
 	return ids, true
+}
+
+// BenchmarkMine mines a corpus at a realistic vocabulary: 600k tokens
+// drawn Zipf(1.1) over V = 30 000 words, in segments of 1–8 words, ten
+// to a document. It reports ns and bytes allocated per token.
+func BenchmarkMine(b *testing.B) {
+	const V, tokens = 30000, 600000
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.1, 1, V-1)
+	raw := &corpus.Raw{Vocab: textproc.NewVocab(), TotalTokens: tokens}
+	for w := 0; w < V; w++ {
+		raw.Vocab.Intern(fmt.Sprintf("w%d", w), "")
+	}
+	for len(raw.Words) < tokens {
+		if len(raw.SegOffs)%10 == 0 {
+			raw.SegCounts = append(raw.SegCounts, 0)
+		}
+		raw.SegCounts[len(raw.SegCounts)-1]++
+		n := min(1+r.Intn(8), tokens-len(raw.Words))
+		raw.SegOffs = append(raw.SegOffs, int32(len(raw.Words)))
+		raw.SegLens = append(raw.SegLens, int32(n))
+		for ; n > 0; n-- {
+			raw.Words = append(raw.Words, int32(zipf.Uint64()))
+		}
+	}
+	c, err := corpus.FromRaw(raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Mine(c, DefaultOptions())
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	per := float64(b.N) * tokens
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/token")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/token")
 }

@@ -67,7 +67,7 @@ func TestAlphaSweepMonotone(t *testing.T) {
 		total := 0
 		for _, d := range c.Docs {
 			sd := seg.SegmentDocument(d)
-			total += sd.NumPhrases()
+			total += numPhrases(sd)
 		}
 		if prevPhrases > 0 && total < prevPhrases {
 			t.Fatalf("alpha %v produced fewer phrases (%d) than a smaller alpha (%d): merging should shrink with alpha",

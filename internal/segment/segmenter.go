@@ -44,15 +44,6 @@ type SegmentedDoc struct {
 	Spans [][]Span
 }
 
-// NumPhrases returns the total number of phrase instances (G_d).
-func (d *SegmentedDoc) NumPhrases() int {
-	n := 0
-	for _, s := range d.Spans {
-		n += len(s)
-	}
-	return n
-}
-
 // Segmenter partitions documents into phrases using mined counts.
 type Segmenter struct {
 	counts *counter.NGrams

@@ -53,7 +53,7 @@ func storedOrigins(c *corpus.Corpus, segs []*segment.SegmentedDoc) [][]origin {
 
 // segmentCorpus mines and segments c.
 func segmentCorpus(c *corpus.Corpus, minSupport int) []*segment.SegmentedDoc {
-	mined := phrasemine.Mine(c, phrasemine.Options{MinSupport: minSupport, MaxLen: 8, Workers: 1})
+	mined := phrasemine.Mine(c, phrasemine.Options{MinSupport: minSupport, MaxLen: 8})
 	return segment.NewSegmenter(mined, segment.Options{Alpha: 3, MaxPhraseLen: 8, Workers: 1}).SegmentCorpus(c)
 }
 

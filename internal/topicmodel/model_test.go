@@ -330,7 +330,11 @@ func TestDocsFromSegmentationAlignment(t *testing.T) {
 			t.Fatalf("doc %d token count mismatch: %d vs %d",
 				i, docs[i].NumTokens(), c.Docs[i].Len())
 		}
-		if docs[i].NumCliques() != segs[i].NumPhrases() {
+		phrases := 0
+		for _, s := range segs[i].Spans {
+			phrases += len(s)
+		}
+		if docs[i].NumCliques() != phrases {
 			t.Fatalf("doc %d clique count mismatch", i)
 		}
 	}

@@ -22,7 +22,7 @@ func synthPhraseDocs(t testing.TB, domain string, n int) ([]Doc, [][]int32, int)
 	c := synth.GenerateCorpus(synth.Domains()[domain](),
 		synth.Options{Docs: n, Seed: 7}, corpus.DefaultBuildOptions())
 	ho := corpus.SplitDocumentCompletion(c, 0.2, 1)
-	mined := phrasemine.Mine(ho.Train, phrasemine.Options{MinSupport: 5, MaxLen: 8, Workers: 1})
+	mined := phrasemine.Mine(ho.Train, phrasemine.Options{MinSupport: 5, MaxLen: 8})
 	segs := segment.NewSegmenter(mined, segment.Options{Alpha: 3, MaxPhraseLen: 8, Workers: 1}).
 		SegmentCorpus(ho.Train)
 	return DocsFromSegmentation(ho.Train, segs), ho.Test, ho.Train.Vocab.Size()
