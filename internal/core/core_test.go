@@ -76,14 +76,3 @@ func TestOnIterationObserved(t *testing.T) {
 		t.Fatalf("callback ran %d times, want 7", count)
 	}
 }
-
-func TestParallelWorkersMatchSerialMining(t *testing.T) {
-	c := testCorpus(t)
-	opt := testOptions()
-	serial := Mine(c, opt)
-	opt.Workers = 4
-	parallel := Mine(c, opt)
-	if serial.Counts.Len() != parallel.Counts.Len() {
-		t.Fatal("parallel mining diverges")
-	}
-}

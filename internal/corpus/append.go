@@ -36,18 +36,17 @@ func NewAppender(c *Corpus) (*Appender, error) {
 	a.ar = &tokenArena{keep: keep, prev: base}
 	if keep {
 		// The new arena's pool is cumulative: the base strings keep
-		// their ids (only the headers are copied; bytes are shared) and
-		// the intern index is rebuilt over them once, so appended
-		// tokens intern against the full pool exactly like a serial
-		// build over the concatenated input would.
+		// their ids (only the headers are copied) and the intern table
+		// is rebuilt over them once, so appended tokens intern against
+		// the full pool exactly like a serial build over the
+		// concatenated input would.
 		if base == nil || len(base.pool.strs) == 0 {
 			a.ar.pool.init()
 		} else {
 			strs := base.pool.strs
 			a.ar.pool.strs = append(make([]string, 0, len(strs)), strs...)
-			a.ar.pool.ids = make(map[string]uint32, len(strs))
-			for i, s := range strs {
-				a.ar.pool.ids[s] = uint32(i)
+			if err := a.ar.pool.reindex(); err != nil {
+				return nil, fmt.Errorf("corpus: NewAppender: %w", err)
 			}
 		}
 		a.poolBase = len(a.ar.pool.strs)

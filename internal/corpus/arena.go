@@ -1,5 +1,11 @@
 package corpus
 
+import (
+	"fmt"
+
+	"topmine/internal/strtab"
+)
+
 // The columnar corpus layout: instead of every Segment owning three
 // parallel slices (Words []int32, Surface []string, Gaps []string — 3
 // slice headers plus 2 string headers and a fresh string allocation per
@@ -16,37 +22,56 @@ package corpus
 // the backing slices are reallocated.
 
 // stringPool interns strings as dense uint32 ids. Id 0 is always the
-// empty string, letting absent gaps cost nothing to represent.
+// empty string, letting absent gaps cost nothing to represent. While
+// the pool is built, tab interns the strings into one arena and strs
+// holds views of it; a compacted or borrowed pool has strs alone.
 type stringPool struct {
-	ids  map[string]uint32
+	tab  strtab.Table
 	strs []string
 }
 
 func (p *stringPool) init() {
-	p.ids = map[string]uint32{"": 0}
+	p.tab.Add("")
 	p.strs = []string{""}
 }
 
 func (p *stringPool) intern(s string) uint32 {
-	if p.ids == nil {
-		panic("corpus: intern on a compacted string pool")
-	}
-	if id, ok := p.ids[s]; ok {
-		return id
-	}
-	id := uint32(len(p.strs))
-	p.ids[s] = id
-	p.strs = append(p.strs, s)
-	return id
+	p.checkIndexed()
+	return p.added(p.tab.Add(s))
 }
 
-// internBytes is intern for a scanner buffer: a string is allocated
-// only the first time the pool sees b.
+// internBytes is intern for a scanner buffer: the bytes are copied
+// only the first time the pool sees them.
 func (p *stringPool) internBytes(b []byte) uint32 {
-	if id, ok := p.ids[string(b)]; ok {
-		return id
+	p.checkIndexed()
+	return p.added(p.tab.AddBytes(b))
+}
+
+func (p *stringPool) checkIndexed() {
+	if p.tab.Len() == 0 {
+		panic("corpus: intern on a compacted string pool")
 	}
-	return p.intern(string(b))
+}
+
+// added records a string the table has just interned.
+func (p *stringPool) added(id int32, isNew bool) uint32 {
+	if isNew {
+		p.strs = append(p.strs, p.tab.Key(id))
+	}
+	return uint32(id)
+}
+
+// reindex rebuilds the intern table over strs, a compacted or borrowed
+// pool, so that interning can continue where it left off. It fails if
+// strs repeats a string: ids would no longer be the pool's.
+func (p *stringPool) reindex() error {
+	p.tab = strtab.Table{}
+	for i, s := range p.strs {
+		if _, added := p.tab.Add(s); !added {
+			return fmt.Errorf("string pool entry %d repeats an earlier one", i)
+		}
+	}
+	return nil
 }
 
 // tokenArena is the flat token store shared by every Segment of one
@@ -80,7 +105,7 @@ func newArena(keepSurface bool) *tokenArena {
 	ar := &tokenArena{keep: keepSurface}
 	if keepSurface {
 		// Without surfaces nothing is ever interned (push skips the
-		// side tables), so skip the map allocation.
+		// side tables), so skip the table allocation.
 		ar.pool.init()
 	}
 	return ar

@@ -3,6 +3,8 @@ package corpus
 import (
 	"runtime"
 	"sync"
+
+	"topmine/internal/strtab"
 )
 
 // chunkDocs is how many documents one worker chunk holds. Chunk
@@ -188,12 +190,12 @@ func (b *Builder) compact() {
 		b.ar.gaps = append(make([]uint32, 0, len(b.ar.gaps)), b.ar.gaps...)
 		b.ar.pool.strs = append(make([]string, 0, len(b.ar.pool.strs)), b.ar.pool.strs...)
 	}
-	// The intern index is only needed while building; reads go through
-	// pool.strs. Dropping it here frees ~50+ bytes per distinct
-	// surface/gap string for the corpus's whole lifetime. Adding to
-	// this builder afterwards would repopulate a fresh index with
-	// colliding ids, which is why compact is finalisation-only.
-	b.ar.pool.ids = nil
+	// The intern table's index is only needed while building; reads go
+	// through pool.strs, whose strings keep the table's arena alive.
+	// Dropping the table here frees its end offsets and slots for the
+	// corpus's whole lifetime. Interning into this builder afterwards
+	// panics, which is why compact is finalisation-only.
+	b.ar.pool.tab = strtab.Table{}
 	totalSegs := 0
 	for _, d := range b.docs {
 		totalSegs += len(d.Segments)

@@ -7,6 +7,7 @@ import (
 	"topmine/internal/counter"
 	"topmine/internal/minhash"
 	"topmine/internal/phrasemine"
+	"topmine/internal/strtab"
 	"topmine/internal/textproc"
 )
 
@@ -118,11 +119,10 @@ func mergeRaws(raws []*corpus.Raw) (*corpus.Raw, [][]int32) {
 		Vocab:       vocab,
 		BuildOpts:   raws[0].BuildOpts,
 	}
-	var poolIDs map[string]uint32
+	var pool strtab.Table // merged.Pool's intern index
 	if keep {
 		merged.Surface = make([]uint32, 0, nTok)
 		merged.Gaps = make([]uint32, 0, nTok)
-		poolIDs = make(map[string]uint32)
 	}
 	for i, raw := range raws {
 		remap := remaps[i]
@@ -135,13 +135,11 @@ func mergeRaws(raws []*corpus.Raw) (*corpus.Raw, [][]int32) {
 			// what a serial build over the concatenated input interns.
 			poolRemap := make([]uint32, len(raw.Pool))
 			for pid, s := range raw.Pool {
-				gid, ok := poolIDs[s]
-				if !ok {
-					gid = uint32(len(merged.Pool))
-					poolIDs[s] = gid
+				gid, added := pool.Add(s)
+				if added {
 					merged.Pool = append(merged.Pool, s)
 				}
-				poolRemap[pid] = gid
+				poolRemap[pid] = uint32(gid)
 			}
 			for _, v := range raw.Surface {
 				merged.Surface = append(merged.Surface, poolRemap[v])
@@ -208,12 +206,7 @@ func mergeArtifacts(files []*File, srcs []string, remaps [][]int32, stats *Merge
 	// With min_support 1 nothing was pruned, so the level-candidate
 	// diagnostics of a from-scratch mine over the union are exactly
 	// the distinct phrase counts per length.
-	maxLen := 0
-	counts.Each(func(key string, _ int64) {
-		if l := counter.KeyLen(key); l > maxLen {
-			maxLen = l
-		}
-	})
+	maxLen := counts.MaxLen()
 	levels := make([]int, maxLen+1)
 	counts.Each(func(key string, _ int64) {
 		levels[counter.KeyLen(key)]++

@@ -5,15 +5,16 @@
 //
 // Keys are contiguous word-id sequences packed 4 bytes big-endian per
 // id into a Go string: collision-free, order-preserving within one
-// length class, and cheap to build. The counter stores *int64 values
-// so that increments of existing keys go through the (allocation-free)
-// m[string(buf)] read path and bump through the pointer; only the
-// first occurrence of a candidate allocates its key.
+// length class, and cheap to build. Lookups and increments of existing
+// keys take the key as bytes and do not allocate; a new key is copied
+// once, into the counter's arena.
 package counter
 
 import (
 	"encoding/binary"
 	"sort"
+
+	"topmine/internal/strtab"
 )
 
 // Key packs the word ids into a map key.
@@ -51,13 +52,15 @@ func Unkey(key string) []int32 {
 // KeyLen returns the number of words encoded in key.
 func KeyLen(key string) int { return len(key) / 4 }
 
-// NGrams counts phrase occurrences.
+// NGrams counts phrase occurrences: the keys sit in one flat interning
+// table (internal/strtab) and the counts in one slice indexed by key id.
 type NGrams struct {
-	m map[string]*int64
+	keys   strtab.Table
+	counts []int64
 }
 
 // New returns an empty counter.
-func New() *NGrams { return &NGrams{m: make(map[string]*int64)} }
+func New() *NGrams { return &NGrams{} }
 
 // Inc adds one occurrence of key.
 func (c *NGrams) Inc(key string) { c.Add(key, 1) }
@@ -65,28 +68,26 @@ func (c *NGrams) Inc(key string) { c.Add(key, 1) }
 // IncBytes adds one occurrence of the packed key held in buf. The
 // lookup does not allocate; only first occurrences copy the key.
 func (c *NGrams) IncBytes(buf []byte) {
-	if p, ok := c.m[string(buf)]; ok {
-		*p++
-		return
+	id, added := c.keys.AddBytes(buf)
+	if added {
+		c.counts = append(c.counts, 0)
 	}
-	v := int64(1)
-	c.m[string(buf)] = &v
+	c.counts[id]++
 }
 
 // Add adds delta occurrences of key.
 func (c *NGrams) Add(key string, delta int64) {
-	if p, ok := c.m[key]; ok {
-		*p += delta
-		return
+	id, added := c.keys.Add(key)
+	if added {
+		c.counts = append(c.counts, 0)
 	}
-	v := delta
-	c.m[key] = &v
+	c.counts[id] += delta
 }
 
 // Get returns the count for key (0 when absent).
 func (c *NGrams) Get(key string) int64 {
-	if p, ok := c.m[key]; ok {
-		return *p
+	if id, ok := c.keys.Find(key); ok {
+		return c.counts[id]
 	}
 	return 0
 }
@@ -94,32 +95,44 @@ func (c *NGrams) Get(key string) int64 {
 // GetBytes looks up a packed key held in a byte buffer without
 // allocating.
 func (c *NGrams) GetBytes(key []byte) int64 {
-	if p, ok := c.m[string(key)]; ok {
-		return *p
+	if id, ok := c.keys.FindBytes(key); ok {
+		return c.counts[id]
 	}
 	return 0
 }
 
 // Len returns the number of distinct keys.
-func (c *NGrams) Len() int { return len(c.m) }
+func (c *NGrams) Len() int { return c.keys.Len() }
+
+// MaxLen returns the number of words in the longest key, 0 when empty.
+func (c *NGrams) MaxLen() int {
+	longest := 0
+	for id := range c.keys.Len() {
+		longest = max(longest, c.keys.KeyLen(int32(id)))
+	}
+	return longest / 4
+}
 
 // Prune removes every entry with count < min and returns the number
-// removed.
+// removed. The kept keys keep their relative order in a new table.
 func (c *NGrams) Prune(min int64) int {
-	removed := 0
-	for k, v := range c.m {
-		if *v < min {
-			delete(c.m, k)
-			removed++
+	kept := New()
+	c.Each(func(key string, n int64) {
+		if n >= min {
+			kept.Add(key, n)
 		}
-	}
+	})
+	removed := c.Len() - kept.Len()
+	*c = *kept
 	return removed
 }
 
-// Each calls f for every (key, count) pair in unspecified order.
+// Each calls f for every (key, count) pair in key id order: the order
+// keys were first added, or the stored order for a decoded counter.
+// The keys alias the counter's arena and stay valid after it changes.
 func (c *NGrams) Each(f func(key string, count int64)) {
-	for k, v := range c.m {
-		f(k, *v)
+	for id, n := range c.counts {
+		f(c.keys.Key(int32(id)), n)
 	}
 }
 
@@ -136,12 +149,12 @@ func (c *NGrams) Entries(minWords int) []Entry {
 		k string
 		v int64
 	}
-	tmp := make([]kv, 0, len(c.m))
-	for k, v := range c.m {
+	tmp := make([]kv, 0, c.Len())
+	c.Each(func(k string, v int64) {
 		if KeyLen(k) >= minWords {
-			tmp = append(tmp, kv{k, *v})
+			tmp = append(tmp, kv{k, v})
 		}
-	}
+	})
 	sort.Slice(tmp, func(i, j int) bool {
 		if tmp[i].v != tmp[j].v {
 			return tmp[i].v > tmp[j].v

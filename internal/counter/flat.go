@@ -1,35 +1,44 @@
 package counter
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"topmine/internal/secfile"
+	"topmine/internal/strtab"
 )
 
-// FromColumns builds a counter over decoded columns — the one
-// constructor behind both the gob and the flat decoder: key i maps to
-// a pointer into counts, so the values live in one arena instead of
-// one heap int64 per key.
-func FromColumns(keys []string, counts []int64) *NGrams {
-	c := &NGrams{m: make(map[string]*int64, len(keys))}
-	for i, k := range keys {
-		c.m[k] = &counts[i]
-	}
-	return c
+// FromColumns builds a counter over keys laid out back to back in
+// arena, key i ending at ends[i], with counts[i] occurrences. It adopts
+// all three slices. The keys must be pairwise distinct — Algorithm 1's
+// phrase ids and the flat decoder's ascending check guarantee it — so
+// they are indexed without being compared.
+func FromColumns(arena []byte, ends []uint32, counts []int64) *NGrams {
+	return fromTable(strtab.BuildDistinct(arena, ends), counts)
 }
 
-// sortedKeys returns the counter's keys in ascending byte order, the
-// order both wire forms use so identical counters encode identically.
-func (c *NGrams) sortedKeys() []string {
-	keys := make([]string, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
+// fromTable pairs a key table with its counts; an empty counter holds
+// nil counts, as New's does.
+func fromTable(keys strtab.Table, counts []int64) *NGrams {
+	if len(counts) == 0 {
+		counts = nil
 	}
-	sort.Strings(keys)
-	return keys
+	return &NGrams{keys: keys, counts: counts}
+}
+
+// sortedIDs returns the counter's key ids in ascending key byte order,
+// the order both wire forms use so identical counters encode
+// identically.
+func (c *NGrams) sortedIDs() []int32 {
+	ids := make([]int32, c.Len())
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return strings.Compare(c.keys.Key(a), c.keys.Key(b)) })
+	return ids
 }
 
 // AppendFlat appends the counter's flat section encoding to dst:
@@ -38,38 +47,42 @@ func (c *NGrams) sortedKeys() []string {
 //	ascending key order: uvarint words, each word id as a uvarint,
 //	uvarint count.
 func (c *NGrams) AppendFlat(dst []byte) []byte {
-	keys := c.sortedKeys()
+	ids := c.sortedIDs()
 	words := 0
-	for _, k := range keys {
-		words += KeyLen(k)
+	for _, id := range ids {
+		words += c.keys.KeyLen(id) / 4
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	dst = binary.AppendUvarint(dst, uint64(words))
-	for _, k := range keys {
+	for _, id := range ids {
+		k := c.keys.Key(id)
 		dst = binary.AppendUvarint(dst, uint64(KeyLen(k)))
 		for i := 0; i < len(k); i += 4 {
 			dst = binary.AppendUvarint(dst, uint64(binary.BigEndian.Uint32([]byte(k[i:i+4]))))
 		}
-		dst = binary.AppendUvarint(dst, uint64(*c.m[k]))
+		dst = binary.AppendUvarint(dst, uint64(c.counts[id]))
 	}
 	return dst
 }
 
-// DecodeFlat decodes a section written by AppendFlat in one pass: all
-// keys are substrings of one string and all counts live in one arena.
-// Keys must be non-empty, strictly ascending and hold word ids below
-// vocabSize, and counts must be positive. Every count and length is
-// checked against the bytes left, so no input allocates more than a
-// small multiple of len(b).
+// DecodeFlat decodes a section written by AppendFlat in one pass,
+// straight into the counter's key arena and count slice. Keys must be
+// non-empty, strictly ascending and hold word ids below vocabSize, and
+// counts must be positive. Every count and length is checked against
+// the bytes left, so no input allocates more than a small multiple of
+// len(b).
 func DecodeFlat(b []byte, vocabSize int) (*NGrams, error) {
 	r := secfile.NewReader(b)
 	n := r.Count(3)     // a key is at least its length, one id and its count
 	words := r.Count(1) // an id is at least one byte
-	var arena strings.Builder
-	arena.Grow(4 * words)
-	ends := make([]int, n)
+	if 4*uint64(words) > strtab.MaxBytes {
+		r.Fail("%d words exceed a key table's %d bytes", words, strtab.MaxBytes)
+		n, words = 0, 0
+	}
+	arena := make([]byte, 0, 4*words)
+	ends := make([]uint32, n)
 	counts := make([]int64, n)
-	var id [4]byte
+	prev, start := 0, 0 // key i-1 is arena[prev:start]
 	for i := range ends {
 		nw := r.Count(1)
 		if nw == 0 || nw > words {
@@ -82,10 +95,14 @@ func DecodeFlat(b []byte, vocabSize int) (*NGrams, error) {
 			if w >= uint64(vocabSize) {
 				r.Fail("key %d holds word id %d, vocabulary size is %d", i, w, vocabSize)
 			}
-			binary.BigEndian.PutUint32(id[:], uint32(w))
-			arena.Write(id[:])
+			arena = binary.BigEndian.AppendUint32(arena, uint32(w))
 		}
-		ends[i] = arena.Len()
+		if i > 0 && bytes.Compare(arena[start:], arena[prev:start]) <= 0 {
+			r.Fail("key %d is not above key %d", i, i-1)
+			break
+		}
+		ends[i] = uint32(len(arena))
+		prev, start = start, len(arena)
 		counts[i] = int64(r.Uvarint())
 		if counts[i] < 1 {
 			r.Fail("key %d has count %d", i, counts[i])
@@ -97,15 +114,5 @@ func DecodeFlat(b []byte, vocabSize int) (*NGrams, error) {
 	if words != 0 {
 		return nil, fmt.Errorf("counter: decoding phrase counts: %d words fewer than the header claims", words)
 	}
-	s := arena.String()
-	keys := make([]string, n)
-	start := 0
-	for i, end := range ends {
-		keys[i] = s[start:end]
-		if i > 0 && keys[i] <= keys[i-1] {
-			return nil, fmt.Errorf("counter: decoding phrase counts: key %d is not above key %d", i, i-1)
-		}
-		start = end
-	}
-	return FromColumns(keys, counts), nil
+	return FromColumns(arena, ends, counts), nil
 }

@@ -3,6 +3,7 @@ package counter
 import (
 	"bytes"
 	"encoding/gob"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -68,6 +69,33 @@ func TestNGramsFlatRejectsBadInput(t *testing.T) {
 	} {
 		if _, err := DecodeFlat(b, 70001); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// BenchmarkDecodeFlat decodes a phrase-count section at the scale of
+// the benchmark's abstracts-prep model: 96 000 keys of 1 to 7 word ids
+// over a 50 000-stem vocabulary.
+func BenchmarkDecodeFlat(b *testing.B) {
+	const vocab = 50000
+	r := rand.New(rand.NewPCG(1, 2))
+	c := New()
+	for w := int32(0); w < 40000; w++ {
+		c.Add(Key([]int32{w}), 1+r.Int64N(1000))
+	}
+	for c.Len() < 96000 {
+		words := make([]int32, 2+r.IntN(6))
+		for i := range words {
+			words[i] = r.Int32N(vocab)
+		}
+		c.Add(Key(words), 1+r.Int64N(100))
+	}
+	section := c.AppendFlat(nil)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(section)))
+	for b.Loop() {
+		if _, err := DecodeFlat(section, vocab); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"topmine/internal/secfile"
+	"topmine/internal/strtab"
 )
 
 // ngramsWire is the gob wire form of an NGrams counter: parallel key
@@ -19,9 +20,10 @@ type ngramsWire struct {
 // GobEncode serialises the counter so mined phrase statistics can be
 // persisted in pipeline snapshots.
 func (c *NGrams) GobEncode() ([]byte, error) {
-	w := ngramsWire{Keys: c.sortedKeys(), Counts: make([]int64, 0, len(c.m))}
-	for _, k := range w.Keys {
-		w.Counts = append(w.Counts, *c.m[k])
+	ids := c.sortedIDs()
+	w := ngramsWire{Keys: make([]string, len(ids)), Counts: make([]int64, len(ids))}
+	for i, id := range ids {
+		w.Keys[i], w.Counts[i] = c.keys.Key(id), c.counts[id]
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -30,9 +32,8 @@ func (c *NGrams) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode restores a counter serialised by GobEncode through the
-// flat decoder's constructor (FromColumns): the counts stay in the one
-// decoded slice the map points into.
+// GobDecode restores a counter serialised by GobEncode: the keys are
+// copied into one arena in wire order and the counts slice is adopted.
 func (c *NGrams) GobDecode(data []byte) error {
 	var w ngramsWire
 	if err := secfile.GobDecode(data, &w); err != nil {
@@ -41,6 +42,23 @@ func (c *NGrams) GobDecode(data []byte) error {
 	if len(w.Keys) != len(w.Counts) {
 		return fmt.Errorf("counter: decoding ngrams: %d keys but %d counts", len(w.Keys), len(w.Counts))
 	}
-	*c = *FromColumns(w.Keys, w.Counts)
+	size := 0
+	for _, k := range w.Keys {
+		size += len(k)
+	}
+	if uint64(size) > strtab.MaxBytes {
+		return fmt.Errorf("counter: decoding ngrams: %d key bytes exceed a key table's %d", size, strtab.MaxBytes)
+	}
+	arena := make([]byte, 0, size)
+	ends := make([]uint32, len(w.Keys))
+	for i, k := range w.Keys {
+		arena = append(arena, k...)
+		ends[i] = uint32(len(arena))
+	}
+	keys, dup := strtab.Build(arena, ends)
+	if dup >= 0 {
+		return fmt.Errorf("counter: decoding ngrams: key %d repeats an earlier key", dup)
+	}
+	*c = *fromTable(keys, w.Counts)
 	return nil
 }

@@ -243,25 +243,34 @@ func (t *table) prune(min int) []phrase {
 
 // ngrams converts the phrases counted at least min times to the
 // string-keyed counter. Each level's keys lie back to back in one
-// string, in id order, every key rebuilt from its prefix's key in the
-// previous level's string and its last word.
+// buffer, in id order, every key rebuilt from its prefix's key in the
+// previous level's buffer and its last word; the kept keys are copied
+// into the counter's arena, level by level.
 func ngrams(levels [][]phrase, min int) *counter.NGrams {
-	var keys []string
-	var counts []int64
-	prev := ""
+	size, n := 0, 0
+	for i, level := range levels {
+		for _, p := range level {
+			if int(p.count) >= min {
+				size, n = size+4*(i+1), n+1
+			}
+		}
+	}
+	arena := make([]byte, 0, size)
+	ends := make([]uint32, 0, n)
+	counts := make([]int64, 0, n)
+	var prev []byte
 	for i, level := range levels {
 		l := 4 * i // the prefix's key length
 		b := make([]byte, 0, (l+4)*len(level))
 		for _, p := range level {
 			off := l * int(p.key>>32)
 			b = binary.BigEndian.AppendUint32(append(b, prev[off:off+l]...), uint32(p.key))
-		}
-		prev = string(b)
-		for id, p := range level {
 			if int(p.count) >= min {
-				keys, counts = append(keys, prev[(l+4)*id:(l+4)*(id+1)]), append(counts, int64(p.count))
+				arena = append(arena, b[len(b)-l-4:]...)
+				ends, counts = append(ends, uint32(len(arena))), append(counts, int64(p.count))
 			}
 		}
+		prev = b
 	}
-	return counter.FromColumns(keys, counts)
+	return counter.FromColumns(arena, ends, counts)
 }

@@ -2,6 +2,8 @@ package textproc
 
 import (
 	"fmt"
+
+	"topmine/internal/strtab"
 )
 
 // Vocab interns stemmed word forms as dense int32 ids and remembers,
@@ -9,11 +11,13 @@ import (
 // phrases can be displayed un-stemmed ("mine" -> "mining") as the paper
 // does for its visualisations (§7.1).
 //
+// The stems are interned in one flat table (internal/strtab): their
+// bytes back to back, ids dense in first-occurrence order.
+//
 // Vocab is not safe for concurrent mutation; build it single-threaded
 // (or per-shard and merge) and then share it read-only.
 type Vocab struct {
-	byWord  map[string]int32
-	words   []string        // id -> stem
+	stems   strtab.Table    // id <-> stem
 	counts  []int64         // id -> total corpus frequency
 	surface [][]surfaceVote // id -> surface-form tallies
 }
@@ -28,21 +32,22 @@ type surfaceVote struct {
 }
 
 // NewVocab returns an empty vocabulary.
-func NewVocab() *Vocab {
-	return &Vocab{byWord: make(map[string]int32)}
+func NewVocab() *Vocab { return &Vocab{} }
+
+// add returns stem's id, interning it with no occurrences if absent.
+func (v *Vocab) add(stem string) int32 {
+	id, added := v.stems.Add(stem)
+	if added {
+		v.counts = append(v.counts, 0)
+		v.surface = append(v.surface, nil)
+	}
+	return id
 }
 
 // Intern returns the id for stem, adding it if absent, and records one
 // occurrence with the given surface form.
 func (v *Vocab) Intern(stem, surfaceForm string) int32 {
-	id, ok := v.byWord[stem]
-	if !ok {
-		id = int32(len(v.words))
-		v.byWord[stem] = id
-		v.words = append(v.words, stem)
-		v.counts = append(v.counts, 0)
-		v.surface = append(v.surface, nil)
-	}
+	id := v.add(stem)
 	v.counts[id]++
 	votes := v.surface[id]
 	for i := range votes {
@@ -69,16 +74,9 @@ func (v *Vocab) Intern(stem, surfaceForm string) int32 {
 // assignment = source order), and corpus append is its degenerate case
 // (interning straight into the shared vocabulary, remap = identity).
 func (v *Vocab) MergeInto(dst *Vocab) []int32 {
-	remap := make([]int32, len(v.words))
-	for lid, stem := range v.words {
-		gid, ok := dst.byWord[stem]
-		if !ok {
-			gid = int32(len(dst.words))
-			dst.byWord[stem] = gid
-			dst.words = append(dst.words, stem)
-			dst.counts = append(dst.counts, 0)
-			dst.surface = append(dst.surface, nil)
-		}
+	remap := make([]int32, v.Size())
+	for lid := range remap {
+		gid := dst.add(v.Word(int32(lid)))
 		dst.counts[gid] += v.counts[lid]
 		for _, sv := range v.surface[lid] {
 			votes := dst.surface[gid]
@@ -106,11 +104,11 @@ func (v *Vocab) MergeInto(dst *Vocab) []int32 {
 // resuming a snapshot on a grown corpus. Counts and surface tallies
 // are not compared; they legitimately grow with the corpus.
 func (v *Vocab) IsPrefixOf(w *Vocab) bool {
-	if len(v.words) > len(w.words) {
+	if v.Size() > w.Size() {
 		return false
 	}
-	for i, stem := range v.words {
-		if w.words[i] != stem {
+	for id := range int32(v.Size()) {
+		if w.Word(id) != v.Word(id) {
 			return false
 		}
 	}
@@ -118,10 +116,7 @@ func (v *Vocab) IsPrefixOf(w *Vocab) bool {
 }
 
 // ID returns the id for stem and whether it is present.
-func (v *Vocab) ID(stem string) (int32, bool) {
-	id, ok := v.byWord[stem]
-	return id, ok
-}
+func (v *Vocab) ID(stem string) (int32, bool) { return v.stems.Find(stem) }
 
 // Resolve returns the id of a lowercased surface form, and whether it
 // has one, stemming it first when stem is set. A form that is itself a
@@ -131,7 +126,7 @@ func (v *Vocab) ID(stem string) (int32, bool) {
 // the stemmer. Any other form is stemmed into *buf, which the caller
 // reuses across calls, and probed again.
 func (v *Vocab) Resolve(surface []byte, stem bool, buf *[]byte) (int32, bool) {
-	id, ok := v.byWord[string(surface)]
+	id, ok := v.stems.FindBytes(surface)
 	if !stem {
 		return id, ok
 	}
@@ -143,18 +138,18 @@ func (v *Vocab) Resolve(surface []byte, stem bool, buf *[]byte) (int32, bool) {
 		}
 	}
 	*buf = appendStem((*buf)[:0], surface)
-	id, ok = v.byWord[string(*buf)]
-	return id, ok
+	return v.stems.FindBytes(*buf)
 }
 
-// Word returns the stem for id. It panics on out-of-range ids.
-func (v *Vocab) Word(id int32) string { return v.words[id] }
+// Word returns the stem for id. It panics on out-of-range ids. The
+// string aliases the vocabulary's stem arena.
+func (v *Vocab) Word(id int32) string { return v.stems.Key(id) }
 
 // Count returns the corpus frequency recorded for id.
 func (v *Vocab) Count(id int32) int64 { return v.counts[id] }
 
 // Size returns the number of distinct stems.
-func (v *Vocab) Size() int { return len(v.words) }
+func (v *Vocab) Size() int { return v.stems.Len() }
 
 // Unstem returns the most frequent surface form recorded for id,
 // falling back to the stem itself. Ties break lexicographically so the
@@ -177,5 +172,5 @@ func (v *Vocab) Unstem(id int32) string {
 
 // String summarises the vocabulary for debugging.
 func (v *Vocab) String() string {
-	return fmt.Sprintf("Vocab(%d stems)", len(v.words))
+	return fmt.Sprintf("Vocab(%d stems)", v.Size())
 }

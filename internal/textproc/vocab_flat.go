@@ -7,30 +7,39 @@ import (
 	"strings"
 
 	"topmine/internal/secfile"
+	"topmine/internal/strtab"
 )
 
 // vocabFromColumns builds a Vocab over decoded columns — the one
-// constructor behind both the gob and the flat decoder. words and
-// counts are adopted; stem id's surface votes are votes[ends[id-1]:
-// ends[id]], all in one arena, each row capped at its length so that
-// Intern and MergeInto reallocate a row they grow instead of
-// overwriting the next stem's votes. A stem without votes gets a nil
-// row, as a freshly interned stem has.
-func vocabFromColumns(words []string, counts []int64, votes []surfaceVote, ends []int32) (*Vocab, error) {
-	v := &Vocab{
-		byWord:  make(map[string]int32, len(words)),
-		words:   words,
-		counts:  counts,
-		surface: make([][]surfaceVote, len(words)),
+// constructor behind both the gob and the flat decoder. Stem id is
+// arena[stemEnds[id-1]:stemEnds[id]]; the arena, stemEnds and counts
+// are adopted, and building the stem table rejects a repeated stem.
+// Stem id's surface votes are votes[voteEnds[id-1]:voteEnds[id]], all
+// in one arena, each row capped at its length so that Intern and
+// MergeInto reallocate a row they grow instead of overwriting the next
+// stem's votes. A stem without votes gets a nil row, as a freshly
+// interned stem has.
+func vocabFromColumns(arena []byte, stemEnds []uint32, counts []int64, votes []surfaceVote, voteEnds []int32) (*Vocab, error) {
+	if uint64(len(arena)) > strtab.MaxBytes {
+		return nil, fmt.Errorf("%d stem bytes exceed a stem table's %d", len(arena), strtab.MaxBytes)
 	}
-	for id, stem := range words {
-		if _, dup := v.byWord[stem]; dup {
-			return nil, fmt.Errorf("stem %q appears twice", stem)
+	stems, dup := strtab.Build(arena, stemEnds)
+	if dup >= 0 {
+		start := 0
+		if dup > 0 {
+			start = int(stemEnds[dup-1])
 		}
-		v.byWord[stem] = int32(id)
+		return nil, fmt.Errorf("stem %q appears twice", arena[start:stemEnds[dup]])
+	}
+	if len(counts) == 0 {
+		counts = nil
+	}
+	v := &Vocab{stems: stems, counts: counts}
+	if len(voteEnds) > 0 {
+		v.surface = make([][]surfaceVote, len(voteEnds))
 	}
 	start := int32(0)
-	for id, end := range ends {
+	for id, end := range voteEnds {
 		if end > start {
 			v.surface[id] = votes[start:end:end]
 		}
@@ -52,10 +61,11 @@ func (v *Vocab) AppendFlat(dst []byte) []byte {
 	for _, votes := range v.surface {
 		total += len(votes)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(v.words)))
+	dst = binary.AppendUvarint(dst, uint64(v.Size()))
 	dst = binary.AppendUvarint(dst, uint64(total))
 	var sorted []surfaceVote
-	for id, stem := range v.words {
+	for id := range v.Size() {
+		stem := v.Word(int32(id))
 		dst = binary.AppendUvarint(dst, uint64(len(stem)))
 		dst = append(dst, stem...)
 		dst = binary.AppendUvarint(dst, uint64(v.counts[id]))
@@ -76,10 +86,11 @@ func (v *Vocab) AppendFlat(dst []byte) []byte {
 }
 
 // DecodeFlatVocab decodes a section written by AppendFlat in one pass:
-// every stem and form is a substring of one string copied from b, and
-// the votes live in one arena. Every count and length is checked
-// against the bytes left, so no input allocates more than a small
-// multiple of len(b).
+// the stems are copied back to back into the stem table's arena, every
+// surface form is a substring of one string copied from b, and the
+// votes live in one arena. Every count and length is checked against
+// the bytes left, so no input allocates more than a small multiple of
+// len(b).
 func DecodeFlatVocab(b []byte) (*Vocab, error) {
 	s := string(b)
 	r := secfile.NewReader(b)
@@ -92,14 +103,17 @@ func DecodeFlatVocab(b []byte) (*Vocab, error) {
 	}
 	nw := r.Count(3)    // a stem is at least its length, count and vote count
 	total := r.Count(2) // a vote is at least its tag and tally
-	words := make([]string, nw)
+	// The stem bytes fit in what the headers' minimum sizes leave.
+	arena := make([]byte, 0, max(0, len(b)-r.Offset()-3*nw-2*total))
+	stemEnds := make([]uint32, nw)
 	counts := make([]int64, nw)
 	votes := make([]surfaceVote, total)
 	ends := make([]int32, nw)
 	used := 0
-	for id := range words {
+	for id := range stemEnds {
 		stem := str(r.Count(1))
-		words[id] = stem
+		arena = append(arena, stem...)
+		stemEnds[id] = uint32(len(arena))
 		counts[id] = int64(r.Uvarint())
 		nv := r.Count(2)
 		if nv > total-used {
@@ -122,7 +136,7 @@ func DecodeFlatVocab(b []byte) (*Vocab, error) {
 	if used != total {
 		return nil, fmt.Errorf("textproc: decoding vocabulary: %d votes, header claims %d", used, total)
 	}
-	v, err := vocabFromColumns(words, counts, votes, ends)
+	v, err := vocabFromColumns(arena, stemEnds, counts, votes, ends)
 	if err != nil {
 		return nil, fmt.Errorf("textproc: decoding vocabulary: %w", err)
 	}

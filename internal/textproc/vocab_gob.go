@@ -9,7 +9,7 @@ import (
 	"topmine/internal/secfile"
 )
 
-// vocabWire is the gob wire form of a Vocab. The byWord index is not
+// vocabWire is the gob wire form of a Vocab. The stem index is not
 // transmitted (it is rebuilt on decode from the word list), and each
 // stem's surface-form votes are flattened to parallel slices sorted by
 // form — gob encodes maps in random iteration order, and a sorted wire
@@ -25,8 +25,12 @@ type vocabWire struct {
 // votes) so corpora and pipeline snapshots can be persisted. Identical
 // vocabularies encode to identical bytes.
 func (v *Vocab) GobEncode() ([]byte, error) {
+	words := make([]string, v.Size())
+	for id := range words {
+		words[id] = v.Word(int32(id))
+	}
 	w := vocabWire{
-		Words:         v.words,
+		Words:         words,
 		Counts:        v.counts,
 		SurfaceForms:  make([][]string, len(v.surface)),
 		SurfaceCounts: make([][]int, len(v.surface)),
@@ -55,8 +59,8 @@ func (v *Vocab) GobEncode() ([]byte, error) {
 }
 
 // GobDecode restores a vocabulary serialised by GobEncode through the
-// flat decoder's constructor (vocabFromColumns): the stem-to-id index
-// is rebuilt and the surface votes land in one arena.
+// flat decoder's constructor (vocabFromColumns): the stems are copied
+// into one arena and indexed, and the surface votes land in one arena.
 func (v *Vocab) GobDecode(data []byte) error {
 	var w vocabWire
 	if err := secfile.GobDecode(data, &w); err != nil {
@@ -66,6 +70,12 @@ func (v *Vocab) GobDecode(data []byte) error {
 		len(w.SurfaceForms) != len(w.Words) || len(w.SurfaceCounts) != len(w.Words) {
 		return fmt.Errorf("textproc: decoding vocab: inconsistent lengths (%d words, %d counts, %d surface lists)",
 			len(w.Words), len(w.Counts), len(w.SurfaceForms))
+	}
+	var arena []byte
+	stemEnds := make([]uint32, len(w.Words))
+	for id, stem := range w.Words {
+		arena = append(arena, stem...)
+		stemEnds[id] = uint32(len(arena))
 	}
 	total := 0
 	for id, forms := range w.SurfaceForms {
@@ -83,7 +93,7 @@ func (v *Vocab) GobDecode(data []byte) error {
 		}
 		ends[id] = int32(len(votes))
 	}
-	nv, err := vocabFromColumns(w.Words, w.Counts, votes, ends)
+	nv, err := vocabFromColumns(arena, stemEnds, w.Counts, votes, ends)
 	if err != nil {
 		return fmt.Errorf("textproc: decoding vocab: %w", err)
 	}

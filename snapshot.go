@@ -368,8 +368,7 @@ func decodeSnapshotV1(rest []byte) (*Result, error) {
 // reaches: NewInferencer sizes the index's smoothing tables by it.
 func loadedResult(vocab *textproc.Vocab, mined *phrasemine.Result, model *Model,
 	topics []TopicSummary, opt Options, copt CorpusOptions) (*Result, error) {
-	longest := 0
-	mined.Counts.Each(func(key string, _ int64) { longest = max(longest, counter.KeyLen(key)) })
+	longest := mined.Counts.MaxLen()
 	if mined.MaxPhraseLen < min(1, longest) || mined.MaxPhraseLen > longest {
 		return nil, fmt.Errorf("%w: MaxPhraseLen is %d, the longest mined phrase has %d words",
 			errSnapFormat, mined.MaxPhraseLen, longest)
