@@ -1,40 +1,42 @@
-// Command topmine runs the full ToPMine pipeline on a text corpus (one
-// document per line) or a built-in synthetic domain, and prints the
-// mined phrases and topical phrase visualisation.
+// Command topmine runs the ToPMine pipeline — frequent phrase mining
+// (Algorithm 1), phrase construction (Algorithm 2) and PhraseLDA — and
+// the corpus-store, snapshot and distributed-training jobs around it,
+// one command per job, each with its own flags:
 //
-// Usage:
+//	topmine <command> [operand…] [flags]
+//	topmine <command> -h                # the command's flags
 //
-//	topmine -input corpus.txt -k 10 -iters 1000
-//	topmine -input reviews.jsonl -jsonl text -k 10
-//	topmine -input corpus.txt.gz -k 10            # gzip auto-detected
-//	zcat corpus.txt.gz | topmine -input - -k 10
-//	topmine -synth yelp-reviews -docs 2000 -k 10
+//	topmine train -input corpus.txt -k 10 -iters 1000
+//	topmine train -input reviews.jsonl -jsonl text -k 10
+//	zcat corpus.txt.gz | topmine train -input - -k 10   # .gz is also auto-detected
+//	topmine train -synth yelp-reviews -docs 2000 -k 10
+//	topmine phrases -synth 20conf -docs 500      # stop after mining
 //
-// Preprocessing (ingest, phrase mining, segmentation) can run once and
-// be persisted as a .tpc corpus file; later training jobs mmap it and
-// skip straight to Gibbs sampling:
+// Preprocessing (ingest, mining, segmentation) can run once into a
+// .tpc corpus file that later runs mmap, skipping to Gibbs sampling. A
+// stored corpus grows in place, merges with other shards, and feeds
+// incremental training of an existing snapshot:
 //
-//	topmine -input reviews.jsonl -jsonl text -preprocess reviews.tpc
-//	topmine -corpus reviews.tpc -k 10 -iters 1000
-//	topmine -corpus reviews.tpc -k 40 -seed 7 -save k40.tpm
+//	topmine preprocess reviews.tpc -input reviews.jsonl -jsonl text
+//	topmine train -corpus reviews.tpc -k 40 -seed 7 -save k40.tpm
+//	topmine append reviews.tpc -input fresh.jsonl -jsonl text -dedup
+//	topmine merge all.tpc shard1.tpc shard2.tpc shard3.tpc
+//	topmine load model.tpm -update reviews.tpc -iters 200 -save model2.tpm -save-state
 //
-// A stored corpus is a living index: it can grow in place, merge with
-// independently preprocessed shards, and feed incremental training of
-// an existing snapshot:
+// A snapshot is reused without retraining (by this command or by the
+// topmined server); with -save-state it keeps the full Gibbs state so
+// training can continue:
 //
-//	topmine -append reviews.tpc -input fresh.jsonl -jsonl text -dedup
-//	topmine -merge all.tpc shard1.tpc shard2.tpc shard3.tpc
-//	topmine -load model.tpm -update reviews.tpc -iters 200 -save model2.tpm -save-state
+//	topmine train -synth yelp-reviews -k 10 -save model.tpm -save-state
+//	topmine load model.tpm -infer "great food and friendly service"
+//	topmine load model.tpm -iters 500 -save model2.tpm -save-state
 //
-// A trained run can be persisted as a pipeline snapshot and reused
-// without retraining (by this command or by the topmined server); with
-// -save-state the snapshot keeps the full Gibbs state so training can
-// continue later:
+// Distributed training: a coordinator over a shared .tpc file, worker
+// processes that dial it, and recovery from a barrier checkpoint:
 //
-//	topmine -synth yelp-reviews -k 10 -save model.tpm
-//	topmine -load model.tpm -infer "great food and friendly service"
-//	topmine -synth yelp-reviews -k 10 -save model.tpm -save-state
-//	topmine -load model.tpm -iters 500 -save model2.tpm -save-state
+//	topmine coordinate :7600 -corpus reviews.tpc -checkpoint run.tpd
+//	topmine worker host:7600
+//	topmine recover :7600 run.tpd -corpus reviews.tpc -train-workers 3
 package main
 
 import (
@@ -44,6 +46,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -59,431 +62,705 @@ func main() {
 			return // -h/-help: usage already printed, exit 0
 		}
 		if errors.Is(err, errUsage) {
-			os.Exit(2) // flag package already printed the complaint
+			if err != errUsage {
+				log.Print(err)
+			}
+			os.Exit(2)
 		}
 		log.Fatal(err)
 	}
 }
 
-// errUsage marks a bad flag combination; main exits 2 without the
-// "topmine:" error prefix duplicating what the flag package printed.
+// errUsage marks a bad command line; main exits 2. Bare, it means the
+// flag package already printed the complaint.
 var errUsage = errors.New("usage error")
 
-// run is the whole command behind an injectable stdin/stdout/stderr,
-// so tests can drive every flag combination in-process — in particular
-// the pin that `-input -` consumes stdin exactly once regardless of
-// -save/-infer. All corpus input flows through the reader passed here;
-// nothing else may touch os.Stdin.
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("topmine", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// usagef is a bad command line that main prints before exiting 2.
+func usagef(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", errUsage, fmt.Sprintf(format, args...))
+}
 
-	input := fs.String("input", "", "path to corpus file, one document per line ('-' reads stdin; .gz auto-detected)")
-	jsonlField := fs.String("jsonl", "", "treat -input as JSON lines and take document text from this field")
-	synthDomain := fs.String("synth", "", "generate a synthetic corpus instead: "+
-		strings.Join(topmine.ExampleDomains(), ", "))
-	docs := fs.Int("docs", 2000, "documents to generate with -synth")
-	corpusFile := fs.String("corpus", "", "train from this preprocessed .tpc corpus file (mmap; skips ingest/mining/segmentation)")
-	preprocess := fs.String("preprocess", "", "preprocess only: write the corpus, mined phrases and segmentation to this .tpc file and exit")
-	appendPath := fs.String("append", "", "grow this .tpc corpus file in place with the documents from -input/-synth and exit")
-	dedup := fs.Bool("dedup", false, "with -append: skip incoming documents that near-duplicate a stored (or earlier-in-batch) one")
-	dedupThreshold := fs.Float64("dedup-threshold", 0.9, "with -append -dedup: estimated Jaccard similarity at or above which a document is skipped")
-	sketch := fs.Bool("sketch", false, "with -preprocess/-append: store per-document min-hash sketches so later -append -dedup runs compare against the stored corpus without retokenizing it")
-	mergePath := fs.String("merge", "", "merge the positional .tpc source files (2 or more) into this new .tpc file and exit")
-	updatePath := fs.String("update", "", "with -load: continue training the snapshot incrementally over this grown .tpc corpus file")
-	k := fs.Int("k", 10, "number of topics")
-	iters := fs.Int("iters", 1000, "Gibbs iterations (with -load: continue training this many sweeps)")
-	minSupport := fs.Int("minsup", 5, "minimum phrase support (epsilon)")
-	relSupport := fs.Float64("relsup", 0, "relative support as a fraction of corpus tokens (overrides -minsup when larger)")
-	sig := fs.Float64("alpha", 5, "significance threshold for merging (Algorithm 2)")
-	maxLen := fs.Int("maxlen", 8, "maximum phrase length (0 = unbounded)")
-	seed := fs.Uint64("seed", 42, "random seed")
-	workers := fs.Int("workers", 0, "parallel workers for ingest and segmentation (0 = all cores)")
-	topicWorkers := fs.Int("topic-workers", 0, "parallel Gibbs workers for topic training (approximate AD-LDA sampler, "+
-		"deterministic per worker count, O(touched cells) extra memory per sweep; 0/1 = exact serial sparse sampler)")
-	trainCoordinator := fs.String("train-coordinator", "", "coordinate distributed training: listen on this address (host:port) "+
-		"for -train-workers worker processes, then train over the -corpus file; byte-identical to -topic-workers with the same worker count")
-	trainWorkers := fs.Int("train-workers", 2, "with -train-coordinator: worker processes to wait for")
-	trainWorker := fs.String("train-worker", "", "serve one distributed training job as a worker: connect to the coordinator "+
-		"at this address (-corpus overrides the coordinator-sent corpus path) and exit when training completes")
-	trainTimeout := fs.Duration("train-timeout", 0, "distributed training barrier timeout; with -train-coordinator also bounds "+
-		"the wait for workers to connect (0 = defaults: 120s barriers, 60s accept)")
-	trainCheckpoint := fs.String("checkpoint", "", "with -train-coordinator: atomically rewrite a CRC-checked .tpd barrier checkpoint "+
-		"at this path every -checkpoint-every sweeps; a dead run restarts from it with -resume")
-	trainCkptEvery := fs.Int("checkpoint-every", 0, "with -checkpoint: sweeps between checkpoint writes (0 = 50)")
-	trainResume := fs.String("resume", "", "with -train-coordinator: resume a dead run from this .tpd checkpoint with any worker count; "+
-		"the training schedule and sampler state come from the checkpoint, the mining flags must match the original run")
-	trainElastic := fs.Bool("elastic", false, "with -train-coordinator: survive lost workers by rolling back to the last barrier "+
-		"snapshot, re-accepting replacements and re-sharding instead of failing the run")
-	trainReconnect := fs.Duration("train-reconnect", 0, "with -train-worker: re-dial a lost coordinator for up to this long instead "+
-		"of exiting, so a worker fleet rides out a coordinator restart with -resume (0 = exit on coordinator loss)")
-	trainHTTP := fs.String("train-http", "", "with -train-coordinator: serve a live training status plane on this address "+
-		"(host:port): Prometheus /metrics, /v1/progress JSON and /debug/pprof/; purely observational, the trained model is unchanged")
-	trainTrace := fs.String("trace", "", "with -train-coordinator: append one JSON event per sweep, worker delta, checkpoint and "+
-		"recovery to this file; replay it with toptrace for a barrier timeline with straggler attribution")
-	verbose := fs.Bool("v", false, "verbose training logs: per-sweep sample/reconcile timing and, for in-process training, where the sampler's draws landed")
-	topN := fs.Int("top", 10, "phrases and unigrams to display per topic")
-	noHyper := fs.Bool("nohyper", false, "disable hyperparameter optimisation")
-	filterBG := fs.Bool("filterbg", false, "filter background phrases from topic lists")
-	phrasesOnly := fs.Bool("phrases-only", false, "stop after phrase mining and print frequent phrases")
-	segmentOnly := fs.Bool("segment", false, "stop after segmentation and print each document as a bag of phrases")
-	saveModel := fs.String("save", "", "save the trained pipeline snapshot to this path")
-	saveState := fs.Bool("save-state", false, "make -save keep the full Gibbs training state so -load -iters can continue training")
-	loadModel := fs.String("load", "", "load a pipeline snapshot instead of training")
-	inferText := fs.String("infer", "", "infer the topic mixture of this text (after training, or against -load)")
-	inferIters := fs.Int("infer-iters", 50, "Gibbs sweeps for -infer")
-	if err := fs.Parse(args); err != nil {
+// command is one topmine job. setup registers the command's flags and
+// returns its body, which runs once the flags and operands are parsed.
+// A command registers only the flags it reads, so no flag can be set
+// where it would be ignored.
+type command struct {
+	name, operands, summary string
+	min, max                int // operand count bounds; max < 0 is unbounded
+	setup                   func(fs *flag.FlagSet, s streams) func(operands []string) error
+}
+
+// streams are a command's standard streams. All corpus input flows
+// through stdin here; nothing else may touch os.Stdin.
+type streams struct {
+	stdin          io.Reader
+	stdout, stderr io.Writer
+}
+
+var commands = []command{
+	{"train", "", "mine, segment, train PhraseLDA and print the topics", 0, 0, setupStages("train")},
+	{"phrases", "", "mine frequent phrases (Algorithm 1) and print them", 0, 0, setupStages("phrases")},
+	{"segment", "", "segment each document into phrases (Algorithm 2) and print it", 0, 0, setupStages("segment")},
+	{"preprocess", "OUT.tpc", "ingest, mine and segment once into a .tpc corpus file", 1, 1, setupPreprocess},
+	{"append", "FILE.tpc", "grow a .tpc corpus file in place with new documents", 1, 1, setupAppend},
+	{"merge", "DST.tpc SRC.tpc SRC.tpc…", "merge two or more .tpc files into a new one", 3, -1, setupMerge},
+	{"load", "SNAP.tpm", "print a snapshot's topics; resume, update, re-save or infer", 1, 1, setupLoad},
+	{"coordinate", "ADDR", "train over a .tpc file with worker processes that dial ADDR", 1, 1, setupDist(false)},
+	{"recover", "ADDR CK.tpd", "resume a dead distributed run from its checkpoint", 2, 2, setupDist(true)},
+	{"worker", "ADDR", "serve one distributed training job for the coordinator at ADDR", 1, 1, setupWorker},
+}
+
+// run is the whole command behind an injectable stdin/stdout/stderr,
+// so tests can drive every command in-process — in particular the pin
+// that `train -input -` consumes stdin exactly once regardless of -save
+// and -infer.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	i := slices.IndexFunc(commands, func(c command) bool { return len(args) > 0 && c.name == args[0] })
+	if i < 0 {
+		fmt.Fprint(stderr, "usage: topmine <command> [operand…] [flags]\n\ncommands:\n")
+		for _, c := range commands {
+			fmt.Fprintf(stderr, "  %-10s %-25s %s\n", c.name, c.operands, c.summary)
+		}
+		fmt.Fprint(stderr, "\n'topmine <command> -h' lists the command's flags.\n")
+		if len(args) == 1 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
+			return flag.ErrHelp
+		}
+		return errUsage
+	}
+	c := commands[i]
+	synopsis := strings.TrimSpace("topmine " + c.name + " " + c.operands)
+	fs := flag.NewFlagSet("topmine "+c.name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: %s [flags]\n\n%s\n\n", synopsis, c.summary)
+		fs.PrintDefaults()
+	}
+	body := c.setup(fs, streams{stdin, stdout, stderr})
+	n := slices.IndexFunc(args[1:], func(a string) bool { return strings.HasPrefix(a, "-") })
+	if n < 0 {
+		n = len(args) - 1
+	}
+	operands := args[1 : 1+n]
+	if err := fs.Parse(args[1+n:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
-		// The FlagSet already printed the complaint and usage to
-		// stderr; wrapping in errUsage keeps main from printing the
-		// same message a second time via log.Fatal.
+		return errUsage // the FlagSet printed the complaint and the usage
+	}
+	if fs.NArg() > 0 || n < c.min || c.max >= 0 && n > c.max {
+		fs.Usage() // operands missing, too many, or after the flags
 		return errUsage
 	}
+	return body(operands)
+}
 
-	// flagOptions is the one translation of the pipeline flags into
-	// library Options. It normalises and validates exactly as the
-	// library entry points do: zero selects documented defaults (-alpha
-	// 0 -> 5), negative priors are rejected here instead of silently
-	// corrupting training, and — critically — the direct path
-	// mines/segments under the very same effective parameters that
-	// -preprocess stores and -corpus matches against, keeping all three
-	// routes byte-identical.
-	flagOptions := func() (topmine.Options, error) {
-		opt := topmine.DefaultOptions()
-		opt.Topics = *k
-		opt.Iterations = *iters
-		opt.MinSupport = *minSupport
-		opt.RelativeSupport = *relSupport
-		opt.SigThreshold = *sig
-		opt.MaxPhraseLen = *maxLen
-		opt.Seed = *seed
-		opt.Workers = *workers
-		opt.TopicWorkers = *topicWorkers
-		opt.TopPhrases = *topN
-		opt.TopUnigrams = *topN
-		opt.OptimizeHyper = !*noHyper
-		opt.FilterBackground = *filterBG
-		return opt, opt.Normalize()
-	}
+const (
+	defaultDocs           = 2000 // -docs; another value needs -synth
+	defaultSeed           = 42
+	defaultDedupThreshold = 0.9 // -dedup-threshold; another value needs -dedup
+	verboseHelp           = "verbose training logs: per-sweep sample/reconcile timing and, for in-process training, where the sampler's draws landed"
+)
 
-	if *saveState && *saveModel == "" {
-		return fmt.Errorf("-save-state needs -save")
-	}
-	if *trainWorker != "" {
-		// A worker has no say over training parameters — it receives
-		// everything from the coordinator — so any pipeline flag here is
-		// a misunderstanding worth failing loudly on.
-		allowed := map[string]bool{"train-worker": true, "train-timeout": true,
-			"train-reconnect": true, "corpus": true, "v": true}
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("-train-worker receives all training parameters from the coordinator; %s would be ignored", strings.Join(ignored, ", "))
-		}
-		return runTrainWorker(*trainWorker, *corpusFile, *trainTimeout, *trainReconnect, stderr)
-	}
-	if flagWasSet(fs, "train-workers") && *trainCoordinator == "" {
-		return fmt.Errorf("-train-workers needs -train-coordinator")
-	}
-	for _, name := range []string{"checkpoint", "checkpoint-every", "resume", "elastic", "train-http", "trace"} {
-		if flagWasSet(fs, name) && *trainCoordinator == "" {
-			return fmt.Errorf("-%s needs -train-coordinator", name)
-		}
-	}
-	if flagWasSet(fs, "train-reconnect") {
-		return fmt.Errorf("-train-reconnect needs -train-worker")
-	}
-	if flagWasSet(fs, "checkpoint-every") && *trainCheckpoint == "" {
-		return fmt.Errorf("-checkpoint-every needs -checkpoint")
-	}
-	if *trainCoordinator != "" {
-		// The coordinator is a training mode: it takes the full set of
-		// training flags but replaces the in-process samplers, so input
-		// flags and -topic-workers are rejected rather than ignored.
-		allowed := map[string]bool{"train-coordinator": true, "train-workers": true,
-			"train-timeout": true, "checkpoint": true, "checkpoint-every": true,
-			"resume": true, "elastic": true, "train-http": true, "trace": true,
-			"corpus": true, "k": true, "iters": true,
-			"minsup": true, "relsup": true, "alpha": true, "maxlen": true,
-			"seed": true, "top": true, "nohyper": true, "filterbg": true,
-			"save": true, "save-state": true, "infer": true, "infer-iters": true,
-			"v": true}
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("-train-coordinator trains over -corpus with external workers; %s would be ignored", strings.Join(ignored, ", "))
-		}
-		if *corpusFile == "" {
-			return fmt.Errorf("-train-coordinator needs -corpus: workers rebuild their shards from the shared .tpc file")
-		}
-		if *trainWorkers < 1 {
-			return fmt.Errorf("-train-workers must be at least 1, got %d", *trainWorkers)
-		}
-		if *trainResume != "" {
-			// The schedule and sampler state live in the checkpoint; a
-			// silently ignored -k or -iters would look like a different run.
-			var clash []string
-			for _, name := range []string{"k", "iters", "nohyper", "seed"} {
-				if flagWasSet(fs, name) {
-					clash = append(clash, "-"+name)
-				}
-			}
-			if len(clash) > 0 {
-				return fmt.Errorf("-resume takes the training schedule and sampler state from the checkpoint; %s would be ignored", strings.Join(clash, ", "))
-			}
-		}
-		opt, err := flagOptions()
-		if err != nil {
-			return err
-		}
-		return runCoordinator(*trainCoordinator, *corpusFile, *trainWorkers, *trainTimeout,
-			coordinatorConfig{
-				checkpoint: *trainCheckpoint, checkpointEvery: *trainCkptEvery,
-				resume: *trainResume, elastic: *trainElastic,
-				statusAddr: *trainHTTP, trace: *trainTrace,
-			},
-			opt, *verbose, *saveModel, *saveState, *inferText, *inferIters, stdout, stderr)
-	}
-	if *mergePath != "" {
-		var extra []string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name != "merge" {
-				extra = append(extra, "-"+f.Name)
-			}
-		})
-		if len(extra) > 0 {
-			return fmt.Errorf("-merge reads its sources from the positional arguments; %s would be ignored", strings.Join(extra, ", "))
-		}
-		return runMerge(*mergePath, fs.Args(), stderr)
-	}
-	if *dedup && *appendPath == "" {
-		return fmt.Errorf("-dedup needs -append")
-	}
-	if flagWasSet(fs, "dedup-threshold") && !*dedup {
-		return fmt.Errorf("-dedup-threshold needs -append -dedup")
-	}
-	if *sketch && *appendPath == "" && *preprocess == "" {
-		return fmt.Errorf("-sketch needs -preprocess or -append")
-	}
-	if *appendPath != "" {
-		allowed := map[string]bool{"append": true, "input": true, "jsonl": true,
-			"synth": true, "docs": true, "seed": true, "dedup": true,
-			"dedup-threshold": true, "sketch": true}
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("-append only grows the corpus file; %s would be ignored", strings.Join(ignored, ", "))
-		}
-		return runAppend(*appendPath, *input, *jsonlField, *synthDomain, *docs, *seed,
-			topmine.AppendOptions{Dedup: *dedup, DedupThreshold: *dedupThreshold, Sketch: *sketch},
-			stdin, stderr)
-	}
-	if *updatePath != "" && *loadModel == "" {
-		return fmt.Errorf("-update continues training a snapshot; it needs -load")
-	}
-	if *loadModel != "" {
-		// -load replaces training: reject explicitly-set flags it would
-		// silently ignore. -iters is meaningful again — it continues
-		// Gibbs training on a snapshot saved with -save-state.
-		allowed := map[string]bool{"load": true, "save": true, "save-state": true,
-			"infer": true, "infer-iters": true, "iters": true, "update": true}
-		var ignored []string
-		itersSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				ignored = append(ignored, "-"+f.Name)
-			}
-			if f.Name == "iters" {
-				itersSet = true
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("-load replaces training; %s would be ignored", strings.Join(ignored, ", "))
-		}
-		resumeIters := 0
-		if itersSet {
-			resumeIters = *iters
-		}
-		return runLoaded(*loadModel, *saveModel, *updatePath, *saveState, *inferText, *inferIters, resumeIters, stdout, stderr)
-	}
-	if (*phrasesOnly || *segmentOnly) && (*saveModel != "" || *inferText != "") {
-		return fmt.Errorf("-save and -infer need a trained model; do not combine them with -phrases-only or -segment")
-	}
-	if *preprocess != "" && (*saveModel != "" || *inferText != "" || *phrasesOnly || *segmentOnly || *corpusFile != "") {
-		return fmt.Errorf("-preprocess writes a corpus file and exits; do not combine it with -corpus, -save, -infer, -phrases-only or -segment")
-	}
+// sourceFlags are the raw-text input flags of every command that
+// ingests documents; train, phrases and segment can read a stored
+// corpus instead.
+type sourceFlags struct {
+	input, jsonl, synth, corpus string
+	docs                        int
+	choice                      string // the flags that choose the source
+}
 
-	opt, err := flagOptions()
-	if err != nil {
-		return err
+func addSourceFlags(fs *flag.FlagSet, stored bool) *sourceFlags {
+	s := &sourceFlags{choice: "-input or -synth"}
+	fs.StringVar(&s.input, "input", "", "path to corpus file, one document per line ('-' reads stdin; .gz auto-detected)")
+	fs.StringVar(&s.jsonl, "jsonl", "", "treat -input as JSON lines and take document text from this field")
+	fs.StringVar(&s.synth, "synth", "", "generate a synthetic corpus instead: "+strings.Join(topmine.ExampleDomains(), ", "))
+	fs.IntVar(&s.docs, "docs", defaultDocs, "documents to generate with -synth")
+	if stored {
+		s.choice = "-input, -synth or -corpus"
+		fs.StringVar(&s.corpus, "corpus", "", "read this preprocessed .tpc corpus file instead (mmap; reuses its stored mining and segmentation when the mining flags match)")
 	}
+	return s
+}
 
-	var (
-		c  *topmine.Corpus
-		cf *topmine.CorpusFile
-	)
+// check enforces the source choice: exactly one of -input, -synth and,
+// where the command has it, -corpus.
+func (s *sourceFlags) check() error {
+	given := 0
+	for _, v := range []string{s.input, s.synth, s.corpus} {
+		if v != "" {
+			given++
+		}
+	}
 	switch {
-	case *corpusFile != "" && (*input != "" || *synthDomain != ""):
-		return fmt.Errorf("use -corpus or a raw input (-input/-synth), not both")
-	case *corpusFile != "" && flagWasSet(fs, "docs"):
-		// Mirror the -load path's reject-ignored-flags contract.
-		return fmt.Errorf("-corpus trains on the stored corpus; -docs would be ignored")
-	case *input != "" && *synthDomain != "":
-		return fmt.Errorf("use either -input or -synth, not both")
-	case *jsonlField != "" && *input == "":
-		return fmt.Errorf("-jsonl needs -input")
-	case *corpusFile != "":
-		t0 := time.Now()
-		var err error
-		cf, err = topmine.OpenCorpusFile(*corpusFile)
+	case given != 1:
+		return usagef("give one corpus source: %s", s.choice)
+	case s.jsonl != "" && s.input == "":
+		return usagef("-jsonl needs -input")
+	case s.docs != defaultDocs && s.synth == "":
+		return usagef("-docs needs -synth")
+	}
+	return nil
+}
+
+// open opens the raw document stream; closeSrc closes any file it
+// opened. gzip input — on disk or piped — is detected by magic bytes
+// and decompressed transparently.
+func (s *sourceFlags) open(seed uint64, stdin io.Reader) (src topmine.Source, closeSrc func(), err error) {
+	if s.synth != "" {
+		raw, err := topmine.GenerateExampleCorpus(s.synth, s.docs, seed)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		defer cf.Close()
+		return topmine.SliceSource(raw), func() {}, nil
+	}
+	r, closeSrc := stdin, func() {}
+	if s.input != "-" {
+		f, err := os.Open(s.input)
+		if err != nil {
+			return nil, nil, err
+		}
+		r, closeSrc = f, func() { f.Close() }
+	}
+	rr, err := topmine.MaybeDecompress(r)
+	if err != nil {
+		closeSrc()
+		return nil, nil, err
+	}
+	if s.jsonl != "" {
+		return topmine.JSONLSource(rr, s.jsonl), closeSrc, nil
+	}
+	return topmine.LineSource(rr), closeSrc, nil
+}
+
+// load validates the source and pipeline flags, then opens the -corpus
+// file (cf is non-nil; the caller closes it) or streams the raw source
+// through ingest on opt.Workers cores. Raw text is never accumulated,
+// so multi-GB inputs ingest in memory proportional to their token
+// count.
+func (s *sourceFlags) load(p *pipelineFlags, st streams) (opt topmine.Options, c *topmine.Corpus, cf *topmine.CorpusFile, err error) {
+	if err := s.check(); err != nil {
+		return opt, nil, nil, err
+	}
+	if opt, err = p.options(); err != nil {
+		return opt, nil, nil, err
+	}
+	if s.corpus != "" {
+		t0 := time.Now()
+		if cf, err = topmine.OpenCorpusFile(s.corpus); err != nil {
+			return opt, nil, nil, err
+		}
 		c = cf.Corpus()
 		how := "read"
 		if cf.Mapped() {
 			how = "mmap"
 		}
-		fmt.Fprintf(stderr, "corpus file %s opened (%s) in %v\n",
-			*corpusFile, how, time.Since(t0).Round(time.Millisecond))
-	case *input != "":
-		var err error
-		c, err = loadInput(*input, *jsonlField, *workers, stdin)
+		fmt.Fprintf(st.stderr, "corpus file %s opened (%s) in %v\n",
+			s.corpus, how, time.Since(t0).Round(time.Millisecond))
+	} else {
+		src, closeSrc, err := s.open(opt.Seed, st.stdin)
 		if err != nil {
-			return err
+			return opt, nil, nil, err
 		}
-	case *synthDomain != "":
-		raw, err := topmine.GenerateExampleCorpus(*synthDomain, *docs, *seed)
-		if err != nil {
-			return err
-		}
+		defer closeSrc()
 		copt := topmine.DefaultCorpusOptions()
-		copt.Workers = *workers
-		c, err = topmine.BuildCorpusFromSource(topmine.SliceSource(raw), copt)
+		copt.Workers = opt.Workers
+		if c, err = topmine.BuildCorpusFromSource(src, copt); err != nil {
+			return opt, nil, nil, err
+		}
+	}
+	fmt.Fprintf(st.stderr, "corpus: %v\n", c.ComputeStats())
+	return opt, c, cf, nil
+}
+
+// pipelineFlags feed topmine.Options. Each command registers the groups
+// it reads; a field no flag sets keeps the default its flag has, so
+// every command builds the Options it always did.
+type pipelineFlags struct {
+	opt     topmine.Options
+	top     int
+	noHyper bool
+}
+
+func newPipelineFlags() *pipelineFlags {
+	p := &pipelineFlags{opt: topmine.DefaultOptions(), top: 10}
+	p.opt.Seed = defaultSeed
+	return p
+}
+
+// mining registers the parameters of Algorithms 1 and 2; a stored
+// corpus's artifacts are reused only when they match.
+func (p *pipelineFlags) mining(fs *flag.FlagSet) {
+	fs.IntVar(&p.opt.MinSupport, "minsup", p.opt.MinSupport, "minimum phrase support (epsilon)")
+	fs.Float64Var(&p.opt.RelativeSupport, "relsup", 0, "relative support as a fraction of corpus tokens (overrides -minsup when larger)")
+	fs.Float64Var(&p.opt.SigThreshold, "alpha", p.opt.SigThreshold, "significance threshold for merging (Algorithm 2)")
+	fs.IntVar(&p.opt.MaxPhraseLen, "maxlen", p.opt.MaxPhraseLen, "maximum phrase length (0 = unbounded)")
+}
+
+func (p *pipelineFlags) seed(fs *flag.FlagSet) {
+	fs.Uint64Var(&p.opt.Seed, "seed", p.opt.Seed, "random seed")
+}
+
+func (p *pipelineFlags) workers(fs *flag.FlagSet) {
+	fs.IntVar(&p.opt.Workers, "workers", 0, "parallel workers for ingest and segmentation (0 = all cores)")
+}
+
+// schedule registers the PhraseLDA training schedule.
+func (p *pipelineFlags) schedule(fs *flag.FlagSet) {
+	fs.IntVar(&p.opt.Topics, "k", p.opt.Topics, "number of topics")
+	fs.IntVar(&p.opt.Iterations, "iters", p.opt.Iterations, "Gibbs iterations")
+	fs.BoolVar(&p.noHyper, "nohyper", false, "disable hyperparameter optimisation")
+}
+
+// render registers how the trained topics print.
+func (p *pipelineFlags) render(fs *flag.FlagSet) {
+	fs.IntVar(&p.top, "top", p.top, "phrases and unigrams to display per topic")
+	fs.BoolVar(&p.opt.FilterBackground, "filterbg", false, "filter background phrases from topic lists")
+}
+
+// options is the one translation of the pipeline flags into library
+// Options. It normalises and validates exactly as the library entry
+// points do: zero selects documented defaults (-alpha 0 -> 5), negative
+// priors are rejected here instead of silently corrupting training,
+// and — critically — train mines and segments under the very same
+// effective parameters that preprocess stores and train -corpus
+// matches against, keeping all three routes byte-identical.
+func (p *pipelineFlags) options() (topmine.Options, error) {
+	opt := p.opt
+	opt.TopPhrases, opt.TopUnigrams = p.top, p.top
+	opt.OptimizeHyper = !p.noHyper
+	return opt, opt.Normalize()
+}
+
+// outputFlags say what becomes of a trained or loaded model besides
+// printing its topics.
+type outputFlags struct {
+	save, infer string
+	saveState   bool
+	inferIters  int
+}
+
+func addOutputFlags(fs *flag.FlagSet) *outputFlags {
+	o := &outputFlags{}
+	fs.StringVar(&o.save, "save", "", "save the trained pipeline snapshot to this path")
+	fs.BoolVar(&o.saveState, "save-state", false, "make -save keep the full Gibbs training state so 'topmine load -iters' can continue training")
+	fs.StringVar(&o.infer, "infer", "", "infer the topic mixture of this text")
+	fs.IntVar(&o.inferIters, "infer-iters", 50, "sampling sweeps for -infer, each call running as many burn-in sweeps first (2×N Gibbs sweeps in all)")
+	return o
+}
+
+func (o *outputFlags) check() error {
+	if o.saveState && o.save == "" {
+		return usagef("-save-state needs -save")
+	}
+	return nil
+}
+
+// write prints res's topics, then saves and queries res as the flags
+// ask.
+func (o *outputFlags) write(res *topmine.Result, s streams) error {
+	fmt.Fprint(s.stdout, topmine.FormatTopics(res.Topics))
+	if o.save != "" {
+		save, kind := topmine.SaveSnapshotFile, "snapshot"
+		if o.saveState {
+			save, kind = topmine.SaveTrainingSnapshotFile, "training snapshot (resumable with 'topmine load -iters')"
+		}
+		if err := save(o.save, res); err != nil {
+			return err
+		}
+		fmt.Fprintf(s.stderr, "%s saved to %s\n", kind, o.save)
+	}
+	if o.infer == "" {
+		return nil
+	}
+	inf, err := res.Inferencer()
+	if err != nil {
+		return err
+	}
+	theta, tokens := inf.InferTopicsTokens(o.infer, o.inferIters)
+	if tokens == 0 {
+		// The mixture would be the bare prior: its argmax says nothing
+		// about the text.
+		fmt.Fprintf(s.stdout, "\nno word of %q is in the model's vocabulary: no topic inferred\n", o.infer)
+		return nil
+	}
+	fmt.Fprintf(s.stdout, "\ninferred mixture for %q:\n", o.infer)
+	for k, v := range theta {
+		fmt.Fprintf(s.stdout, "  topic %d: %.4f\n", k, v)
+	}
+	fmt.Fprintf(s.stdout, "best topic: %d\n", topmine.BestTopic(theta))
+	return nil
+}
+
+// setupStages is train, phrases and segment: build the corpus, then
+// mine it, segment it and train on it, up to the named stage, and print
+// what that stage made. A -corpus file's stored artifacts are reused
+// when their parameters match.
+func setupStages(stage string) func(*flag.FlagSet, streams) func([]string) error {
+	return func(fs *flag.FlagSet, s streams) func([]string) error {
+		src := addSourceFlags(fs, true)
+		p := newPipelineFlags()
+		p.mining(fs)
+		p.seed(fs)
+		p.workers(fs)
+		var verbose bool
+		out := &outputFlags{}
+		if stage == "train" {
+			p.schedule(fs)
+			fs.IntVar(&p.opt.TopicWorkers, "topic-workers", 0, "parallel Gibbs workers for topic training (approximate AD-LDA sampler, "+
+				"deterministic per worker count, O(touched cells) extra memory per sweep; 0/1 = exact serial sparse sampler)")
+			p.render(fs)
+			fs.BoolVar(&verbose, "v", false, verboseHelp)
+			out = addOutputFlags(fs)
+		}
+		return func([]string) error {
+			if err := out.check(); err != nil {
+				return err
+			}
+			opt, c, cf, err := src.load(p, s)
+			if err != nil {
+				return err
+			}
+			if cf != nil {
+				defer cf.Close()
+			}
+			res := &topmine.Result{Corpus: c, Options: opt}
+			switch {
+			case cf != nil && cf.CanReuseArtifacts(opt):
+				res.Mined, res.Segmented = cf.Mined(), cf.Segmented()
+				fmt.Fprintf(s.stderr, "reusing stored phrase mining (%d frequent phrases)", res.Mined.Counts.Len())
+				if res.Segmented != nil {
+					fmt.Fprintf(s.stderr, " and segmentation")
+				}
+				fmt.Fprintln(s.stderr)
+			case cf != nil && cf.Mined() != nil:
+				fmt.Fprintln(s.stderr, "stored artifacts use different mining parameters; recomputing")
+			case cf != nil && cf.StaleArtifacts() != "":
+				fmt.Fprintf(s.stderr, "stored artifacts dropped: %s\n", cf.StaleArtifacts())
+			}
+			if res.Mined == nil {
+				t0 := time.Now()
+				res.Mined = topmine.MinePhrases(c, opt)
+				fmt.Fprintf(s.stderr, "phrase mining: %v (%d frequent phrases, support %d, longest %d)\n",
+					time.Since(t0).Round(time.Millisecond), res.Mined.Counts.Len(), res.Mined.MinSupport, res.Mined.MaxPhraseLen)
+			}
+			if stage == "phrases" {
+				for _, pc := range res.Mined.Counts.Entries(2) {
+					fmt.Fprintf(s.stdout, "%8d  %s\n", pc.Count, c.DisplayWords(pc.Words))
+				}
+				return nil
+			}
+			if res.Segmented == nil {
+				t0 := time.Now()
+				res.Segmented = topmine.SegmentCorpus(c, res.Mined, opt)
+				fmt.Fprintf(s.stderr, "segmentation: %v\n", time.Since(t0).Round(time.Millisecond))
+			}
+			if stage == "segment" {
+				for _, sd := range res.Segmented {
+					d := c.Docs[sd.DocID]
+					for si, spans := range sd.Spans {
+						for _, sp := range spans {
+							fmt.Fprintf(s.stdout, "[%s] ", c.DisplayPhrase(&d.Segments[si], sp.Start, sp.End))
+						}
+					}
+					fmt.Fprintln(s.stdout)
+				}
+				return nil
+			}
+			var stats func(topmine.SweepStats)
+			if verbose {
+				stats = sweepStatsLogger(s.stderr)
+			}
+			t0 := time.Now()
+			res.Model = topmine.TrainModelWithSweepStats(c, res.Segmented, opt, stats)
+			fmt.Fprintf(s.stderr, "topic modeling: %v (%d sweeps)\n",
+				time.Since(t0).Round(time.Millisecond), opt.Iterations)
+			// Render exactly as the library's Run, RunCorpusFile and the
+			// distributed coordinator do.
+			res.Topics = res.Model.Visualize(c, core.VisualizeOptions(opt))
+			return out.write(res, s)
+		}
+	}
+}
+
+func setupPreprocess(fs *flag.FlagSet, s streams) func([]string) error {
+	src := addSourceFlags(fs, false)
+	p := newPipelineFlags()
+	p.mining(fs)
+	p.seed(fs)
+	p.workers(fs)
+	sketch := fs.Bool("sketch", false, "store per-document min-hash sketches so later 'topmine append -dedup' runs compare against the stored corpus without retokenizing it")
+	return func(operands []string) error {
+		out := operands[0]
+		opt, c, _, err := src.load(p, s)
 		if err != nil {
 			return err
 		}
-	default:
-		fs.Usage()
-		return errUsage
-	}
-	fmt.Fprintf(stderr, "corpus: %v\n", c.ComputeStats())
-
-	if *preprocess != "" {
 		t0 := time.Now()
 		pre, err := topmine.PreprocessCorpus(c, opt)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "phrase mining + segmentation: %v (%d frequent phrases)\n",
+		fmt.Fprintf(s.stderr, "phrase mining + segmentation: %v (%d frequent phrases)\n",
 			time.Since(t0).Round(time.Millisecond), pre.Mined.Counts.Len())
 		save := topmine.SaveCorpusFile
 		if *sketch {
 			save = topmine.SaveCorpusFileSketched
 		}
-		if err := save(*preprocess, pre); err != nil {
+		if err := save(out, pre); err != nil {
 			return err
 		}
-		fi, err := os.Stat(*preprocess)
+		fi, err := os.Stat(out)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "corpus file saved to %s (%.1f MiB); train with: topmine -corpus %s\n",
-			*preprocess, float64(fi.Size())/(1<<20), *preprocess)
+		fmt.Fprintf(s.stderr, "corpus file saved to %s (%.1f MiB); train with: topmine train -corpus %s\n",
+			out, float64(fi.Size())/(1<<20), out)
 		return nil
 	}
+}
 
-	var mined *topmine.MinedPhrases
-	var segs []*topmine.SegmentedDoc
-	if cf != nil && cf.CanReuseArtifacts(opt) {
-		mined, segs = cf.Mined(), cf.Segmented()
-		fmt.Fprintf(stderr, "reusing stored phrase mining (%d frequent phrases)", mined.Counts.Len())
-		if segs != nil {
-			fmt.Fprintf(stderr, " and segmentation")
-		}
-		fmt.Fprintln(stderr)
-	} else if cf != nil && cf.Mined() != nil {
-		fmt.Fprintln(stderr, "stored artifacts use different mining parameters; recomputing")
-	} else if cf != nil && cf.StaleArtifacts() != "" {
-		fmt.Fprintf(stderr, "stored artifacts dropped: %s\n", cf.StaleArtifacts())
-	}
-	if mined == nil {
-		t0 := time.Now()
-		mined = topmine.MinePhrases(c, opt)
-		fmt.Fprintf(stderr, "phrase mining: %v (%d frequent phrases, support %d, longest %d)\n",
-			time.Since(t0).Round(time.Millisecond), mined.Counts.Len(), mined.MinSupport, mined.MaxPhraseLen)
-	}
-
-	if *phrasesOnly {
-		for _, p := range mined.Counts.Entries(2) {
-			fmt.Fprintf(stdout, "%8d  %s\n", p.Count, c.DisplayWords(p.Words))
-		}
-		return nil
-	}
-
-	if segs == nil {
-		t0 := time.Now()
-		segs = topmine.SegmentCorpus(c, mined, opt)
-		fmt.Fprintf(stderr, "segmentation: %v\n", time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *segmentOnly {
-		for _, sd := range segs {
-			d := c.Docs[sd.DocID]
-			for si, spans := range sd.Spans {
-				seg := &d.Segments[si]
-				for _, sp := range spans {
-					fmt.Fprintf(stdout, "[%s] ", c.DisplayPhrase(seg, sp.Start, sp.End))
-				}
-			}
-			fmt.Fprintln(stdout)
-		}
-		return nil
-	}
-
-	t0 := time.Now()
-	var model *topmine.Model
-	if *verbose {
-		model = topmine.TrainModelWithSweepStats(c, segs, opt, sweepStatsLogger(stderr))
-	} else {
-		model = topmine.TrainModel(c, segs, opt)
-	}
-	fmt.Fprintf(stderr, "topic modeling: %v (%d sweeps)\n",
-		time.Since(t0).Round(time.Millisecond), opt.Iterations)
-
-	// Render exactly as the library's Run, RunCorpusFile and the
-	// distributed coordinator do.
-	sums := model.Visualize(c, core.VisualizeOptions(opt))
-	fmt.Fprint(stdout, topmine.FormatTopics(sums))
-
-	res := &topmine.Result{
-		Corpus: c, Mined: mined, Segmented: segs,
-		Model: model, Topics: sums, Options: opt,
-	}
-	if *saveModel != "" {
-		if err := saveSnapshot(*saveModel, res, *saveState, stderr); err != nil {
+// setupAppend grows a stored corpus in place with a fresh document
+// stream, optionally suppressing near-duplicates.
+func setupAppend(fs *flag.FlagSet, s streams) func([]string) error {
+	src := addSourceFlags(fs, false)
+	seed := fs.Uint64("seed", defaultSeed, "random seed")
+	var opt topmine.AppendOptions
+	fs.BoolVar(&opt.Dedup, "dedup", false, "skip incoming documents that near-duplicate a stored (or earlier-in-batch) one")
+	fs.Float64Var(&opt.DedupThreshold, "dedup-threshold", defaultDedupThreshold, "with -dedup: estimated Jaccard similarity at or above which a document is skipped")
+	fs.BoolVar(&opt.Sketch, "sketch", false, "store per-document min-hash sketches so later -dedup runs compare against the stored corpus without retokenizing it")
+	return func(operands []string) error {
+		path := operands[0]
+		if err := src.check(); err != nil {
 			return err
 		}
+		if opt.DedupThreshold != defaultDedupThreshold && !opt.Dedup {
+			return usagef("-dedup-threshold needs -dedup")
+		}
+		docs, closeSrc, err := src.open(*seed, s.stdin)
+		if err != nil {
+			return err
+		}
+		defer closeSrc()
+		t0 := time.Now()
+		stats, err := topmine.AppendCorpusFile(path, docs, opt)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(s.stderr, "appended %d documents (%d tokens) to %s in %v",
+			stats.DocsAdded, stats.TokensAdded, path, time.Since(t0).Round(time.Millisecond))
+		if stats.DocsAdded > 0 {
+			fmt.Fprintf(s.stderr, " (%d appended segments; stored artifacts are now stale — retraining re-mines)", stats.Segments)
+		}
+		fmt.Fprintln(s.stderr)
+		if opt.Dedup {
+			fmt.Fprintf(s.stderr, "skipped %d near-duplicate documents (Jaccard >= %g)\n",
+				stats.DocsSkipped, opt.DedupThreshold)
+		}
+		return nil
 	}
-	if *inferText != "" {
-		printInference(res, *inferText, *inferIters, stdout)
+}
+
+// setupMerge k-way-merges preprocessed shards into a fresh corpus file.
+func setupMerge(_ *flag.FlagSet, s streams) func([]string) error {
+	return func(operands []string) error {
+		dst := operands[0]
+		t0 := time.Now()
+		stats, err := topmine.MergeCorpusFiles(dst, operands[1:]...)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(s.stderr, "merged %d corpus files into %s: %d documents, %d tokens in %v\n",
+			stats.Sources, dst, stats.Docs, stats.Tokens, time.Since(t0).Round(time.Millisecond))
+		switch {
+		case stats.ArtifactsMerged:
+			fmt.Fprintln(s.stderr, "mined phrase statistics re-aggregated exactly")
+		case stats.ArtifactsDropped != "":
+			fmt.Fprintf(s.stderr, "mined phrase statistics dropped: %s\n", stats.ArtifactsDropped)
+		}
+		return nil
 	}
-	return nil
+}
+
+// setupLoad consumes a snapshot: it prints the topics, optionally
+// continues Gibbs training (snapshots saved with -save-state carry the
+// training state this needs) — over a grown corpus with -update —
+// and re-saves and infers as the output flags ask.
+func setupLoad(fs *flag.FlagSet, s streams) func([]string) error {
+	out := addOutputFlags(fs)
+	iters := fs.Int("iters", 0, "continue Gibbs training this many sweeps (needs a snapshot saved with -save-state)")
+	update := fs.String("update", "", "continue training the snapshot incrementally over this grown .tpc corpus file")
+	return func(operands []string) error {
+		path := operands[0]
+		if err := out.check(); err != nil {
+			return err
+		}
+		res, err := topmine.LoadSnapshotFile(path)
+		if err != nil {
+			return err
+		}
+		defer res.Close()
+		fmt.Fprintf(s.stderr, "snapshot %s: %d topics, %d stems, %d frequent phrases",
+			path, res.Options.Topics, res.Corpus.Vocab.Size(), res.Mined.Counts.Len())
+		if res.Resumable() {
+			fmt.Fprintf(s.stderr, ", resumable")
+		}
+		fmt.Fprintln(s.stderr)
+		switch {
+		case *update != "":
+			cf, err := topmine.OpenCorpusFile(*update)
+			if err != nil {
+				return err
+			}
+			defer cf.Close()
+			oldDocs := len(res.Model.Docs)
+			t0 := time.Now()
+			if err := res.UpdateTraining(cf, *iters); err != nil {
+				return err
+			}
+			fmt.Fprintf(s.stderr, "updated training over %s: %d documents (%d new), %d sweeps in %v\n",
+				*update, len(res.Model.Docs), len(res.Model.Docs)-oldDocs,
+				*iters, time.Since(t0).Round(time.Millisecond))
+		case *iters > 0:
+			t0 := time.Now()
+			if err := res.ResumeTraining(*iters); err != nil {
+				return err
+			}
+			fmt.Fprintf(s.stderr, "resumed training: %v (%d sweeps)\n",
+				time.Since(t0).Round(time.Millisecond), *iters)
+		}
+		return out.write(res, s)
+	}
+}
+
+// distFlags are the coordinator's flags, shared by coordinate and
+// recover.
+type distFlags struct {
+	corpus, trace string
+	timeout       time.Duration
+	verbose       bool
+	dopt          topmine.DistributedOptions
+	p             *pipelineFlags
+	out           *outputFlags
+}
+
+func addDistFlags(fs *flag.FlagSet) *distFlags {
+	d := &distFlags{p: newPipelineFlags()}
+	fs.StringVar(&d.corpus, "corpus", "", "train over this preprocessed .tpc corpus file; workers rebuild their shards from the same file")
+	fs.IntVar(&d.dopt.Workers, "train-workers", 2, "worker processes to wait for; byte-identical to train -topic-workers with the same count")
+	fs.DurationVar(&d.timeout, "train-timeout", 0, "barrier timeout, also bounding the wait for workers to connect (0 = defaults: 120s barriers, 60s accept)")
+	fs.StringVar(&d.dopt.Checkpoint.Path, "checkpoint", "", "atomically rewrite a CRC-checked .tpd barrier checkpoint "+
+		"at this path every -checkpoint-every sweeps; 'topmine recover' restarts a dead run from it")
+	fs.IntVar(&d.dopt.Checkpoint.Every, "checkpoint-every", 0, "with -checkpoint: sweeps between checkpoint writes (0 = 50)")
+	fs.BoolVar(&d.dopt.Elastic, "elastic", false, "survive lost workers by rolling back to the last barrier "+
+		"snapshot, re-accepting replacements and re-sharding instead of failing the run")
+	fs.StringVar(&d.dopt.StatusAddr, "train-http", "", "serve a live training status plane on this address "+
+		"(host:port): Prometheus /metrics, /v1/progress JSON and /debug/pprof/; purely observational, the trained model is unchanged")
+	fs.StringVar(&d.trace, "trace", "", "append one JSON event per sweep, worker delta, checkpoint and "+
+		"recovery to this file; replay it with toptrace for a barrier timeline with straggler attribution")
+	fs.BoolVar(&d.verbose, "v", false, verboseHelp)
+	d.p.mining(fs)
+	d.p.render(fs)
+	d.out = addOutputFlags(fs)
+	return d
+}
+
+// setupDist is coordinate and, with resume set, recover: train over a
+// shared corpus file with external worker processes, then print topics
+// (and optionally snapshot and infer) exactly like an in-process run.
+// recover restarts a dead run from its .tpd checkpoint with any worker
+// count; the schedule and sampler state come from the checkpoint, so it
+// has no -k, -iters, -seed or -nohyper, and the mining flags must match
+// the original run.
+func setupDist(resume bool) func(*flag.FlagSet, streams) func([]string) error {
+	return func(fs *flag.FlagSet, s streams) func([]string) error {
+		d := addDistFlags(fs)
+		if !resume {
+			d.p.seed(fs)
+			d.p.schedule(fs)
+		}
+		return func(operands []string) error { return d.run(operands, s) }
+	}
+}
+
+// run coordinates training on operands[0], from the checkpoint at
+// operands[1] when there is one.
+func (d *distFlags) run(operands []string, s streams) error {
+	switch {
+	case d.corpus == "":
+		return usagef("-corpus is required: workers rebuild their shards from the shared .tpc file")
+	case d.dopt.Workers < 1:
+		return usagef("-train-workers must be at least 1, got %d", d.dopt.Workers)
+	case d.dopt.Checkpoint.Every != 0 && d.dopt.Checkpoint.Path == "":
+		return usagef("-checkpoint-every needs -checkpoint")
+	}
+	if err := d.out.check(); err != nil {
+		return err
+	}
+	opt, err := d.p.options()
+	if err != nil {
+		return err
+	}
+	dopt := d.dopt
+	dopt.Addr = operands[0]
+	dopt.AcceptTimeout, dopt.BarrierTimeout = d.timeout, d.timeout
+	dopt.Logf = logf(s.stderr)
+	if d.trace != "" {
+		f, err := os.Create(d.trace)
+		if err != nil {
+			return fmt.Errorf("open trace log: %w", err)
+		}
+		defer func() {
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(s.stderr, "closing trace log: %v\n", err)
+			}
+		}()
+		dopt.TraceLog = f
+	}
+	if d.verbose {
+		dopt.SweepStats = sweepStatsLogger(s.stderr)
+	}
+	t0 := time.Now()
+	var res *topmine.Result
+	if len(operands) > 1 {
+		res, err = topmine.ResumeDistributed(d.corpus, operands[1], opt, dopt)
+	} else {
+		res, err = topmine.TrainDistributed(d.corpus, opt, dopt)
+	}
+	if err != nil {
+		return err
+	}
+	defer res.Close()
+	if len(operands) > 1 {
+		fmt.Fprintf(s.stderr, "distributed training resumed from %s: %v (%d workers)\n",
+			operands[1], time.Since(t0).Round(time.Millisecond), dopt.Workers)
+	} else {
+		fmt.Fprintf(s.stderr, "distributed training: %v (%d workers, %d sweeps)\n",
+			time.Since(t0).Round(time.Millisecond), dopt.Workers, opt.Iterations)
+	}
+	return d.out.write(res, s)
+}
+
+// setupWorker serves one distributed training job and exits, re-dialing
+// a lost coordinator when -train-reconnect is set.
+func setupWorker(fs *flag.FlagSet, s streams) func([]string) error {
+	var wopt topmine.TrainingWorkerOptions
+	fs.StringVar(&wopt.CorpusPath, "corpus", "", "read the corpus from this .tpc file instead of the path the coordinator sends")
+	timeout := fs.Duration("train-timeout", 0, "barrier timeout, also bounding the wait to connect (0 = defaults: 120s barriers, 60s dial)")
+	fs.DurationVar(&wopt.Reconnect, "train-reconnect", 0, "re-dial a lost coordinator for up to this long instead "+
+		"of exiting, so a worker fleet rides out a coordinator restart by 'topmine recover' (0 = exit on coordinator loss)")
+	return func(operands []string) error {
+		addr := operands[0]
+		wopt.DialTimeout, wopt.BarrierTimeout = *timeout, *timeout
+		wopt.Logf = logf(s.stderr)
+		fmt.Fprintf(s.stderr, "connecting to coordinator at %s\n", addr)
+		return topmine.ServeTrainingWorker(addr, wopt)
+	}
+}
+
+// logf is a library Logf that prints lines to w.
+func logf(w io.Writer) func(string, ...any) {
+	return func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
 }
 
 // sweepStatsLogger returns a SweepStats hook that logs a timing
@@ -494,9 +771,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 // In-process sweeps also report sampler health: the share of unigram
 // draws that landed in the smoothing (s), document (r) and word (q)
 // buckets, and of phrase draws that landed on a candidate topic.
-// Checkpoint and recovery sweeps log unconditionally: they used to be
-// dropped when they fell between 25-sweep multiples, which hid exactly
-// the events worth watching for.
 func sweepStatsLogger(stderr io.Writer) func(topmine.SweepStats) {
 	n := 0
 	lastRecovered := 0
@@ -532,302 +806,4 @@ func sweepStatsLogger(stderr io.Writer) func(topmine.SweepStats) {
 		}
 		fmt.Fprintln(stderr, line)
 	}
-}
-
-// coordinatorConfig carries the fault-tolerance flags into
-// runCoordinator.
-type coordinatorConfig struct {
-	checkpoint      string
-	checkpointEvery int
-	resume          string
-	elastic         bool
-	statusAddr      string // -train-http: live status plane address
-	trace           string // -trace: structured JSONL trace log path
-}
-
-// runCoordinator is the -train-coordinator mode: train over a shared
-// corpus file with external worker processes, then print topics (and
-// optionally snapshot/infer) exactly like an in-process run.
-func runCoordinator(addr, corpusPath string, workers int, timeout time.Duration,
-	cfg coordinatorConfig, opt topmine.Options, verbose bool, saveModel string, saveState bool,
-	inferText string, inferIters int, stdout, stderr io.Writer) error {
-	dopt := topmine.DistributedOptions{
-		Addr:           addr,
-		Workers:        workers,
-		AcceptTimeout:  timeout,
-		BarrierTimeout: timeout,
-		Checkpoint:     topmine.CheckpointSpec{Path: cfg.checkpoint, Every: cfg.checkpointEvery},
-		Elastic:        cfg.elastic,
-		StatusAddr:     cfg.statusAddr,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(stderr, format+"\n", args...)
-		},
-	}
-	if cfg.trace != "" {
-		f, err := os.Create(cfg.trace)
-		if err != nil {
-			return fmt.Errorf("open trace log: %w", err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(stderr, "closing trace log: %v\n", err)
-			}
-		}()
-		dopt.TraceLog = f
-	}
-	if verbose {
-		dopt.SweepStats = sweepStatsLogger(stderr)
-	}
-	t0 := time.Now()
-	var res *topmine.Result
-	var err error
-	if cfg.resume != "" {
-		res, err = topmine.ResumeDistributed(corpusPath, cfg.resume, opt, dopt)
-	} else {
-		res, err = topmine.TrainDistributed(corpusPath, opt, dopt)
-	}
-	if err != nil {
-		return err
-	}
-	defer res.Close()
-	if cfg.resume != "" {
-		fmt.Fprintf(stderr, "distributed training resumed from %s: %v (%d workers)\n",
-			cfg.resume, time.Since(t0).Round(time.Millisecond), workers)
-	} else {
-		fmt.Fprintf(stderr, "distributed training: %v (%d workers, %d sweeps)\n",
-			time.Since(t0).Round(time.Millisecond), workers, opt.Iterations)
-	}
-	fmt.Fprint(stdout, topmine.FormatTopics(res.Topics))
-	if saveModel != "" {
-		if err := saveSnapshot(saveModel, res, saveState, stderr); err != nil {
-			return err
-		}
-	}
-	if inferText != "" {
-		printInference(res, inferText, inferIters, stdout)
-	}
-	return nil
-}
-
-// runTrainWorker is the -train-worker mode: serve one distributed
-// training job and exit (re-dialing a lost coordinator when
-// -train-reconnect is set).
-func runTrainWorker(addr, corpusOverride string, timeout, reconnect time.Duration, stderr io.Writer) error {
-	fmt.Fprintf(stderr, "connecting to coordinator at %s\n", addr)
-	return topmine.ServeTrainingWorker(addr, topmine.TrainingWorkerOptions{
-		CorpusPath:     corpusOverride,
-		DialTimeout:    timeout,
-		BarrierTimeout: timeout,
-		Reconnect:      reconnect,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(stderr, format+"\n", args...)
-		},
-	})
-}
-
-// runMerge is the -merge mode: k-way-merge preprocessed shards into a
-// fresh corpus file.
-func runMerge(dst string, srcs []string, stderr io.Writer) error {
-	if len(srcs) < 2 {
-		return fmt.Errorf("-merge needs at least 2 source .tpc files as positional arguments, have %d", len(srcs))
-	}
-	t0 := time.Now()
-	stats, err := topmine.MergeCorpusFiles(dst, srcs...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "merged %d corpus files into %s: %d documents, %d tokens in %v\n",
-		stats.Sources, dst, stats.Docs, stats.Tokens, time.Since(t0).Round(time.Millisecond))
-	switch {
-	case stats.ArtifactsMerged:
-		fmt.Fprintln(stderr, "mined phrase statistics re-aggregated exactly")
-	case stats.ArtifactsDropped != "":
-		fmt.Fprintf(stderr, "mined phrase statistics dropped: %s\n", stats.ArtifactsDropped)
-	}
-	return nil
-}
-
-// runAppend is the -append mode: grow a stored corpus in place with a
-// fresh document stream, optionally suppressing near-duplicates.
-func runAppend(path, input, jsonlField, synthDomain string, docs int, seed uint64,
-	opt topmine.AppendOptions, stdin io.Reader, stderr io.Writer) error {
-	src, cleanup, err := openSource(input, jsonlField, synthDomain, docs, seed, stdin)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	t0 := time.Now()
-	stats, err := topmine.AppendCorpusFile(path, src, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "appended %d documents (%d tokens) to %s in %v",
-		stats.DocsAdded, stats.TokensAdded, path, time.Since(t0).Round(time.Millisecond))
-	if stats.DocsAdded > 0 {
-		fmt.Fprintf(stderr, " (%d appended segments; stored artifacts are now stale — retraining re-mines)", stats.Segments)
-	}
-	fmt.Fprintln(stderr)
-	if opt.Dedup {
-		fmt.Fprintf(stderr, "skipped %d near-duplicate documents (Jaccard >= %g)\n",
-			stats.DocsSkipped, opt.DedupThreshold)
-	}
-	return nil
-}
-
-// openSource opens the raw document stream named by the input flags,
-// for modes that consume documents without building an in-memory
-// corpus first. The returned cleanup closes any underlying file.
-func openSource(input, jsonlField, synthDomain string, docs int, seed uint64, stdin io.Reader) (topmine.Source, func(), error) {
-	switch {
-	case input != "" && synthDomain != "":
-		return nil, nil, fmt.Errorf("use either -input or -synth, not both")
-	case jsonlField != "" && input == "":
-		return nil, nil, fmt.Errorf("-jsonl needs -input")
-	case synthDomain != "":
-		raw, err := topmine.GenerateExampleCorpus(synthDomain, docs, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return topmine.SliceSource(raw), func() {}, nil
-	case input == "":
-		return nil, nil, fmt.Errorf("-append needs an input (-input or -synth)")
-	}
-	r := stdin
-	cleanup := func() {}
-	if input != "-" {
-		f, err := os.Open(input)
-		if err != nil {
-			return nil, nil, err
-		}
-		r = f
-		cleanup = func() { f.Close() }
-	}
-	rr, err := topmine.MaybeDecompress(r)
-	if err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	if jsonlField != "" {
-		return topmine.JSONLSource(rr, jsonlField), cleanup, nil
-	}
-	return topmine.LineSource(rr), cleanup, nil
-}
-
-// flagWasSet reports whether the user set the named flag explicitly.
-func flagWasSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// loadInput streams the corpus off disk (or the given stdin reader
-// when path is "-"), tokenizing on all requested cores; raw text is
-// never accumulated, so multi-GB inputs ingest in memory proportional
-// to their token count. gzip input — on disk or piped — is detected by
-// magic bytes and decompressed transparently.
-func loadInput(path, jsonlField string, workers int, stdin io.Reader) (*topmine.Corpus, error) {
-	r := stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	r, err := topmine.MaybeDecompress(r)
-	if err != nil {
-		return nil, err
-	}
-	var src topmine.Source
-	if jsonlField != "" {
-		src = topmine.JSONLSource(r, jsonlField)
-	} else {
-		src = topmine.LineSource(r)
-	}
-	opt := topmine.DefaultCorpusOptions()
-	opt.Workers = workers
-	return topmine.BuildCorpusFromSource(src, opt)
-}
-
-// saveSnapshot writes res to path, keeping the Gibbs training state
-// when withState is set.
-func saveSnapshot(path string, res *topmine.Result, withState bool, stderr io.Writer) error {
-	save, kind := topmine.SaveSnapshotFile, "snapshot"
-	if withState {
-		save, kind = topmine.SaveTrainingSnapshotFile, "training snapshot (resumable with -load -iters)"
-	}
-	if err := save(path, res); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "%s saved to %s\n", kind, path)
-	return nil
-}
-
-// runLoaded consumes a snapshot: prints its topics, optionally
-// continues Gibbs training for resumeIters sweeps (snapshots saved
-// with -save-state carry the training state this needs) — over the
-// grown corpus at updatePath when given — re-saves when savePath is
-// given, and when text is given, folds it into the model and reports
-// the inferred mixture.
-func runLoaded(path, savePath, updatePath string, saveState bool, text string, iters, resumeIters int, stdout, stderr io.Writer) error {
-	res, err := topmine.LoadSnapshotFile(path)
-	if err != nil {
-		return err
-	}
-	defer res.Close()
-	fmt.Fprintf(stderr, "snapshot %s: %d topics, %d stems, %d frequent phrases",
-		path, res.Options.Topics, res.Corpus.Vocab.Size(), res.Mined.Counts.Len())
-	if res.Resumable() {
-		fmt.Fprintf(stderr, ", resumable")
-	}
-	fmt.Fprintln(stderr)
-	switch {
-	case updatePath != "":
-		cf, err := topmine.OpenCorpusFile(updatePath)
-		if err != nil {
-			return err
-		}
-		defer cf.Close()
-		oldDocs := len(res.Model.Docs)
-		t0 := time.Now()
-		if err := res.UpdateTraining(cf, resumeIters); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "updated training over %s: %d documents (%d new), %d sweeps in %v\n",
-			updatePath, len(res.Model.Docs), len(res.Model.Docs)-oldDocs,
-			resumeIters, time.Since(t0).Round(time.Millisecond))
-	case resumeIters > 0:
-		t0 := time.Now()
-		if err := res.ResumeTraining(resumeIters); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "resumed training: %v (%d sweeps)\n",
-			time.Since(t0).Round(time.Millisecond), resumeIters)
-	}
-	fmt.Fprint(stdout, topmine.FormatTopics(res.Topics))
-	if savePath != "" {
-		if err := saveSnapshot(savePath, res, saveState, stderr); err != nil {
-			return err
-		}
-	}
-	if text != "" {
-		printInference(res, text, iters, stdout)
-	}
-	return nil
-}
-
-// printInference folds text into the trained model and reports the
-// mixture.
-func printInference(res *topmine.Result, text string, iters int, stdout io.Writer) {
-	theta := res.InferTopics(text, iters)
-	fmt.Fprintf(stdout, "\ninferred mixture for %q:\n", text)
-	for k, v := range theta {
-		fmt.Fprintf(stdout, "  topic %d: %.4f\n", k, v)
-	}
-	fmt.Fprintf(stdout, "best topic: %d\n", topmine.BestTopic(theta))
 }

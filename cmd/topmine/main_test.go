@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -65,6 +67,15 @@ func fastArgs(extra ...string) []string {
 	return append([]string{"-k", "2", "-iters", "3", "-minsup", "2", "-top", "3"}, extra...)
 }
 
+// trainArgs is `topmine train` with fastArgs.
+func trainArgs(extra ...string) []string { return append([]string{"train"}, fastArgs(extra...)...) }
+
+// preprocessArgs is `topmine preprocess out` with fastArgs' mining
+// flags, so that a train run with fastArgs reuses the stored artifacts.
+func preprocessArgs(out string, extra ...string) []string {
+	return append([]string{"preprocess", out, "-minsup", "2"}, extra...)
+}
+
 // TestStdinReadOnce pins the satellite fix: `-input -` combined with
 // -save and -infer must consume stdin exactly once — the infer path
 // folds text into the in-memory result and must never touch stdin
@@ -73,7 +84,7 @@ func TestStdinReadOnce(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "model.tpm")
 	stdin := &oneShotReader{r: strings.NewReader(testStdinDocs())}
 	var stdout, stderr bytes.Buffer
-	args := fastArgs("-input", "-", "-save", snap, "-infer", "great food")
+	args := trainArgs("-input", "-", "-save", snap, "-infer", "great food")
 	if err := run(args, stdin, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
@@ -87,7 +98,7 @@ func TestStdinReadOnce(t *testing.T) {
 	stdin2 := &oneShotReader{r: strings.NewReader("")}
 	stdin2.done = true // any read explodes
 	var out2, err2 bytes.Buffer
-	if err := run([]string{"-load", snap, "-infer", "terrible slow service"}, stdin2, &out2, &err2); err != nil {
+	if err := run([]string{"load", snap, "-infer", "terrible slow service"}, stdin2, &out2, &err2); err != nil {
 		t.Fatalf("run -load: %v\nstderr:\n%s", err, err2.String())
 	}
 	if !strings.Contains(out2.String(), "best topic:") {
@@ -103,7 +114,7 @@ func TestPreprocessAndTrainFromCorpusFile(t *testing.T) {
 	tpc := filepath.Join(dir, "corpus.tpc")
 	stdin := &oneShotReader{r: strings.NewReader(testStdinDocs())}
 	var out, errb bytes.Buffer
-	if err := run(fastArgs("-input", "-", "-preprocess", tpc), stdin, &out, &errb); err != nil {
+	if err := run(preprocessArgs(tpc, "-input", "-"), stdin, &out, &errb); err != nil {
 		t.Fatalf("preprocess: %v\nstderr:\n%s", err, errb.String())
 	}
 	if !strings.Contains(errb.String(), "corpus file saved") {
@@ -111,7 +122,7 @@ func TestPreprocessAndTrainFromCorpusFile(t *testing.T) {
 	}
 
 	var out2, errb2 bytes.Buffer
-	if err := run(fastArgs("-corpus", tpc), strings.NewReader(""), &out2, &errb2); err != nil {
+	if err := run(trainArgs("-corpus", tpc), strings.NewReader(""), &out2, &errb2); err != nil {
 		t.Fatalf("train from corpus file: %v\nstderr:\n%s", err, errb2.String())
 	}
 	if !strings.Contains(errb2.String(), "reusing stored phrase mining") {
@@ -123,7 +134,7 @@ func TestPreprocessAndTrainFromCorpusFile(t *testing.T) {
 
 	// Different mining parameters must trigger a recompute, loudly.
 	var out3, errb3 bytes.Buffer
-	if err := run(fastArgs("-corpus", tpc, "-minsup", "3"), strings.NewReader(""), &out3, &errb3); err != nil {
+	if err := run(trainArgs("-corpus", tpc, "-minsup", "3"), strings.NewReader(""), &out3, &errb3); err != nil {
 		t.Fatalf("train with different params: %v", err)
 	}
 	if !strings.Contains(errb3.String(), "recomputing") {
@@ -139,14 +150,14 @@ func TestResumeWorkflow(t *testing.T) {
 	s2 := filepath.Join(dir, "s2.tpm")
 	stdin := &oneShotReader{r: strings.NewReader(testStdinDocs())}
 	var out, errb bytes.Buffer
-	if err := run(fastArgs("-input", "-", "-save", s1, "-save-state"), stdin, &out, &errb); err != nil {
+	if err := run(trainArgs("-input", "-", "-save", s1, "-save-state"), stdin, &out, &errb); err != nil {
 		t.Fatalf("train+save-state: %v\nstderr:\n%s", err, errb.String())
 	}
 	if !strings.Contains(errb.String(), "training snapshot") {
 		t.Fatalf("no training-snapshot confirmation:\n%s", errb.String())
 	}
 	var out2, errb2 bytes.Buffer
-	if err := run([]string{"-load", s1, "-iters", "4", "-save", s2}, strings.NewReader(""), &out2, &errb2); err != nil {
+	if err := run([]string{"load", s1, "-iters", "4", "-save", s2}, strings.NewReader(""), &out2, &errb2); err != nil {
 		t.Fatalf("resume: %v\nstderr:\n%s", err, errb2.String())
 	}
 	if !strings.Contains(errb2.String(), "resumed training") {
@@ -154,7 +165,7 @@ func TestResumeWorkflow(t *testing.T) {
 	}
 	// The frozen re-save must refuse a further resume.
 	var out3, errb3 bytes.Buffer
-	err := run([]string{"-load", s2, "-iters", "4"}, strings.NewReader(""), &out3, &errb3)
+	err := run([]string{"load", s2, "-iters", "4"}, strings.NewReader(""), &out3, &errb3)
 	if err == nil || !strings.Contains(err.Error(), "training state") {
 		t.Fatalf("resume of a frozen snapshot should fail helpfully, got %v", err)
 	}
@@ -170,7 +181,7 @@ func TestLivingCorpusWorkflow(t *testing.T) {
 	// Preprocess shard 1, storing sketches for later dedup.
 	stdin := &oneShotReader{r: strings.NewReader(testStdinDocs())}
 	var out, errb bytes.Buffer
-	if err := run(fastArgs("-input", "-", "-preprocess", tpc, "-sketch"), stdin, &out, &errb); err != nil {
+	if err := run(preprocessArgs(tpc, "-input", "-", "-sketch"), stdin, &out, &errb); err != nil {
 		t.Fatalf("preprocess: %v\nstderr:\n%s", err, errb.String())
 	}
 
@@ -178,7 +189,7 @@ func TestLivingCorpusWorkflow(t *testing.T) {
 	// the counted total.
 	errb.Reset()
 	stdin = &oneShotReader{r: strings.NewReader(testStdinDocs())}
-	if err := run([]string{"-append", tpc, "-input", "-", "-dedup"}, stdin, &out, &errb); err != nil {
+	if err := run([]string{"append", tpc, "-input", "-", "-dedup"}, stdin, &out, &errb); err != nil {
 		t.Fatalf("dedup append: %v\nstderr:\n%s", err, errb.String())
 	}
 	if !strings.Contains(errb.String(), "skipped 80 near-duplicate documents") {
@@ -191,7 +202,7 @@ func TestLivingCorpusWorkflow(t *testing.T) {
 	// Appending a fresh shard grows the file.
 	errb.Reset()
 	stdin = &oneShotReader{r: strings.NewReader(testStdinDocs2())}
-	if err := run([]string{"-append", tpc, "-input", "-", "-dedup"}, stdin, &out, &errb); err != nil {
+	if err := run([]string{"append", tpc, "-input", "-", "-dedup"}, stdin, &out, &errb); err != nil {
 		t.Fatalf("append: %v\nstderr:\n%s", err, errb.String())
 	}
 	if !strings.Contains(errb.String(), "appended 2 documents") {
@@ -200,7 +211,7 @@ func TestLivingCorpusWorkflow(t *testing.T) {
 
 	// Training from the grown file surfaces the stale artifacts.
 	var out2, errb2 bytes.Buffer
-	if err := run(fastArgs("-corpus", tpc), strings.NewReader(""), &out2, &errb2); err != nil {
+	if err := run(trainArgs("-corpus", tpc), strings.NewReader(""), &out2, &errb2); err != nil {
 		t.Fatalf("train from grown file: %v\nstderr:\n%s", err, errb2.String())
 	}
 	if !strings.Contains(errb2.String(), "stored artifacts dropped") {
@@ -214,17 +225,17 @@ func TestLivingCorpusWorkflow(t *testing.T) {
 	shard2 := filepath.Join(dir, "shard2.tpc")
 	stdin = &oneShotReader{r: strings.NewReader(testStdinDocs2())}
 	errb.Reset()
-	if err := run(fastArgs("-input", "-", "-preprocess", shard2), stdin, &out, &errb); err != nil {
+	if err := run(preprocessArgs(shard2, "-input", "-"), stdin, &out, &errb); err != nil {
 		t.Fatalf("preprocess shard 2: %v\nstderr:\n%s", err, errb.String())
 	}
 	shard1 := filepath.Join(dir, "shard1.tpc")
 	stdin = &oneShotReader{r: strings.NewReader(testStdinDocs())}
-	if err := run(fastArgs("-input", "-", "-preprocess", shard1), stdin, &out, &errb); err != nil {
+	if err := run(preprocessArgs(shard1, "-input", "-"), stdin, &out, &errb); err != nil {
 		t.Fatalf("preprocess shard 1: %v\nstderr:\n%s", err, errb.String())
 	}
 	merged := filepath.Join(dir, "merged.tpc")
 	errb.Reset()
-	if err := run([]string{"-merge", merged, shard1, shard2}, strings.NewReader(""), &out, &errb); err != nil {
+	if err := run([]string{"merge", merged, shard1, shard2}, strings.NewReader(""), &out, &errb); err != nil {
 		t.Fatalf("merge: %v\nstderr:\n%s", err, errb.String())
 	}
 	if !strings.Contains(errb.String(), "merged 2 corpus files") {
@@ -235,11 +246,11 @@ func TestLivingCorpusWorkflow(t *testing.T) {
 	// grown file.
 	snap := filepath.Join(dir, "m.tpm")
 	var errb3 bytes.Buffer
-	if err := run(fastArgs("-corpus", shard1, "-save", snap, "-save-state"), strings.NewReader(""), &out, &errb3); err != nil {
+	if err := run(trainArgs("-corpus", shard1, "-save", snap, "-save-state"), strings.NewReader(""), &out, &errb3); err != nil {
 		t.Fatalf("train shard 1: %v\nstderr:\n%s", err, errb3.String())
 	}
 	var out4, errb4 bytes.Buffer
-	if err := run([]string{"-load", snap, "-update", tpc, "-iters", "3"}, strings.NewReader(""), &out4, &errb4); err != nil {
+	if err := run([]string{"load", snap, "-update", tpc, "-iters", "3"}, strings.NewReader(""), &out4, &errb4); err != nil {
 		t.Fatalf("update: %v\nstderr:\n%s", err, errb4.String())
 	}
 	if !strings.Contains(errb4.String(), "updated training over") || !strings.Contains(errb4.String(), "(2 new)") {
@@ -253,7 +264,7 @@ func TestLivingCorpusWorkflow(t *testing.T) {
 	// topics.
 	var updates [2]bytes.Buffer
 	for i := range updates {
-		if err := run([]string{"-load", snap, "-update", merged, "-iters", "3"}, strings.NewReader(""), &updates[i], &errb); err != nil {
+		if err := run([]string{"load", snap, "-update", merged, "-iters", "3"}, strings.NewReader(""), &updates[i], &errb); err != nil {
 			t.Fatalf("update %d over the merged file: %v\nstderr:\n%s", i+1, err, errb.String())
 		}
 	}
@@ -264,17 +275,17 @@ func TestLivingCorpusWorkflow(t *testing.T) {
 	// A file grown by -append without -dedup trains to the topics of
 	// the concatenated input.
 	grown := filepath.Join(dir, "grown.tpc")
-	if err := run(fastArgs("-input", "-", "-preprocess", grown), strings.NewReader(testStdinDocs()), &out, &errb); err != nil {
+	if err := run(preprocessArgs(grown, "-input", "-"), strings.NewReader(testStdinDocs()), &out, &errb); err != nil {
 		t.Fatalf("preprocess grown: %v\nstderr:\n%s", err, errb.String())
 	}
-	if err := run([]string{"-append", grown, "-input", "-"}, strings.NewReader(testStdinDocs2()), &out, &errb); err != nil {
+	if err := run([]string{"append", grown, "-input", "-"}, strings.NewReader(testStdinDocs2()), &out, &errb); err != nil {
 		t.Fatalf("append: %v\nstderr:\n%s", err, errb.String())
 	}
 	var fromGrown, fromScratch bytes.Buffer
-	if err := run(fastArgs("-corpus", grown), strings.NewReader(""), &fromGrown, &errb); err != nil {
+	if err := run(trainArgs("-corpus", grown), strings.NewReader(""), &fromGrown, &errb); err != nil {
 		t.Fatalf("train from grown file: %v\nstderr:\n%s", err, errb.String())
 	}
-	if err := run(fastArgs("-input", "-"), strings.NewReader(testStdinDocs()+testStdinDocs2()), &fromScratch, &errb); err != nil {
+	if err := run(trainArgs("-input", "-"), strings.NewReader(testStdinDocs()+testStdinDocs2()), &fromScratch, &errb); err != nil {
 		t.Fatalf("train from concatenated input: %v\nstderr:\n%s", err, errb.String())
 	}
 	if fromGrown.String() != fromScratch.String() {
@@ -316,7 +327,7 @@ type cliProc struct {
 	stderr bytes.Buffer
 }
 
-// startWorker starts a `topmine -train-worker addr` process. It is
+// startWorker starts a `topmine worker addr` process. It is
 // killed at cleanup if the test has not reaped it.
 func startWorker(t *testing.T, addr string) *cliProc {
 	t.Helper()
@@ -324,7 +335,7 @@ func startWorker(t *testing.T, addr string) *cliProc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &cliProc{Cmd: exec.Command(exe, "-train-worker", addr, "-train-timeout", "60s")}
+	p := &cliProc{Cmd: exec.Command(exe, "worker", addr, "-train-timeout", "60s")}
 	p.Env = append(os.Environ(), cliEnv+"=1")
 	p.Stderr = &p.stderr
 	if err := p.Start(); err != nil {
@@ -347,13 +358,19 @@ func (p *cliProc) reap(t *testing.T) {
 }
 
 // runDistributed trains in-process as the coordinator of two worker
-// processes and returns the coordinator's stdout and stderr.
-func runDistributed(t *testing.T, args ...string) (string, string) {
+// processes — `topmine coordinate`, or `topmine recover` from the
+// checkpoint ckpt when it is set — and returns the coordinator's stdout
+// and stderr.
+func runDistributed(t *testing.T, ckpt string, args ...string) (string, string) {
 	t.Helper()
 	addr := freePort(t)
 	workers := []*cliProc{startWorker(t, addr), startWorker(t, addr)}
 	var out, errb bytes.Buffer
-	err := run(append([]string{"-train-coordinator", addr, "-train-workers", "2", "-train-timeout", "60s"}, args...),
+	argv := []string{"coordinate", addr}
+	if ckpt != "" {
+		argv = []string{"recover", addr, ckpt}
+	}
+	err := run(append(append(argv, "-train-workers", "2", "-train-timeout", "60s"), args...),
 		strings.NewReader(""), &out, &errb)
 	for _, w := range workers {
 		w.reap(t)
@@ -369,7 +386,7 @@ func preprocessTestDocs(t *testing.T, dir string) string {
 	t.Helper()
 	tpc := filepath.Join(dir, "corpus.tpc")
 	var errb bytes.Buffer
-	if err := run(fastArgs("-input", "-", "-preprocess", tpc), strings.NewReader(testStdinDocs()), io.Discard, &errb); err != nil {
+	if err := run(preprocessArgs(tpc, "-input", "-"), strings.NewReader(testStdinDocs()), io.Discard, &errb); err != nil {
 		t.Fatalf("preprocess: %v\nstderr:\n%s", err, errb.String())
 	}
 	return tpc
@@ -384,7 +401,7 @@ func TestDistributedCLIWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	tpc := preprocessTestDocs(t, dir)
 
-	dout, derr := runDistributed(t, fastArgs("-corpus", tpc, "-v")...)
+	dout, derr := runDistributed(t, "", fastArgs("-corpus", tpc, "-v")...)
 	if !strings.Contains(derr, "distributed training:") {
 		t.Fatalf("no training confirmation:\n%s", derr)
 	}
@@ -396,7 +413,7 @@ func TestDistributedCLIWorkflow(t *testing.T) {
 	}
 
 	var pout, perr bytes.Buffer
-	if err := run(fastArgs("-corpus", tpc, "-topic-workers", "2"),
+	if err := run(trainArgs("-corpus", tpc, "-topic-workers", "2"),
 		strings.NewReader(""), &pout, &perr); err != nil {
 		t.Fatalf("in-process run: %v\nstderr:\n%s", err, perr.String())
 	}
@@ -417,7 +434,7 @@ func TestDistributedCheckpointResumeCLI(t *testing.T) {
 	tpc := preprocessTestDocs(t, dir)
 	ck := filepath.Join(dir, "run.tpd")
 
-	out1, err1 := runDistributed(t, append(fastArgs("-corpus", tpc), "-checkpoint", ck, "-checkpoint-every", "1", "-v")...)
+	out1, err1 := runDistributed(t, "", append(fastArgs("-corpus", tpc), "-checkpoint", ck, "-checkpoint-every", "1", "-v")...)
 	if _, err := os.Stat(ck); err != nil {
 		t.Fatalf("no checkpoint written: %v", err)
 	}
@@ -427,7 +444,7 @@ func TestDistributedCheckpointResumeCLI(t *testing.T) {
 	// -minsup/-top must match the original run (they shape the corpus
 	// rebuild and rendering); -k/-iters/-seed must NOT be passed — the
 	// checkpoint carries the schedule.
-	out2, err2 := runDistributed(t, "-corpus", tpc, "-resume", ck, "-minsup", "2", "-top", "3")
+	out2, err2 := runDistributed(t, ck, "-corpus", tpc, "-minsup", "2", "-top", "3")
 	if !strings.Contains(err2, "resumed from") {
 		t.Fatalf("resume not reported:\n%s", err2)
 	}
@@ -447,7 +464,7 @@ func TestDistributedObservabilityCLI(t *testing.T) {
 	traceFile := filepath.Join(dir, "trace.jsonl")
 
 	train := func(extra ...string) (string, string) {
-		return runDistributed(t, append([]string{"-corpus", tpc,
+		return runDistributed(t, "", append([]string{"-corpus", tpc,
 			"-k", "2", "-iters", "400", "-minsup", "2", "-top", "3"}, extra...)...)
 	}
 
@@ -550,13 +567,13 @@ func TestDistributedChaosCLI(t *testing.T) {
 	ck := filepath.Join(dir, "ck.tpd")
 	traceFile := filepath.Join(dir, "trace.jsonl")
 	var out, errb bytes.Buffer
-	if err := run([]string{"-synth", "20conf", "-docs", "300", "-seed", "1", "-minsup", "3", "-preprocess", tpc},
+	if err := run([]string{"preprocess", tpc, "-synth", "20conf", "-docs", "300", "-seed", "1", "-minsup", "3"},
 		strings.NewReader(""), &out, &errb); err != nil {
 		t.Fatalf("preprocess: %v\nstderr:\n%s", err, errb.String())
 	}
 	schedule := []string{"-corpus", tpc, "-minsup", "3", "-k", "4", "-iters", "1000", "-seed", "7"}
 	var want bytes.Buffer
-	if err := run(append(schedule, "-topic-workers", "2"), strings.NewReader(""), &want, &errb); err != nil {
+	if err := run(append(append([]string{"train"}, schedule...), "-topic-workers", "2"), strings.NewReader(""), &want, &errb); err != nil {
 		t.Fatalf("in-process run: %v\nstderr:\n%s", err, errb.String())
 	}
 
@@ -565,7 +582,7 @@ func TestDistributedChaosCLI(t *testing.T) {
 	var got, coordErr bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run(append([]string{"-train-coordinator", addr, "-train-workers", "2", "-train-timeout", "60s",
+		done <- run(append([]string{"coordinate", addr, "-train-workers", "2", "-train-timeout", "60s",
 			"-elastic", "-checkpoint", ck, "-checkpoint-every", "5", "-train-http", statusAddr, "-trace", traceFile, "-v"},
 			schedule...), strings.NewReader(""), &got, &coordErr)
 	}()
@@ -616,7 +633,7 @@ func TestDistributedChaosCLI(t *testing.T) {
 	}
 
 	// The schedule lives in the .tpd, so no -k/-iters/-seed here.
-	resumed, _ := runDistributed(t, "-corpus", tpc, "-resume", ck, "-minsup", "3")
+	resumed, _ := runDistributed(t, ck, "-corpus", tpc, "-minsup", "3")
 	if resumed != want.String() {
 		t.Fatalf("resumed topics differ from the in-process run:\n--- resumed ---\n%s\n--- in-process ---\n%s", resumed, want.String())
 	}
@@ -625,56 +642,109 @@ func TestDistributedChaosCLI(t *testing.T) {
 	if err != nil || os.WriteFile(ck, raw[:len(raw)-7], 0o644) != nil {
 		t.Fatalf("truncate checkpoint: %v", err)
 	}
-	err = run([]string{"-corpus", tpc, "-train-coordinator", freePort(t), "-train-workers", "2", "-resume", ck, "-minsup", "3"},
+	err = run([]string{"recover", freePort(t), ck, "-corpus", tpc, "-train-workers", "2", "-minsup", "3"},
 		strings.NewReader(""), io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("torn checkpoint: got %v, want an error naming \"truncated\"", err)
 	}
 }
 
+// TestBadFlagCombos pins that every bad command line is a usage error
+// (exit 2) raised before any file is opened: none of the paths named
+// here exists, so an error that does not wrap errUsage came from
+// opening one.
 func TestBadFlagCombos(t *testing.T) {
 	cases := [][]string{
-		{"-input", "x", "-synth", "yelp-reviews"},
-		{"-jsonl", "text"},
-		{"-corpus", "x.tpc", "-input", "y"},
-		{"-preprocess", "out.tpc", "-save", "m.tpm", "-input", "-"},
-		{"-save-state", "-input", "-"},
-		{"-load", "m.tpm", "-k", "5"},
-		{"-corpus", "x.tpc", "-docs", "100"},
-		{"-merge", "out.tpc", "-input", "x"},
-		{"-merge", "out.tpc", "only-one.tpc"},
-		{"-append", "c.tpc", "-k", "5", "-input", "x"},
-		{"-append", "c.tpc"},
-		{"-dedup", "-input", "x"},
-		{"-sketch", "-input", "-"},
-		{"-update", "c.tpc", "-input", "x"},
-		{"-train-worker", ":0", "-append", "c.tpc"},
-		{"-train-worker", ":0", "-k", "5"},
-		{"-train-worker", ":0", "-train-workers", "2"},
-		{"-train-workers", "2"},
-		{"-train-coordinator", ":0"},
-		{"-train-coordinator", ":0", "-corpus", "x.tpc", "-topic-workers", "2"},
-		{"-train-coordinator", ":0", "-corpus", "x.tpc", "-update", "m.tpc"},
-		{"-train-coordinator", ":0", "-corpus", "x.tpc", "-input", "y"},
-		{"-train-coordinator", ":0", "-corpus", "x.tpc", "-load", "m.tpm"},
-		{"-train-coordinator", ":0", "-corpus", "x.tpc", "-train-workers", "0"},
-		{"-checkpoint", "x.tpd"},
-		{"-checkpoint-every", "5"},
-		{"-resume", "x.tpd"},
-		{"-elastic"},
-		{"-train-http", "127.0.0.1:0"},
-		{"-trace", "trace.jsonl"},
-		{"-train-worker", ":0", "-train-http", "127.0.0.1:0"},
-		{"-train-worker", ":0", "-trace", "trace.jsonl"},
-		{"-train-reconnect", "5s"},
-		{"-train-worker", ":0", "-checkpoint", "x.tpd"},
-		{"-train-coordinator", ":0", "-corpus", "x.tpc", "-train-workers", "2", "-checkpoint-every", "5"},
-		{"-train-coordinator", ":0", "-corpus", "x.tpc", "-train-workers", "2", "-resume", "x.tpd", "-k", "5"},
-		{"-train-coordinator", ":0", "-corpus", "x.tpc", "-train-workers", "2", "-resume", "x.tpd", "-iters", "9"},
+		{"train", "-input", "x", "-synth", "yelp-reviews"},
+		{"train", "-jsonl", "text"},
+		{"train", "-corpus", "x.tpc", "-input", "y"},
+		{"preprocess", "out.tpc", "-save", "m.tpm", "-input", "-"},
+		{"train", "-save-state", "-input", "-"},
+		{"load", "m.tpm", "-k", "5"},
+		{"train", "-corpus", "x.tpc", "-docs", "100"},
+		{"merge", "out.tpc", "-input", "x"},
+		{"merge", "out.tpc", "only-one.tpc"},
+		{"append", "c.tpc", "-k", "5", "-input", "x"},
+		{"append", "c.tpc"},
+		{"train", "-dedup", "-input", "x"},
+		{"train", "-sketch", "-input", "-"},
+		{"train", "-update", "c.tpc", "-input", "x"},
+		{"worker", ":0", "-append", "c.tpc"},
+		{"worker", ":0", "-k", "5"},
+		{"worker", ":0", "-train-workers", "2"},
+		{"train", "-train-workers", "2"},
+		{"coordinate", ":0"},
+		{"coordinate", ":0", "-corpus", "x.tpc", "-topic-workers", "2"},
+		{"coordinate", ":0", "-corpus", "x.tpc", "-update", "m.tpc"},
+		{"coordinate", ":0", "-corpus", "x.tpc", "-input", "y"},
+		{"coordinate", ":0", "-corpus", "x.tpc", "-load", "m.tpm"},
+		{"coordinate", ":0", "-corpus", "x.tpc", "-train-workers", "0"},
+		{"train", "-checkpoint", "x.tpd"},
+		{"train", "-checkpoint-every", "5"},
+		{"train", "-resume", "x.tpd"},
+		{"train", "-elastic"},
+		{"train", "-train-http", "127.0.0.1:0"},
+		{"train", "-trace", "trace.jsonl"},
+		{"worker", ":0", "-train-http", "127.0.0.1:0"},
+		{"worker", ":0", "-trace", "trace.jsonl"},
+		{"train", "-train-reconnect", "5s"},
+		{"worker", ":0", "-checkpoint", "x.tpd"},
+		{"coordinate", ":0", "-corpus", "x.tpc", "-train-workers", "2", "-checkpoint-every", "5"},
+		{"recover", ":0", "x.tpd", "-corpus", "x.tpc", "-train-workers", "2", "-k", "5"},
+		{"recover", ":0", "x.tpd", "-corpus", "x.tpc", "-train-workers", "2", "-iters", "9"},
+		// No command, the flat form, an unknown command, operands in
+		// the wrong number or after the flags.
+		{},
+		{"-input", "x"},
+		{"mine", "-input", "x"},
+		{"load"},
+		{"train", "-input", "x", "extra"},
+		{"append", "-input", "x", "c.tpc"},
+		{"append", "c.tpc", "-input", "x", "-dedup-threshold", "0.8"},
 	}
 	for _, args := range cases {
-		if err := run(args, strings.NewReader(""), io.Discard, io.Discard); err == nil {
-			t.Errorf("args %v: expected an error", args)
+		if err := run(args, strings.NewReader(""), io.Discard, io.Discard); !errors.Is(err, errUsage) {
+			t.Errorf("args %v: got %v, want a usage error", args, err)
+		}
+	}
+}
+
+// TestHelp pins -h: topmine alone lists the commands, a command lists
+// its own flags, and both exit 0.
+func TestHelp(t *testing.T) {
+	for _, tc := range []struct {
+		args      []string
+		want, not string
+	}{
+		{[]string{"-h"}, "coordinate", "-minsup"},
+		{[]string{"recover", "-h"}, "-minsup", "-seed"},
+		{[]string{"worker", "-h"}, "-train-reconnect", "-v"},
+	} {
+		var errb bytes.Buffer
+		if err := run(tc.args, strings.NewReader(""), io.Discard, &errb); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%v: got %v, want flag.ErrHelp", tc.args, err)
+		}
+		if !strings.Contains(errb.String(), tc.want) || strings.Contains(errb.String(), tc.not) {
+			t.Errorf("%v: help should name %s and not %s:\n%s", tc.args, tc.want, tc.not, errb.String())
+		}
+	}
+}
+
+// TestInferUnknownWords pins that -infer on text with no word in the
+// vocabulary says so instead of printing the prior's argmax as the
+// text's best topic, after training and against a loaded snapshot.
+func TestInferUnknownWords(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "m.tpm")
+	for _, args := range [][]string{
+		trainArgs("-input", "-", "-save", snap, "-infer", "zzzqx qqqvv"),
+		{"load", snap, "-infer", "zzzqx qqqvv"},
+	} {
+		var out, errb bytes.Buffer
+		if err := run(args, strings.NewReader(testStdinDocs()), &out, &errb); err != nil {
+			t.Fatalf("%v: %v\nstderr:\n%s", args, err, errb.String())
+		}
+		if strings.Contains(out.String(), "best topic") || !strings.Contains(out.String(), "no topic inferred") {
+			t.Errorf("%v: out-of-vocabulary text got a topic:\n%s", args, out.String())
 		}
 	}
 }
@@ -687,7 +757,7 @@ func TestBadFlagCombos(t *testing.T) {
 func TestFilterBGMatchesLibrary(t *testing.T) {
 	const domain, docs, seed = "yelp-reviews", 150, 7
 	var out, errb bytes.Buffer
-	args := []string{"-synth", domain, "-docs", fmt.Sprint(docs), "-seed", fmt.Sprint(seed),
+	args := []string{"train", "-synth", domain, "-docs", fmt.Sprint(docs), "-seed", fmt.Sprint(seed),
 		"-k", "4", "-iters", "30", "-filterbg"}
 	if err := run(args, strings.NewReader(""), &out, &errb); err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, errb.String())

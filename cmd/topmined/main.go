@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	topmine -synth yelp-reviews -k 10 -save yelp.tpm
-//	topmine -synth dblp-titles  -k 10 -save dblp.tpm
+//	topmine train -synth yelp-reviews -k 10 -save yelp.tpm
+//	topmine train -synth dblp-titles  -k 10 -save dblp.tpm
 //
 //	# one model (requests route to it by default)
 //	topmined -model yelp.tpm -addr :8080

@@ -1,5 +1,5 @@
 // Command toptrace replays a structured training trace (the JSONL
-// file written by `topmine -train-coordinator ... -trace out.jsonl`)
+// file written by `topmine coordinate ... -trace out.jsonl`)
 // into a human barrier timeline with straggler attribution: which
 // worker gated each sweep barrier, how the run's wall time split
 // between sampling, reconciliation and checkpointing, and what the
@@ -7,7 +7,7 @@
 //
 // The report goes to stderr:
 //
-//	topmine -train-coordinator :7600 -train-workers 2 -corpus c.tpc \
+//	topmine coordinate :7600 -train-workers 2 -corpus c.tpc \
 //	        -trace trace.jsonl ...
 //	toptrace trace.jsonl
 //

@@ -156,7 +156,7 @@ type TrainingWorkerOptions struct {
 	// Reconnect, when positive, makes the worker survive a coordinator
 	// loss: each time the connection dies mid-run it re-dials for up to
 	// this long (jittered exponential backoff) and serves the next job
-	// — typically a coordinator restarted with -resume. Explicit aborts
+	// — typically a coordinator restarted by `topmine recover`. Explicit aborts
 	// and protocol errors are never retried.
 	Reconnect time.Duration
 	// Logf, when set, receives lifecycle log lines.

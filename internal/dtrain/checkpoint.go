@@ -401,7 +401,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 
 	zsec := secs[ckSecZ]
-	if len(zsec) < 4*ndocs {
+	if ndocs > len(zsec)/4 { // not 4*ndocs, which can overflow
 		return nil, fmt.Errorf("%w: Z section is %d bytes, shorter than its %d-doc length table", ErrCkptFormat, len(zsec), ndocs)
 	}
 	zr := wireReader{data: zsec}
@@ -411,7 +411,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		lens[d] = zr.u32()
 		total += int(lens[d])
 	}
-	if len(zsec) != 4*ndocs+4*total {
+	if total > len(zsec)/4 || len(zsec) != 4*ndocs+4*total {
 		return nil, fmt.Errorf("%w: Z section is %d bytes, lengths imply %d", ErrCkptFormat, len(zsec), 4*ndocs+4*total)
 	}
 	arena := zr.i32s(make([]int32, total))

@@ -173,7 +173,7 @@ func (r *Registry) AddInferencer(name string, inf *topmine.Inferencer) error {
 }
 
 // AddSnapshotFile registers a model backed by a snapshot file written
-// by topmine -save; Reload re-reads the same path.
+// by `topmine train -save`; Reload re-reads the same path.
 func (r *Registry) AddSnapshotFile(name, path string) error {
 	return r.Add(name, path, func() (*topmine.Inferencer, error) {
 		res, err := topmine.LoadSnapshotFile(path)

@@ -86,33 +86,30 @@ func (v *Vocab) AppendFlat(dst []byte) []byte {
 }
 
 // DecodeFlatVocab decodes a section written by AppendFlat in one pass:
-// the stems are copied back to back into the stem table's arena, every
-// surface form is a substring of one string copied from b, and the
-// votes live in one arena. Every count and length is checked against
-// the bytes left, so no input allocates more than a small multiple of
-// len(b).
+// the stems are copied back to back into the stem table's arena, a
+// surface form equal to its stem aliases the stem's key in the table,
+// the other forms are copied into one buffer, and the votes live in one
+// arena. Every count and length is checked against the bytes left, so
+// no input allocates more than a small multiple of len(b).
 func DecodeFlatVocab(b []byte) (*Vocab, error) {
-	s := string(b)
 	r := secfile.NewReader(b)
-	str := func(n int) string {
-		off := r.Offset()
-		if r.Bytes(n) == nil {
-			return ""
-		}
-		return s[off : off+n]
-	}
 	nw := r.Count(3)    // a stem is at least its length, count and vote count
 	total := r.Count(2) // a vote is at least its tag and tally
-	// The stem bytes fit in what the headers' minimum sizes leave.
-	arena := make([]byte, 0, max(0, len(b)-r.Offset()-3*nw-2*total))
+	// The stem and form bytes together fit in what the headers' minimum
+	// sizes leave.
+	room := max(0, len(b)-r.Offset()-3*nw-2*total)
+	arena := make([]byte, 0, room)
+	// forms is grown once, at the first form that differs from its stem,
+	// so that every such form's string views the one buffer.
+	var forms strings.Builder
+	self := make([]uint64, (total+63)/64) // bit j: vote j's form is its stem
 	stemEnds := make([]uint32, nw)
 	counts := make([]int64, nw)
 	votes := make([]surfaceVote, total)
 	ends := make([]int32, nw)
 	used := 0
 	for id := range stemEnds {
-		stem := str(r.Count(1))
-		arena = append(arena, stem...)
+		arena = append(arena, r.Bytes(r.Count(1))...)
 		stemEnds[id] = uint32(len(arena))
 		counts[id] = int64(r.Uvarint())
 		nv := r.Count(2)
@@ -121,11 +118,17 @@ func DecodeFlatVocab(b []byte) (*Vocab, error) {
 			break
 		}
 		for j := used; j < used+nv; j++ {
-			form := stem
-			if tag := r.Count(1); tag > 0 {
-				form = str(tag - 1)
+			if tag := r.Count(1); tag == 0 {
+				self[j/64] |= 1 << (j % 64)
+			} else if form := r.Bytes(tag - 1); form != nil {
+				if forms.Cap() == 0 {
+					forms.Grow(max(0, room-len(arena)))
+				}
+				off := forms.Len()
+				forms.Write(form)
+				votes[j].form = forms.String()[off:]
 			}
-			votes[j] = surfaceVote{form: form, n: int(r.Uvarint())}
+			votes[j].n = int(r.Uvarint())
 		}
 		used += nv
 		ends[id] = int32(used)
@@ -139,6 +142,15 @@ func DecodeFlatVocab(b []byte) (*Vocab, error) {
 	v, err := vocabFromColumns(arena, stemEnds, counts, votes, ends)
 	if err != nil {
 		return nil, fmt.Errorf("textproc: decoding vocabulary: %w", err)
+	}
+	start := int32(0)
+	for id, end := range ends {
+		for j := start; j < end; j++ {
+			if self[j/64]&(1<<(j%64)) != 0 {
+				votes[j].form = v.Word(int32(id))
+			}
+		}
+		start = end
 	}
 	return v, nil
 }

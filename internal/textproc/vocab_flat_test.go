@@ -3,9 +3,13 @@ package textproc
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func flatTestVocab() *Vocab {
@@ -69,6 +73,34 @@ func TestVocabArenaRowsAreCapped(t *testing.T) {
 		other.MergeInto(d)
 		if !reflect.DeepEqual(d.surface[topic], before) {
 			t.Fatalf("%s: growing stem 0's votes changed stem %d's: %v, was %v", name, topic, d.surface[topic], before)
+		}
+	}
+}
+
+// TestDecodeFlatVocabCopiesStemsOnce: a surface form equal to its stem
+// aliases the stem's key in the table, so a vocabulary whose forms are
+// all their stems decodes with one copy of its string bytes, not two.
+func TestDecodeFlatVocabCopiesStemsOnce(t *testing.T) {
+	v := NewVocab()
+	for i := range 64 {
+		stem := fmt.Sprintf("%02d%s", i, strings.Repeat("x", 4096))
+		v.Intern(stem, stem)
+	}
+	section := v.AppendFlat(nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := DecodeFlatVocab(section)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 16 KiB covers the columns: ends, counts, votes, rows and slots.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(section))+16<<10; got > limit {
+		t.Errorf("decoding a %d-byte section allocated %d bytes, want at most %d", len(section), got, limit)
+	}
+	for id := range int32(d.Size()) {
+		if form := d.surface[id][0].form; unsafe.StringData(form) != unsafe.StringData(d.Word(id)) {
+			t.Fatalf("stem %d: its form %.8q… is a copy, not the stem's key", id, form)
 		}
 	}
 }

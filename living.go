@@ -108,7 +108,7 @@ func (r *Result) UpdateTraining(cf *CorpusFile, iters int) error {
 		return fmt.Errorf("topmine: UpdateTraining: iters must be >= 0, got %d", iters)
 	}
 	if !r.Resumable() {
-		return fmt.Errorf("topmine: UpdateTraining: model carries no training state; save with SaveTrainingSnapshot (topmine -save-state) to update later")
+		return fmt.Errorf("topmine: UpdateTraining: model carries no training state; save with SaveTrainingSnapshot (topmine train -save -save-state) to update later")
 	}
 	if r.Corpus == nil || r.Corpus.Vocab == nil {
 		return fmt.Errorf("topmine: UpdateTraining: Result has no corpus")

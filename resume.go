@@ -17,7 +17,7 @@ func (r *Result) Resumable() bool {
 // ResumeTraining continues collapsed Gibbs sampling for iters more
 // sweeps on the Result's model, in place, and re-renders Topics from
 // the new state. It is the programmatic form of
-// `topmine -load snap.tpm -iters N -save snap2.tpm`.
+// `topmine load snap.tpm -iters N -save snap2.tpm`.
 //
 // The sampler state gob never carries (RNG position, sparse indexes)
 // was re-armed by Model.ResetSampler at load time, seeded from the
@@ -38,7 +38,7 @@ func (r *Result) ResumeTraining(iters int) error {
 		return fmt.Errorf("topmine: ResumeTraining: Result has no model")
 	}
 	if !r.Resumable() {
-		return fmt.Errorf("topmine: ResumeTraining: model carries no training state; save with SaveTrainingSnapshot (topmine -save-state) to resume later")
+		return fmt.Errorf("topmine: ResumeTraining: model carries no training state; save with SaveTrainingSnapshot (topmine train -save -save-state) to resume later")
 	}
 	mopt := core.ModelOptions(r.Options)
 	mopt.Iterations = iters

@@ -125,7 +125,7 @@ func SaveSnapshot(w io.Writer, r *Result) error {
 // per-document training state (documents, assignments, document-topic
 // counts) instead of being frozen to serving parameters. A snapshot
 // saved this way loads into a Result whose Resumable method reports
-// true, and ResumeTraining (or `topmine -load snap.tpm -iters N`)
+// true, and ResumeTraining (or `topmine load snap.tpm -iters N`)
 // continues collapsed Gibbs sweeps exactly where training stopped.
 // Serving reads the same sections as from a frozen snapshot; size
 // grows with the corpus, not just the vocabulary.

@@ -11,7 +11,7 @@ import (
 // build (before the topicmodel count matrices moved to flat arenas
 // and before Model.DenseSampler existed) with
 //
-//	topmine -synth dblp-titles -docs 300 -k 4 -iters 30 -seed 7 -save ...
+//	topmine train -synth dblp-titles -docs 300 -k 4 -iters 30 -seed 7 -save ...
 //
 // The current build must load it, reconstruct arena-backed counts via
 // ResetSampler, and serve deterministic inference from it. A failure

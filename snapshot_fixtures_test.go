@@ -19,8 +19,8 @@ import (
 // The two fixtures below were written by the last build whose
 // SaveSnapshot emitted .tpm version 1 (the gob payload), with
 //
-//	topmine -synth yelp-reviews -docs 200 -k 4 -iters 60 -seed 11 -save testdata/snapshot_v1_frozen.tpm
-//	topmine -synth yelp-reviews -docs 200 -k 4 -iters 60 -seed 11 -save testdata/snapshot_v1_training.tpm -save-state
+//	topmine train -synth yelp-reviews -docs 200 -k 4 -iters 60 -seed 11 -save testdata/snapshot_v1_frozen.tpm
+//	topmine train -synth yelp-reviews -docs 200 -k 4 -iters 60 -seed 11 -save testdata/snapshot_v1_training.tpm -save-state
 //
 // Stemming is on and the corpus carries inflected surface forms, and
 // hyperparameter optimisation ran at sweeps 25 and 50, so α is
