@@ -3,9 +3,11 @@ package corpusfile
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +18,7 @@ import (
 	"topmine/internal/corpus"
 	"topmine/internal/minhash"
 	"topmine/internal/phrasemine"
+	"topmine/internal/secfile"
 )
 
 var appendDocs = []string{
@@ -336,9 +339,10 @@ func stemsOf(text string, opt corpus.BuildOptions) []string {
 
 // TestStemsOfPinned pins, for every combination of stemming and
 // stop-word removal, the stems stemsOf yields for the shared text-path
-// fixture, the sketches ComputeSketches derives from the built corpus,
-// and the surface-keeping .tpc image of that corpus, to digests
-// recorded before the token loop became a byte scanner.
+// fixture, the sketches ComputeSketches derives from the built corpus
+// and what Open returns for the surface-keeping .tpc image of that
+// corpus, to digests recorded before the token loop became a byte
+// scanner; and the image bytes themselves to a second digest.
 func TestStemsOfPinned(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "textpath_pins.txt"))
 	if err != nil {
@@ -352,7 +356,7 @@ func TestStemsOfPinned(t *testing.T) {
 		}
 		pins = append(pins, s)
 	}
-	h := sha256.New()
+	h, images := sha256.New(), sha256.New()
 	for _, stem := range []bool{true, false} {
 		for _, stop := range []bool{true, false} {
 			opt := corpus.BuildOptions{Stem: stem, RemoveStopwords: stop, KeepSurface: true}
@@ -363,14 +367,50 @@ func TestStemsOfPinned(t *testing.T) {
 			for _, sk := range ComputeSketches(c, 16) {
 				fmt.Fprintf(h, "%x\n", []uint64(sk))
 			}
-			if err := Write(h, c); err != nil {
+			var img bytes.Buffer
+			if err := Write(&img, c); err != nil {
 				t.Fatal(err)
 			}
+			images.Write(img.Bytes())
+			f, err := Load(&img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.WriteString(h, contentDigest(t, f))
 		}
 	}
-	if got, want := hex.EncodeToString(h.Sum(nil)), "1f6fffd8d6ee57fc22d95e13f746d52c35f9345af9b610f4a064975b5edfabe1"; got != want {
-		t.Fatalf("stemsOf/ComputeSketches/.tpc digest %s, want %s", got, want)
+	if got, want := hex.EncodeToString(h.Sum(nil)), "7d07b4871bb2cddc7a70cde28f45449d65ae087f257718a4630b6fba398fdd05"; got != want {
+		t.Errorf("stemsOf/ComputeSketches/loaded .tpc digest %s, want %s", got, want)
 	}
+	if got, want := hex.EncodeToString(images.Sum(nil)), "55601b1860947e52f247e33d3503d2124e450a9747598cca49e27445a9f86342"; got != want {
+		t.Errorf(".tpc image digest %s, want %s", got, want)
+	}
+}
+
+// contentDigest hashes what Open returns for a corpus file: the corpus
+// columns, the vocabulary's words, counts and surface votes (through
+// its canonical flat encoding), the mined phrases with their scalars
+// and parameters, the spans, the sketches and the stale-artifacts
+// notice.
+func contentDigest(t testing.TB, f *File) string {
+	t.Helper()
+	raw, err := f.Corpus().Raw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v %d %v %v %v %q %v %v %v\n", raw.BuildOpts, raw.TotalTokens,
+		raw.Words, raw.Surface, raw.Gaps, raw.Pool, raw.SegCounts, raw.SegOffs, raw.SegLens)
+	h.Write(raw.Vocab.AppendFlat(nil))
+	if m := f.Mined(); m != nil {
+		fmt.Fprintf(h, "%+v %d %d %d %v %v\n", f.Params(), m.TotalTokens, m.MinSupport,
+			m.MaxPhraseLen, m.LevelCandidates, m.Counts.Entries(0))
+	}
+	for _, sd := range f.Segmented() {
+		fmt.Fprintf(h, "%d %v\n", sd.DocID, sd.Spans)
+	}
+	fmt.Fprintf(h, "%d %v %q\n", f.SketchK(), f.Sketches(), f.StaleArtifacts())
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestMergeFilesEquivalence: a k-way merge of artifact-free shards is
@@ -624,6 +664,65 @@ func TestV1GoldenFixture(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), img) {
 		t.Fatal("writer no longer reproduces the golden v1 image")
+	}
+}
+
+// TestGobEraFixture opens testdata/gob_era.tpc, a version-2 file
+// written before the vocabulary and artifact sections became flat, by
+// grownImage's recipe: testDocs with mined phrases, spans and sketches,
+// then appendDocs appended. Both of its groups hold a gob vocabulary
+// and its base a gob artifacts section. The file and its base image
+// must open to the contents recorded when the fixture was written, and
+// appending to it must still match a rebuild of the concatenated input.
+func TestGobEraFixture(t *testing.T) {
+	img, err := os.ReadFile(filepath.Join("testdata", "gob_era.tpc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Load(bytes.NewReader(img))
+	if err != nil {
+		t.Fatalf("gob-era fixture no longer opens: %v", err)
+	}
+	if f.Version() != VersionMulti || f.AppendedSegments() != 1 || f.StaleArtifacts() == "" {
+		t.Fatalf("version %d, %d appended segments, stale %q", f.Version(), f.AppendedSegments(), f.StaleArtifacts())
+	}
+	if got, want := contentDigest(t, f), "632d1fb0e82615f7e042f5a4a3406c4026fcfbc031735e5ae230cab42b85aae6"; got != want {
+		t.Errorf("grown file content digest %s, want %s", got, want)
+	}
+
+	// The base image is the file up to its first appended segment, with
+	// the version the append replaced.
+	im, err := secfile.Decode(img, magic, errs, VersionMulti)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := append([]byte(nil), img[:im.End]...)
+	binary.LittleEndian.PutUint16(base[8:], Version)
+	bf, err := Load(bytes.NewReader(base))
+	if err != nil {
+		t.Fatalf("gob-era base image no longer opens: %v", err)
+	}
+	if bf.Mined() == nil || bf.Segmented() == nil {
+		t.Fatal("gob-era base image lost its artifacts")
+	}
+	if got, want := contentDigest(t, bf), "16424ff0c13d95e4c2bf53a1b9422568ad4e0b827b90ed32fc32dd7b76ebf1c4"; got != want {
+		t.Errorf("base image content digest %s, want %s", got, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "grown.tpc")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendDocsTo(t, path, goldenDocs, AppendOptions{Sketch: true})
+	g, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	all := append(append(append([]string{}, testDocs...), appendDocs...), goldenDocs...)
+	sameCorpus(t, corpus.FromStrings(all, corpus.DefaultBuildOptions()), g.Corpus())
+	if g.AppendedSegments() != 2 || g.Sketches() == nil {
+		t.Fatalf("%d appended segments, sketches %v", g.AppendedSegments(), g.Sketches() != nil)
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"topmine/internal/corpusfile"
 )
 
 // readTextPins loads testdata/textpath_pins.txt: one Go-quoted string
@@ -96,14 +98,19 @@ func TestTextPathPinned(t *testing.T) {
 	checkTPCPinned(t, 1, 2, 8)
 }
 
-// checkTPCPinned writes the .tpc image of a surface-keeping corpus at
-// each Workers setting and compares its digest with the pinned one.
+// checkTPCPinned writes the .tpc image of a surface-keeping corpus,
+// with its mined phrases and spans, at each Workers setting and
+// compares the image's digest and the digest of what corpusfile.Open
+// returns for it with the pinned ones.
 func checkTPCPinned(t *testing.T, workerCounts ...int) {
 	t.Helper()
 	pins := readTextPins(t)
 	raw := corpusFileTestDocs(t)
 	raw = append(append(pins, raw...), pins...)
-	const wantTPC = "f86b76db6a88d15649c3a2ca26e0e721ce8bc4a384b148da2c1de00d39742cc8"
+	const (
+		wantTPC     = "f86b76db6a88d15649c3a2ca26e0e721ce8bc4a384b148da2c1de00d39742cc8"
+		wantContent = "55c0b112f135ab9814cc952cf85f8bbb744f3e73b73782d8b815166816934f5d"
+	)
 	for _, workers := range workerCounts {
 		o := corpusFileTestOptions()
 		o.Workers = workers
@@ -123,7 +130,39 @@ func checkTPCPinned(t *testing.T, workerCounts ...int) {
 		if got := hex.EncodeToString(sum[:]); got != wantTPC {
 			t.Errorf("workers=%d: .tpc digest %s, want %s", workers, got, wantTPC)
 		}
+		if got := tpcContentDigest(t, path); got != wantContent {
+			t.Errorf("workers=%d: loaded .tpc content digest %s, want %s", workers, got, wantContent)
+		}
 	}
+}
+
+// tpcContentDigest hashes what corpusfile.Open returns for the file at
+// path: the corpus columns, the vocabulary's words, counts and surface
+// votes (through its canonical flat encoding), the mined phrases with
+// their scalars and parameters, and the spans.
+func tpcContentDigest(t *testing.T, path string) string {
+	t.Helper()
+	f, err := corpusfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	raw, err := f.Corpus().Raw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v %d %v %v %v %q %v %v %v\n", raw.BuildOpts, raw.TotalTokens,
+		raw.Words, raw.Surface, raw.Gaps, raw.Pool, raw.SegCounts, raw.SegOffs, raw.SegLens)
+	h.Write(raw.Vocab.AppendFlat(nil))
+	if m := f.Mined(); m != nil {
+		fmt.Fprintf(h, "%+v %d %d %d %v %v\n", f.Params(), m.TotalTokens, m.MinSupport,
+			m.MaxPhraseLen, m.LevelCandidates, m.Counts.Entries(0))
+	}
+	for _, sd := range f.Segmented() {
+		fmt.Fprintf(h, "%d %v\n", sd.DocID, sd.Spans)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestTPCPinnedAfterUnrelatedGob: a process that gob-encodes a type of
