@@ -453,6 +453,27 @@ func TestDistributedCheckpointResumeCLI(t *testing.T) {
 	}
 }
 
+// TestRecoverSavesCheckpointOptions: the snapshot `topmine recover
+// -save` writes records the checkpoint's K, iterations and
+// hyperparameter switch, not the defaults of the schedule flags recover
+// does not have.
+func TestRecoverSavesCheckpointOptions(t *testing.T) {
+	dir := t.TempDir()
+	tpc := preprocessTestDocs(t, dir)
+	ck := filepath.Join(dir, "run.tpd")
+	runDistributed(t, "", append(fastArgs("-corpus", tpc), "-nohyper", "-checkpoint", ck, "-checkpoint-every", "1")...)
+	snap := filepath.Join(dir, "r.tpm")
+	runDistributed(t, ck, "-corpus", tpc, "-minsup", "2", "-top", "3", "-save", snap)
+	res, err := topmine.LoadSnapshotFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := res.Options; o.Topics != 2 || o.Iterations != 3 || o.OptimizeHyper || res.Model.K != 2 {
+		t.Fatalf("recovered snapshot records K=%d, %d iterations, hyper %v over a K=%d model; want K=2, 3 iterations, no hyper",
+			o.Topics, o.Iterations, o.OptimizeHyper, res.Model.K)
+	}
+}
+
 // TestDistributedObservabilityCLI drives -train-http and -trace
 // end to end: a distributed run with the status plane and trace log on
 // must print byte-identical topics to one with them off, the plane

@@ -189,18 +189,21 @@ func TrainDistributed(path string, opt Options, dopt DistributedOptions) (*Resul
 // barrier checkpoint written by a TrainDistributed coordinator with
 // DistributedOptions.Checkpoint set. Any worker count works — shards
 // are recomputed after the restore — and the training schedule
-// (iterations, hyperparameter cadence) comes from the checkpoint.
-// opt must carry the same mining/segmentation parameters as the
-// original run: the rebuilt documents are verified against the
-// checkpoint's corpus checksum (ErrCheckpointMismatch otherwise)
-// before any worker is accepted. A resumed run's final model is
-// byte-identical to a fresh run launched from that checkpoint state
-// with the same worker count.
+// (K, iterations, hyperparameter cadence) comes from the checkpoint:
+// the Result's Options carry the checkpoint's Topics, Iterations and
+// OptimizeHyper in place of opt's. Options.Seed stays opt's, since a
+// checkpoint stores the sampler's RNG position, not the seed. opt must
+// carry the same mining/segmentation parameters as the original run:
+// the rebuilt documents are verified against the checkpoint's corpus
+// checksum (ErrCheckpointMismatch otherwise) before any worker is
+// accepted. A resumed run's final model is byte-identical to a fresh
+// run launched from that checkpoint state with the same worker count.
 func ResumeDistributed(path, ckptPath string, opt Options, dopt DistributedOptions) (*Result, error) {
 	ck, err := dtrain.ReadCheckpointFile(ckptPath)
 	if err != nil {
 		return nil, err
 	}
+	opt.Topics, opt.Iterations, opt.OptimizeHyper = ck.K, ck.Iterations, ck.OptimizeHyper
 	return runDistributed(path, opt, dopt, func(ln net.Listener, job dtrain.Job, iopt dtrain.Options) (*topicmodel.Model, error) {
 		return dtrain.Resume(ln, job, ck, iopt)
 	})

@@ -20,7 +20,7 @@ func main() {
 	k := flag.Int("k", 5, "number of topics")
 	iters := flag.Int("iters", 200, "Gibbs iterations")
 	seed := flag.Uint64("seed", 7, "random seed")
-	save := flag.String("save", "", "optional path to save the trained model (gob)")
+	save := flag.String("save", "", "optional path to save the trained pipeline as a .tpm snapshot")
 	flag.Parse()
 
 	articles, err := topmine.GenerateExampleCorpus("ap-news", *docs, *seed)
@@ -57,9 +57,9 @@ func main() {
 		if err := os.MkdirAll(filepath.Dir(*save), 0o755); err != nil && filepath.Dir(*save) != "." {
 			log.Fatal(err)
 		}
-		if err := res.Model.SaveFile(*save); err != nil {
+		if err := topmine.SaveSnapshotFile(*save, res); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nmodel saved to %s\n", *save)
+		fmt.Printf("\nsnapshot saved to %s (serve it with topmined -model %s)\n", *save, *save)
 	}
 }

@@ -161,10 +161,6 @@ func AppendFile(path string, src corpus.Source, opt AppendOptions) (*AppendStats
 func writeAppended(path string, f *File, ap *corpus.Appender, sketches []minhash.Sketch, withSketch bool) error {
 	g := ap.Group()
 	c := f.Corpus()
-	vocabGob, err := encodeVocab(c.Vocab)
-	if err != nil {
-		return err
-	}
 	gp := groupPayload{
 		totalTokens: g.TotalTokens,
 		flags:       buildFlags(c.BuildOpts, c.BuildOpts.KeepSurface),
@@ -173,7 +169,7 @@ func writeAppended(path string, f *File, ap *corpus.Appender, sketches []minhash
 		surface:     g.Surface,
 		gaps:        g.Gaps,
 		pool:        g.PoolDelta,
-		vocabGob:    vocabGob,
+		vocab:       c.Vocab,
 		segCounts:   g.SegCounts,
 		segOffs:     g.SegOffs,
 		segLens:     g.SegLens,

@@ -26,7 +26,10 @@
 // All multi-byte values are little-endian, including the raw
 // int32/uint32 array sections, which on little-endian hosts (the only
 // kind this package fast-paths) are exactly the in-memory layout the
-// pipeline reads.
+// pipeline reads. The vocabulary and the artifacts (mining parameters
+// and mined phrase counts) are flat varint sections, the same codecs
+// the .tpm snapshot uses; files from earlier builds hold them as gob
+// sections under other ids, which Open still reads.
 //
 // # Multi-segment files (version 2)
 //
@@ -72,8 +75,9 @@ import (
 const (
 	// magic identifies a .tpc corpus file.
 	magic = "TPCFILE\x00"
-	// Version marks a single-segment file — what Write always emits, so
-	// freshly preprocessed corpora stay readable by older builds.
+	// Version marks a single-segment file, what Write emits. A build
+	// that predates the flat vocabulary section reads a file written
+	// now as one without a vocabulary and rejects it with ErrFormat.
 	Version uint16 = 1
 	// VersionMulti marks a file grown in place by Append: the original
 	// image followed by one appended segment per append. Readers accept
@@ -95,18 +99,23 @@ const (
 
 // Section ids. Presence is signalled by the table: surface/gaps/pool
 // appear only when the corpus retains surfaces, artifacts/spans only
-// when mining+segmentation results were bundled.
+// when mining+segmentation results were bundled. Files written before
+// the vocabulary and artifacts sections became flat carry the gob ids
+// instead; readers take whichever a group holds, writers emit only the
+// flat ones.
 const (
-	secMeta      uint32 = 1  // fixed-size counts and flags
-	secTokens    uint32 = 2  // token arena: numTokens × int32 word ids
-	secSurface   uint32 = 3  // numTokens × uint32 string-pool ids
-	secGaps      uint32 = 4  // numTokens × uint32 string-pool ids
-	secPool      uint32 = 5  // interned string table
-	secVocab     uint32 = 6  // gob-encoded textproc.Vocab
-	secDocs      uint32 = 7  // per-doc segment counts + per-segment (off, len)
-	secArtifacts uint32 = 8  // gob: mining params + mined phrase counts
-	secSpans     uint32 = 9  // flat per-document phrase spans (Algorithm 2 output)
-	secSketch    uint32 = 10 // per-doc min-hash sketches: k u32, ndocs u32, ndocs×k u64
+	secMeta         uint32 = 1  // fixed-size counts and flags
+	secTokens       uint32 = 2  // token arena: numTokens × int32 word ids
+	secSurface      uint32 = 3  // numTokens × uint32 string-pool ids
+	secGaps         uint32 = 4  // numTokens × uint32 string-pool ids
+	secPool         uint32 = 5  // interned string table
+	secVocabGob     uint32 = 6  // gob textproc.Vocab (read only)
+	secDocs         uint32 = 7  // per-doc segment counts + per-segment (off, len)
+	secArtifactsGob uint32 = 8  // gob mining params + mined phrase counts (read only)
+	secSpans        uint32 = 9  // flat per-document phrase spans (Algorithm 2 output)
+	secSketch       uint32 = 10 // per-doc min-hash sketches: k u32, ndocs u32, ndocs×k u64
+	secVocab        uint32 = 11 // textproc.Vocab.AppendFlat
+	secArtifacts    uint32 = 12 // AppendArtifacts: mining params, scalars, mined phrase counts
 )
 
 // meta-section flag bits.

@@ -55,19 +55,22 @@ func checkLoad(t *testing.T, data []byte) {
 }
 
 // FuzzLoadCorpusFile feeds Load arbitrary bytes, as written and with
-// their base section CRCs patched to match, seeded with the
-// version-1 golden fixture, a version-1 file with artifacts and
-// surfaces, and a version-2 file (base artifacts and sketches, one
-// appended segment).
+// their base section CRCs patched to match, seeded with the gob-era
+// version-1 golden fixture, a version-1 file with flat artifacts and
+// surfaces, a version-2 file (base artifacts and sketches, one appended
+// segment), and the gob-era version-2 fixture with gob artifacts.
 func FuzzLoadCorpusFile(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "v1_golden.tpc"))
-	if err != nil {
-		f.Fatal(err)
+	fixture := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
 	}
-	f.Add(golden)
-	f.Add(validImage(f))
 	grown, _ := grownImage(f)
-	f.Add(grown)
+	for _, seed := range [][]byte{fixture("v1_golden.tpc"), validImage(f), grown, fixture("gob_era.tpc")} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkLoad(t, data)
 		if fixed := fixCRCs(data); fixed != nil {

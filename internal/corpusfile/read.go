@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"unsafe"
@@ -264,13 +265,9 @@ func decodeGroup(data []byte, secs map[uint32]secfile.Entry, base *group) (*grou
 		g.pool = pool
 	}
 
-	vocB, ok := body(secVocab)
-	if !ok {
-		return nil, fmt.Errorf("%w: missing vocabulary section", ErrFormat)
-	}
-	vocab := textproc.NewVocab()
-	if err := secfile.GobDecode(vocB, vocab); err != nil {
-		return nil, fmt.Errorf("%w: decoding vocabulary: %v", ErrFormat, err)
+	vocab, err := decodeVocab(body)
+	if err != nil {
+		return nil, err
 	}
 	g.vocab = vocab
 
@@ -291,9 +288,35 @@ func decodeGroup(data []byte, secs map[uint32]secfile.Entry, base *group) (*grou
 		g.sketchK, g.sketches = k, sketches
 	}
 
-	_, g.hasArtifacts = secs[secArtifacts]
+	_, flatArt := secs[secArtifacts]
+	_, gobArt := secs[secArtifactsGob]
+	g.hasArtifacts = flatArt || gobArt
 	_, g.hasSpans = secs[secSpans]
 	return g, nil
+}
+
+// decodeVocab decodes a group's vocabulary from its flat section or, in
+// a group written before that section existed, from its gob section.
+func decodeVocab(body func(uint32) ([]byte, bool)) (*textproc.Vocab, error) {
+	flat, isFlat := body(secVocab)
+	old, isGob := body(secVocabGob)
+	var v *textproc.Vocab
+	var err error
+	switch {
+	case isFlat && isGob:
+		return nil, fmt.Errorf("%w: both a flat and a gob vocabulary section", ErrFormat)
+	case isFlat:
+		v, err = textproc.DecodeFlatVocab(flat)
+	case isGob:
+		v = textproc.NewVocab()
+		err = secfile.GobDecode(old, v)
+	default:
+		return nil, fmt.Errorf("%w: missing vocabulary section", ErrFormat)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: decoding vocabulary: %v", ErrFormat, err)
+	}
+	return v, nil
 }
 
 // decode parses and validates a complete .tpc image. On little-endian
@@ -337,23 +360,17 @@ func decode(data []byte) (*File, error) {
 	}
 	cf := &File{c: c, version: im.Version, image: data, sketchK: g.sketchK, sketches: g.sketches}
 	body := im.Body
-	if artB, ok := body(secArtifacts); ok {
-		var payload artifactsPayload
-		if err := secfile.GobDecode(artB, &payload); err != nil {
-			return nil, fmt.Errorf("%w: decoding artifacts: %v", ErrFormat, err)
-		}
-		if payload.Mined == nil || payload.Mined.Counts == nil {
-			return nil, fmt.Errorf("%w: artifacts section carries no mined phrases", ErrFormat)
-		}
-		if payload.Mined.TotalTokens != c.TotalTokens {
-			return nil, fmt.Errorf("%w: mined phrases counted %d tokens, corpus has %d",
-				ErrFormat, payload.Mined.TotalTokens, c.TotalTokens)
-		}
-		if err := validateMined(payload.Mined, c.Vocab.Size()); err != nil {
+	if g.hasArtifacts {
+		prm, mined, err := decodeArtifacts(body, c.Vocab.Size())
+		if err != nil {
 			return nil, err
 		}
-		cf.mined = payload.Mined
-		cf.prm = payload.Params
+		if mined.TotalTokens != c.TotalTokens {
+			return nil, fmt.Errorf("%w: mined phrases counted %d tokens, corpus has %d",
+				ErrFormat, mined.TotalTokens, c.TotalTokens)
+		}
+		cf.mined = mined
+		cf.prm = prm
 		if spanB, ok := body(secSpans); ok {
 			segs, err := decodeSpans(spanB, c)
 			if err != nil {
@@ -571,33 +588,68 @@ func decodePool(b []byte) ([]string, error) {
 	return pool, nil
 }
 
-// validateMined checks every mined phrase against the vocabulary —
-// the keys pack word ids, and a CRC-valid but hostile file could
-// otherwise smuggle out-of-range ids into display paths (Unstem
-// indexes vocabulary tables by id) and panic instead of erroring.
-func validateMined(m *phrasemine.Result, vocabSize int) error {
-	var bad error
-	m.Counts.Each(func(key string, count int64) {
-		if bad != nil {
-			return
+// DecodeArtifacts decodes a payload written by AppendArtifacts over a
+// vocabulary of vocabSize words. Every count and length is checked
+// against the bytes left, and counter.DecodeFlat checks the phrases.
+func DecodeArtifacts(b []byte, vocabSize int) (Params, *phrasemine.Result, error) {
+	r := secfile.NewReader(b)
+	float := func() float64 {
+		if f := r.Bytes(8); f != nil {
+			return math.Float64frombits(binary.LittleEndian.Uint64(f))
 		}
-		if len(key) == 0 || len(key)%4 != 0 {
-			bad = fmt.Errorf("%w: mined phrase key of %d bytes", ErrFormat, len(key))
-			return
+		return 0
+	}
+	prm := Params{MinSupport: int(r.Uvarint()), RelativeSupport: float(), MaxPhraseLen: int(r.Uvarint()), SigThreshold: float()}
+	m := &phrasemine.Result{TotalTokens: int(r.Uvarint()), MinSupport: int(r.Uvarint()), MaxPhraseLen: int(r.Uvarint())}
+	if n := r.Count(1); n > 0 {
+		m.LevelCandidates = make([]int, n)
+		for i := range m.LevelCandidates {
+			m.LevelCandidates[i] = int(r.Uvarint())
 		}
-		if count < 1 {
-			bad = fmt.Errorf("%w: mined phrase with count %d", ErrFormat, count)
-			return
+	}
+	counts := r.Bytes(len(b) - r.Offset())
+	if err := r.Err(); err != nil {
+		return Params{}, nil, fmt.Errorf("corpusfile: decoding artifacts: %w", err)
+	}
+	var err error
+	if m.Counts, err = counter.DecodeFlat(counts, vocabSize); err != nil {
+		return Params{}, nil, fmt.Errorf("corpusfile: decoding artifacts: %w", err)
+	}
+	return prm, m, nil
+}
+
+// artifactsPayload is the gob wire form of the artifacts section that
+// earlier builds wrote (secArtifactsGob); it is decoded, never written.
+type artifactsPayload struct {
+	Params Params
+	Mined  *phrasemine.Result
+}
+
+// decodeArtifacts decodes the base image's mining parameters and mined
+// phrases from its flat artifacts section or, in a file written before
+// that section existed, from its gob section. Gob-decoded artifacts are
+// re-encoded flat, so that one decoder checks every file's word ids and
+// counts.
+func decodeArtifacts(body func(uint32) ([]byte, bool), vocabSize int) (Params, *phrasemine.Result, error) {
+	b, isFlat := body(secArtifacts)
+	if old, isGob := body(secArtifactsGob); isGob {
+		if isFlat {
+			return Params{}, nil, fmt.Errorf("%w: both a flat and a gob artifacts section", ErrFormat)
 		}
-		for _, w := range counter.Unkey(key) {
-			if w < 0 || int(w) >= vocabSize {
-				bad = fmt.Errorf("%w: mined phrase holds word id %d, vocabulary size is %d",
-					ErrFormat, w, vocabSize)
-				return
-			}
+		var payload artifactsPayload
+		if err := secfile.GobDecode(old, &payload); err != nil {
+			return Params{}, nil, fmt.Errorf("%w: decoding artifacts: %v", ErrFormat, err)
 		}
-	})
-	return bad
+		if payload.Mined == nil || payload.Mined.Counts == nil {
+			return Params{}, nil, fmt.Errorf("%w: artifacts section carries no mined phrases", ErrFormat)
+		}
+		b = AppendArtifacts(nil, payload.Params, payload.Mined)
+	}
+	prm, m, err := DecodeArtifacts(b, vocabSize)
+	if err != nil {
+		return Params{}, nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	return prm, m, nil
 }
 
 // decodeSpans decodes the flat phrase-partition section and validates

@@ -2,17 +2,15 @@ package corpusfile
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"unsafe"
 
 	"topmine/internal/atomicfile"
 	"topmine/internal/corpus"
-	"topmine/internal/counter"
 	"topmine/internal/minhash"
 	"topmine/internal/phrasemine"
 	"topmine/internal/secfile"
@@ -40,30 +38,6 @@ type Artifacts struct {
 	Params Params
 	Mined  *phrasemine.Result
 	Segs   []*segment.SegmentedDoc
-}
-
-// artifactsPayload is the gob wire form of the artifacts section
-// (spans are stored separately in flat binary — gob on millions of
-// tiny Span structs is both bigger and slower).
-type artifactsPayload struct {
-	Params Params
-	Mined  *phrasemine.Result
-}
-
-// init numbers the gob types of the vocabulary and artifacts sections,
-// in the order Write meets them, before anything else can: gob numbers
-// types process-wide as it first meets them and writes the numbers into
-// every stream, so a .tpc's bytes would otherwise depend on what the
-// process gob-encoded before. The phrase makes the counter's stream met.
-func init() {
-	counts := counter.New()
-	counts.Add(counter.Key([]int32{0}), 1)
-	if _, err := encodeVocab(textproc.NewVocab()); err != nil {
-		panic(err)
-	}
-	if err := gob.NewEncoder(io.Discard).Encode(artifactsPayload{Mined: &phrasemine.Result{Counts: counts}}); err != nil {
-		panic(err)
-	}
 }
 
 // Write persists the corpus alone; see WriteArtifacts.
@@ -113,10 +87,6 @@ func writeRaw(w io.Writer, raw *corpus.Raw, art *Artifacts, sketches []minhash.S
 		}
 	}
 
-	vocabBuf, err := encodeVocab(raw.Vocab)
-	if err != nil {
-		return err
-	}
 	sections, err := groupSections(groupPayload{
 		totalTokens: raw.TotalTokens,
 		flags:       buildFlags(raw.BuildOpts, raw.KeepSurface),
@@ -125,7 +95,7 @@ func writeRaw(w io.Writer, raw *corpus.Raw, art *Artifacts, sketches []minhash.S
 		surface:     raw.Surface,
 		gaps:        raw.Gaps,
 		pool:        raw.Pool,
-		vocabGob:    vocabBuf,
+		vocab:       raw.Vocab,
 		segCounts:   raw.SegCounts,
 		segOffs:     raw.SegOffs,
 		segLens:     raw.SegLens,
@@ -135,11 +105,7 @@ func writeRaw(w io.Writer, raw *corpus.Raw, art *Artifacts, sketches []minhash.S
 		return err
 	}
 	if art != nil {
-		var artBuf bytes.Buffer
-		if err := gob.NewEncoder(&artBuf).Encode(artifactsPayload{Params: art.Params, Mined: art.Mined}); err != nil {
-			return fmt.Errorf("corpusfile: encoding artifacts: %w", err)
-		}
-		sections = append(sections, secfile.Bytes(secArtifacts, artBuf.Bytes()))
+		sections = append(sections, secfile.Bytes(secArtifacts, AppendArtifacts(nil, art.Params, art.Mined)))
 		if art.Segs != nil {
 			sections = append(sections, secfile.Section{ID: secSpans, Size: spansSize(art.Segs),
 				Write: func(w io.Writer) error {
@@ -165,7 +131,7 @@ type groupPayload struct {
 	surface     []uint32
 	gaps        []uint32
 	pool        []string // full pool (base) or delta strings (segment)
-	vocabGob    []byte
+	vocab       *textproc.Vocab
 	segCounts   []int32
 	segOffs     []int32
 	segLens     []int32
@@ -206,7 +172,7 @@ func groupSections(gp groupPayload) ([]secfile.Section, error) {
 		)
 	}
 	sections = append(sections,
-		secfile.Bytes(secVocab, gp.vocabGob),
+		secfile.Bytes(secVocab, gp.vocab.AppendFlat(nil)),
 		secfile.Section{ID: secDocs, Size: uint64(len(gp.segCounts))*4 + uint64(len(gp.segOffs))*8,
 			Write: func(w io.Writer) error {
 				if err := writeInt32s(w, gp.segCounts); err != nil {
@@ -253,13 +219,31 @@ func buildFlags(opts corpus.BuildOptions, keepSurface bool) uint32 {
 	return flags
 }
 
-// encodeVocab gob-encodes a vocabulary for its section.
-func encodeVocab(v *textproc.Vocab) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("corpusfile: encoding vocabulary: %w", err)
+// AppendArtifacts appends the flat artifacts section encoding to dst:
+// the mining parameters and the phrasemine.Result scalars, then the
+// mined phrase counts as counter.NGrams.AppendFlat writes them.
+//
+//	uvarint MinSupport, f64 RelativeSupport, uvarint MaxPhraseLen,
+//	f64 SigThreshold, uvarint TotalTokens, uvarint MinSupport,
+//	uvarint MaxPhraseLen, uvarint levels, per level uvarint candidates,
+//	then the counts.
+//
+// Integers are written as their two's-complement uint64, floats as
+// little-endian IEEE bits.
+func AppendArtifacts(dst []byte, prm Params, m *phrasemine.Result) []byte {
+	putInt := func(v int) { dst = binary.AppendUvarint(dst, uint64(v)) }
+	putInt(prm.MinSupport)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(prm.RelativeSupport))
+	putInt(prm.MaxPhraseLen)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(prm.SigThreshold))
+	putInt(m.TotalTokens)
+	putInt(m.MinSupport)
+	putInt(m.MaxPhraseLen)
+	putInt(len(m.LevelCandidates))
+	for _, n := range m.LevelCandidates {
+		putInt(n)
 	}
-	return buf.Bytes(), nil
+	return m.Counts.AppendFlat(dst)
 }
 
 // WriteFile writes the corpus (and optional artifacts) to path

@@ -113,20 +113,6 @@ func (c *NGrams) MaxLen() int {
 	return longest / 4
 }
 
-// Prune removes every entry with count < min and returns the number
-// removed. The kept keys keep their relative order in a new table.
-func (c *NGrams) Prune(min int64) int {
-	kept := New()
-	c.Each(func(key string, n int64) {
-		if n >= min {
-			kept.Add(key, n)
-		}
-	})
-	removed := c.Len() - kept.Len()
-	*c = *kept
-	return removed
-}
-
 // Each calls f for every (key, count) pair in key id order: the order
 // keys were first added, or the stored order for a decoded counter.
 // The keys alias the counter's arena and stay valid after it changes.

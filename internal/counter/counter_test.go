@@ -103,23 +103,6 @@ func TestIncBytesEquivalentToInc(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	c := New()
-	c.Add(Key([]int32{1}), 10)
-	c.Add(Key([]int32{2}), 4)
-	c.Add(Key([]int32{3}), 5)
-	removed := c.Prune(5)
-	if removed != 1 {
-		t.Fatalf("removed = %d, want 1", removed)
-	}
-	if c.Get(Key([]int32{2})) != 0 {
-		t.Fatal("below-threshold entry survived Prune")
-	}
-	if c.Get(Key([]int32{3})) != 5 {
-		t.Fatal("at-threshold entry removed by Prune")
-	}
-}
-
 func TestEachVisitsAll(t *testing.T) {
 	c := New()
 	c.Add(Key([]int32{1}), 1)

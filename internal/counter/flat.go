@@ -30,8 +30,7 @@ func fromTable(keys strtab.Table, counts []int64) *NGrams {
 }
 
 // sortedIDs returns the counter's key ids in ascending key byte order,
-// the order both wire forms use so identical counters encode
-// identically.
+// the order AppendFlat writes so identical counters encode identically.
 func (c *NGrams) sortedIDs() []int32 {
 	ids := make([]int32, c.Len())
 	for i := range ids {

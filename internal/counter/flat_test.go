@@ -2,7 +2,6 @@ package counter
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -26,12 +25,8 @@ func TestNGramsFlatMatchesGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		t.Fatal(err)
-	}
 	var viaGob NGrams
-	if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
+	if err := viaGob.GobDecode(legacyGob(t, c)); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range []*NGrams{flat, &viaGob} {

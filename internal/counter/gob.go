@@ -1,38 +1,22 @@
 package counter
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"topmine/internal/secfile"
 	"topmine/internal/strtab"
 )
 
-// ngramsWire is the gob wire form of an NGrams counter: parallel key
-// and count slices, keys sorted so identical counters serialise to
-// identical bytes.
+// ngramsWire is the gob wire form of an NGrams counter that earlier
+// builds wrote into .tpc and version-1 snapshot files: parallel key and
+// count slices, keys sorted. Nothing writes it any more; GobDecode reads
+// it.
 type ngramsWire struct {
 	Keys   []string
 	Counts []int64
 }
 
-// GobEncode serialises the counter so mined phrase statistics can be
-// persisted in pipeline snapshots.
-func (c *NGrams) GobEncode() ([]byte, error) {
-	ids := c.sortedIDs()
-	w := ngramsWire{Keys: make([]string, len(ids)), Counts: make([]int64, len(ids))}
-	for i, id := range ids {
-		w.Keys[i], w.Counts[i] = c.keys.Key(id), c.counts[id]
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("counter: encoding ngrams: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode restores a counter serialised by GobEncode: the keys are
+// GobDecode restores a counter from its gob wire form: the keys are
 // copied into one arena in wire order and the counts slice is adopted.
 func (c *NGrams) GobDecode(data []byte) error {
 	var w ngramsWire
@@ -43,7 +27,10 @@ func (c *NGrams) GobDecode(data []byte) error {
 		return fmt.Errorf("counter: decoding ngrams: %d keys but %d counts", len(w.Keys), len(w.Counts))
 	}
 	size := 0
-	for _, k := range w.Keys {
+	for i, k := range w.Keys {
+		if len(k) == 0 || len(k)%4 != 0 {
+			return fmt.Errorf("counter: decoding ngrams: key %d is %d bytes, not a whole number of word ids", i, len(k))
+		}
 		size += len(k)
 	}
 	if uint64(size) > strtab.MaxBytes {

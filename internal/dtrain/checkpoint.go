@@ -251,17 +251,7 @@ func (ck *Checkpoint) encode() []byte {
 	priors = appendF64(priors, ck.Beta)
 	priors = appendF64(priors, ck.BetaSum)
 
-	assigns := 0
-	for d := range ck.Z {
-		assigns += len(ck.Z[d])
-	}
-	zsec := make([]byte, 0, 4*len(ck.Z)+4*assigns)
-	for d := range ck.Z {
-		zsec = binary.LittleEndian.AppendUint32(zsec, uint32(len(ck.Z[d])))
-	}
-	for d := range ck.Z {
-		zsec = appendI32s(zsec, ck.Z[d])
-	}
+	zsec := appendZ(nil, ck.Z)
 
 	nksec := appendI64s(make([]byte, 0, 8*len(ck.Nk)), ck.Nk)
 
@@ -292,6 +282,52 @@ func (ck *Checkpoint) encode() []byte {
 		out = append(out, s.payload...)
 	}
 	return out
+}
+
+// appendZ appends the topic assignments in the one layout the .tpd Z
+// section and the SETUP, CKPT and FINAL frames share: every document's
+// assignment count as a u32, then all assignments as i32s, document
+// after document. The document count is not stored; both ends know it.
+func appendZ(dst []byte, z [][]int32) []byte {
+	for _, row := range z {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(row)))
+	}
+	for _, row := range z {
+		dst = appendI32s(dst, row)
+	}
+	return dst
+}
+
+// decodeZ decodes all of b as the assignments of ndocs documents,
+// written by appendZ, each below k. The rows share one arena, each
+// capped at its length. The lengths are checked against len(b) before
+// anything is allocated.
+func decodeZ(b []byte, ndocs, k int) ([][]int32, error) {
+	if ndocs < 0 || ndocs > len(b)/4 { // not 4*ndocs, which can overflow
+		return nil, fmt.Errorf("%d bytes are shorter than a %d-doc length table", len(b), ndocs)
+	}
+	total := 0
+	for d := range ndocs {
+		total += int(binary.LittleEndian.Uint32(b[4*d:]))
+	}
+	if total > len(b)/4 || len(b) != 4*ndocs+4*total {
+		return nil, fmt.Errorf("%d bytes, lengths imply %d", len(b), 4*ndocs+4*total)
+	}
+	arena := make([]int32, total)
+	for i := range arena {
+		arena[i] = int32(binary.LittleEndian.Uint32(b[4*ndocs+4*i:]))
+		if arena[i] < 0 || int(arena[i]) >= k {
+			return nil, fmt.Errorf("assignment %d is %d, want [0,%d)", i, arena[i], k)
+		}
+	}
+	z := make([][]int32, ndocs)
+	off := 0
+	for d := range z {
+		n := int(binary.LittleEndian.Uint32(b[4*d:]))
+		z[d] = arena[off : off+n : off+n]
+		off += n
+	}
+	return z, nil
 }
 
 // ReadCheckpointFile reads and fully validates a .tpd checkpoint.
@@ -400,36 +436,11 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: priors alphaSum=%v beta=%v betaSum=%v", ErrCkptFormat, ck.AlphaSum, ck.Beta, ck.BetaSum)
 	}
 
-	zsec := secs[ckSecZ]
-	if ndocs > len(zsec)/4 { // not 4*ndocs, which can overflow
-		return nil, fmt.Errorf("%w: Z section is %d bytes, shorter than its %d-doc length table", ErrCkptFormat, len(zsec), ndocs)
+	z, err := decodeZ(secs[ckSecZ], ndocs, ck.K)
+	if err != nil {
+		return nil, fmt.Errorf("%w: Z section: %v", ErrCkptFormat, err)
 	}
-	zr := wireReader{data: zsec}
-	lens := make([]uint32, ndocs)
-	total := 0
-	for d := range lens {
-		lens[d] = zr.u32()
-		total += int(lens[d])
-	}
-	if total > len(zsec)/4 || len(zsec) != 4*ndocs+4*total {
-		return nil, fmt.Errorf("%w: Z section is %d bytes, lengths imply %d", ErrCkptFormat, len(zsec), 4*ndocs+4*total)
-	}
-	arena := zr.i32s(make([]int32, total))
-	if zr.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCkptFormat, zr.err)
-	}
-	ck.Z = make([][]int32, ndocs)
-	off := 0
-	for d := range ck.Z {
-		n := int(lens[d])
-		ck.Z[d] = arena[off : off+n : off+n]
-		off += n
-		for g, k := range ck.Z[d] {
-			if k < 0 || int(k) >= ck.K {
-				return nil, fmt.Errorf("%w: Z[%d][%d] = %d, want [0,%d)", ErrCkptFormat, d, g, k, ck.K)
-			}
-		}
-	}
+	ck.Z = z
 
 	nksec := secs[ckSecNk]
 	if len(nksec) != 8*ck.K {

@@ -1,15 +1,14 @@
 package dtrain
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"topmine/internal/corpusfile"
 	"topmine/internal/phrasemine"
 	"topmine/internal/topicmodel"
 )
@@ -122,24 +121,6 @@ func (o *Options) logf(format string, args ...any) {
 	if o.Logf != nil {
 		o.Logf(format, args...)
 	}
-}
-
-// setupMsg is the gob-encoded SETUP payload.
-type setupMsg struct {
-	Proto        int
-	CorpusPath   string
-	Lo, Hi       int
-	Index        int
-	NumWorkers   int
-	K, V         int
-	Alpha        []float64
-	AlphaSum     float64
-	Beta         float64
-	BetaSum      float64
-	Z            [][]int32
-	SigAlpha     float64
-	MaxPhraseLen int
-	Mined        *phrasemine.Result
 }
 
 // wconn is the coordinator's handle on one worker.
@@ -396,9 +377,9 @@ func (c *coordinator) epoch(ws []*wconn) (*topicmodel.Model, *wconn, error) {
 				if err != nil {
 					return err
 				}
-				z, err := decodeShardZ(payload, w.hi-w.lo)
+				z, err := decodeZ(payload, w.hi-w.lo, m.K)
 				if err != nil {
-					return err
+					return fmt.Errorf("%w: shard state: %v", ErrProtocol, err)
 				}
 				zs[w.index] = z
 			}
@@ -499,9 +480,9 @@ func (c *coordinator) epoch(ws []*wconn) (*topicmodel.Model, *wconn, error) {
 		if err != nil {
 			return err
 		}
-		z, err := decodeShardZ(payload, w.hi-w.lo)
+		z, err := decodeZ(payload, w.hi-w.lo, m.K)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: final shard state: %v", ErrProtocol, err)
 		}
 		finals[w.index] = z
 		return nil
@@ -525,29 +506,22 @@ func (c *coordinator) epoch(ws []*wconn) (*topicmodel.Model, *wconn, error) {
 // interrupted sweep; those frames are drained and discarded until the
 // READY for this SETUP arrives.
 func (c *coordinator) setupWorker(w *wconn, m *topicmodel.Model, globals []byte, numWorkers int) error {
-	var payload bytes.Buffer
-	enc := gob.NewEncoder(&payload)
-	if err := enc.Encode(&setupMsg{
-		Proto:        protoVersion,
-		CorpusPath:   c.job.CorpusPath,
-		Lo:           w.lo,
-		Hi:           w.hi,
-		Index:        w.index,
-		NumWorkers:   numWorkers,
-		K:            m.K,
-		V:            m.V,
-		Alpha:        m.Alpha,
-		AlphaSum:     m.AlphaSum,
-		Beta:         m.Beta,
-		BetaSum:      m.BetaSum,
-		Z:            m.Z[w.lo:w.hi],
-		SigAlpha:     c.job.SigAlpha,
-		MaxPhraseLen: c.job.MaxPhraseLen,
-		Mined:        c.job.Mined,
-	}); err != nil {
-		return fmt.Errorf("encode setup: %w", err)
-	}
-	if err := w.fr.sendOrAbort(fSetup, payload.Bytes()); err != nil {
+	payload := (&setupMsg{
+		Lo:         w.lo,
+		Hi:         w.hi,
+		Index:      w.index,
+		NumWorkers: numWorkers,
+		K:          m.K,
+		V:          m.V,
+		Alpha:      m.Alpha,
+		AlphaSum:   m.AlphaSum,
+		Beta:       m.Beta,
+		CorpusPath: c.job.CorpusPath,
+		Params:     corpusfile.Params{MaxPhraseLen: c.job.MaxPhraseLen, SigThreshold: c.job.SigAlpha},
+		Mined:      c.job.Mined,
+		Z:          m.Z[w.lo:w.hi],
+	}).appendTo(nil)
+	if err := w.fr.sendOrAbort(fSetup, payload); err != nil {
 		return err
 	}
 	if err := w.fr.sendOrAbort(fGlobals, globals); err != nil {
@@ -682,31 +656,6 @@ func decodeDelta(payload []byte, w *wconn, k, v int, deltas []*topicmodel.CountR
 	}
 	deltas[w.index] = cr
 	return nil
-}
-
-// decodeShardZ parses a CKPT or FINAL payload — the shard's per-doc
-// topic assignments — validating the document count against the shard.
-func decodeShardZ(payload []byte, wantDocs int) ([][]int32, error) {
-	r := wireReader{data: payload}
-	ndocs := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if ndocs != wantDocs {
-		return nil, fmt.Errorf("%w: shard state has %d docs, shard has %d", ErrProtocol, ndocs, wantDocs)
-	}
-	z := make([][]int32, ndocs)
-	for i := range z {
-		n := int(r.u32())
-		if n > len(r.data)/4 {
-			return nil, fmt.Errorf("%w: doc %d claims %d assignments, %d bytes remain", ErrProtocol, i, n, len(r.data))
-		}
-		z[i] = r.i32s(make([]int32, n))
-	}
-	if r.err == nil && len(r.data) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after shard state", ErrProtocol, len(r.data))
-	}
-	return z, r.err
 }
 
 // encodeGlobals serialises the dense word-topic counts + topic totals.

@@ -101,7 +101,7 @@ func startWorkers(t *testing.T, addr string, n int, wopt WorkerOptions, wrap fun
 	return chs
 }
 
-func listen(t *testing.T) net.Listener {
+func listen(t testing.TB) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

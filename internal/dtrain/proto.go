@@ -8,7 +8,7 @@
 // idiom of internal/corpusfile's section container:
 //
 //	worker → HELLO                    protocol version
-//	coord  → SETUP                    doc range, priors, shard Z, mined phrases (gob)
+//	coord  → SETUP                    doc range, priors, corpus path, mined phrases, shard Z
 //	coord  → GLOBALS                  dense word-topic counts + topic totals
 //	worker → READY                    shard checksum — worker rebuilt the same docs
 //	per sweep:
@@ -45,10 +45,13 @@ import (
 	"math"
 	"net"
 	"time"
+
+	"topmine/internal/corpusfile"
+	"topmine/internal/phrasemine"
 )
 
 const (
-	protoVersion = 2
+	protoVersion = 3
 	headerSize   = 16
 	maxFrame     = 1 << 30
 )
@@ -216,6 +219,82 @@ func (f *framer) sendOrAbort(t byte, payload []byte) error {
 		return &abortError{msg: string(msg)}
 	}
 	return err
+}
+
+// setupMsg is one worker's SETUP frame: its shard of the documents,
+// the priors, the corpus file to rebuild the shard from, the mined
+// phrases and segmentation parameters to re-segment it with, and the
+// shard's topic assignments.
+type setupMsg struct {
+	Lo, Hi            int
+	Index, NumWorkers int
+	K, V              int
+	Alpha             []float64
+	AlphaSum, Beta    float64
+	CorpusPath        string
+	// Params carries the segmentation parameters: SigThreshold is the
+	// significance threshold α of Algorithm 2, MaxPhraseLen its cap.
+	Params corpusfile.Params
+	Mined  *phrasemine.Result
+	Z      [][]int32
+}
+
+// appendTo appends the SETUP payload, little-endian:
+//
+//	u32 protocol version, Lo, Hi, Index, NumWorkers, K, V;
+//	f64 AlphaSum, Beta, then K × f64 Alpha;
+//	u32 length + corpus path bytes;
+//	u32 length + corpusfile.AppendArtifacts(Params, Mined);
+//	the shard's Z as appendZ writes it (Hi−Lo documents).
+func (s *setupMsg) appendTo(buf []byte) []byte {
+	for _, v := range []int{protoVersion, s.Lo, s.Hi, s.Index, s.NumWorkers, s.K, s.V} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	buf = appendF64(appendF64(buf, s.AlphaSum), s.Beta)
+	for _, a := range s.Alpha {
+		buf = appendF64(buf, a)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.CorpusPath)))
+	buf = append(buf, s.CorpusPath...)
+	n := len(buf)
+	buf = corpusfile.AppendArtifacts(binary.LittleEndian.AppendUint32(buf, 0), s.Params, s.Mined)
+	binary.LittleEndian.PutUint32(buf[n:], uint32(len(buf)-n-4))
+	return appendZ(buf, s.Z)
+}
+
+// decodeSetup decodes a SETUP payload. Every count is checked against
+// the bytes left before anything is allocated for it, every assignment
+// is below K, and every failure wraps ErrProtocol.
+func decodeSetup(payload []byte) (*setupMsg, error) {
+	r := wireReader{data: payload}
+	if v := r.u32(); r.err == nil && v != protoVersion {
+		return nil, fmt.Errorf("%w: coordinator speaks protocol %d, worker %d", ErrProtocol, v, protoVersion)
+	}
+	s := &setupMsg{Lo: int(r.u32()), Hi: int(r.u32()), Index: int(r.u32()), NumWorkers: int(r.u32()),
+		K: int(r.u32()), V: int(r.u32()), AlphaSum: r.f64(), Beta: r.f64()}
+	if r.err != nil {
+		return nil, r.err
+	}
+	// GLOBALS carries V×K counts of 4 bytes in one frame.
+	if s.Lo > s.Hi || s.Index >= s.NumWorkers || s.K < 1 || s.V < 1 ||
+		uint64(s.V)*uint64(s.K) > maxFrame/4 || s.K > len(r.data)/8 {
+		return nil, fmt.Errorf("%w: setup for docs [%d, %d), worker %d of %d, K=%d, V=%d in %d bytes",
+			ErrProtocol, s.Lo, s.Hi, s.Index, s.NumWorkers, s.K, s.V, len(payload))
+	}
+	s.Alpha = r.f64s(make([]float64, s.K))
+	s.CorpusPath = string(r.take(int(r.u32())))
+	art := r.take(int(r.u32()))
+	if r.err != nil {
+		return nil, r.err
+	}
+	var err error
+	if s.Params, s.Mined, err = corpusfile.DecodeArtifacts(art, s.V); err != nil {
+		return nil, fmt.Errorf("%w: setup: %v", ErrProtocol, err)
+	}
+	if s.Z, err = decodeZ(r.data, s.Hi-s.Lo, s.K); err != nil {
+		return nil, fmt.Errorf("%w: setup Z: %v", ErrProtocol, err)
+	}
+	return s, nil
 }
 
 // Little-endian append/read helpers shared by the fixed-layout frames.

@@ -1,9 +1,7 @@
 package dtrain
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -87,12 +85,9 @@ func serveShard(fr *framer, payload []byte, opt WorkerOptions, logf func(string,
 		fr.abort(err.Error())
 		return err
 	}
-	var setup setupMsg
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&setup); err != nil {
+	setup, err := decodeSetup(payload)
+	if err != nil {
 		return nil, abortf("dtrain: decode setup: %v", err)
-	}
-	if setup.Proto != protoVersion {
-		return nil, abortf("dtrain: coordinator speaks protocol %d, worker %d", setup.Proto, protoVersion)
 	}
 
 	// Rebuild the shard: zero-copy doc-range view of the corpus file,
@@ -114,8 +109,8 @@ func serveShard(fr *framer, payload []byte, opt WorkerOptions, logf func(string,
 		return nil, abortf("dtrain: doc range [%d, %d): %v", setup.Lo, setup.Hi, err)
 	}
 	segs := segment.NewSegmenter(setup.Mined, segment.Options{
-		Alpha:        setup.SigAlpha,
-		MaxPhraseLen: setup.MaxPhraseLen,
+		Alpha:        setup.Params.SigThreshold,
+		MaxPhraseLen: setup.Params.MaxPhraseLen,
 	}).SegmentCorpus(sub)
 	docs := topicmodel.DocsFromSegmentation(sub, segs)
 	tokens := 0
@@ -131,17 +126,17 @@ func serveShard(fr *framer, payload []byte, opt WorkerOptions, logf func(string,
 	}
 	gr := wireReader{data: globals}
 	gv, gk := int(gr.u32()), int(gr.u32())
-	if gr.err == nil && (gv != setup.V || gk != setup.K) {
-		gr.err = fmt.Errorf("%w: globals are %dx%d, setup says %dx%d", ErrProtocol, gv, gk, setup.V, setup.K)
+	if gr.err == nil && (gv != setup.V || gk != setup.K || len(globals) != 8+4*gv*gk+8*gk) {
+		gr.err = fmt.Errorf("%w: %d bytes of %dx%d globals, setup says %dx%d", ErrProtocol, len(globals), gv, gk, setup.V, setup.K)
 	}
-	nwk := gr.i32s(make([]int32, setup.V*setup.K))
-	nk := gr.i64s(make([]int64, setup.K))
 	if gr.err != nil {
 		return nil, abortf("dtrain: globals: %v", gr.err)
 	}
+	nwk := gr.i32s(make([]int32, setup.V*setup.K))
+	nk := gr.i64s(make([]int64, setup.K))
 
 	m, err := topicmodel.NewShardModel(docs, setup.V, setup.K,
-		append([]float64(nil), setup.Alpha...), setup.AlphaSum, setup.Beta, setup.Z, nwk, nk)
+		setup.Alpha, setup.AlphaSum, setup.Beta, setup.Z, nwk, nk)
 	if err != nil {
 		return nil, abortf("dtrain: shard model: %v", err)
 	}
@@ -186,7 +181,7 @@ func serveShard(fr *framer, payload []byte, opt WorkerOptions, logf func(string,
 				return nil, coordErr("delta", err)
 			}
 			if wantZ {
-				out = appendShardZ(out[:0], m, len(docs))
+				out = appendZ(out[:0], m.Z)
 				if err := fr.send(fCkpt, out); err != nil {
 					return nil, coordErr("ckpt", err)
 				}
@@ -219,7 +214,7 @@ func serveShard(fr *framer, payload []byte, opt WorkerOptions, logf func(string,
 			sweeps++
 
 		case fFinish:
-			out = appendShardZ(out[:0], m, len(docs))
+			out = appendZ(out[:0], m.Z)
 			if err := fr.send(fFinal, out); err != nil {
 				return nil, coordErr("final", err)
 			}
@@ -237,17 +232,6 @@ func serveShard(fr *framer, payload []byte, opt WorkerOptions, logf func(string,
 			return nil, abortf("dtrain: unexpected frame type %d", t)
 		}
 	}
-}
-
-// appendShardZ encodes the shard's per-document assignments — the
-// shared payload of CKPT and FINAL frames.
-func appendShardZ(out []byte, m *topicmodel.Model, ndocs int) []byte {
-	out = binary.LittleEndian.AppendUint32(out, uint32(ndocs))
-	for d := 0; d < ndocs; d++ {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(m.Z[d])))
-		out = appendI32s(out, m.Z[d])
-	}
-	return out
 }
 
 // coordErr classifies a coordinator-exchange failure: explicit aborts

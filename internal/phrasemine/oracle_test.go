@@ -29,6 +29,17 @@ func naiveCounts(c *corpus.Corpus, maxLen int) *counter.NGrams {
 	return out
 }
 
+// pruned returns the entries of c with count >= min, in c's order.
+func pruned(c *counter.NGrams, min int64) *counter.NGrams {
+	kept := counter.New()
+	c.Each(func(key string, n int64) {
+		if n >= min {
+			kept.Add(key, n)
+		}
+	})
+	return kept
+}
+
 // TestMineMatchesBruteForce is the oracle test: on random small
 // corpora, Algorithm 1's output equals brute-force counting restricted
 // to frequent phrases.
@@ -40,8 +51,7 @@ func TestMineMatchesBruteForce(t *testing.T) {
 			synth.Options{Docs: 40, Seed: seed}, corpus.DefaultBuildOptions())
 		const maxLen = 6
 		mined := Mine(c, Options{MinSupport: support, MaxLen: maxLen})
-		naive := naiveCounts(c, maxLen)
-		naive.Prune(int64(support))
+		naive := pruned(naiveCounts(c, maxLen), int64(support))
 		if mined.Counts.Len() != naive.Len() {
 			t.Logf("seed=%d support=%d: mined %d entries, naive %d",
 				seed, support, mined.Counts.Len(), naive.Len())
@@ -68,8 +78,7 @@ func TestMineMatchesBruteForceLongSegments(t *testing.T) {
 	c := corpus.FromStrings(longSegmentDocs(), corpus.DefaultBuildOptions())
 	for _, support := range []int{1, 2, 4, 8} {
 		mined := Mine(c, Options{MinSupport: support, MaxLen: 0})
-		naive := naiveCounts(c, 32)
-		naive.Prune(int64(support))
+		naive := pruned(naiveCounts(c, 32), int64(support))
 		if mined.Counts.Len() != naive.Len() {
 			t.Fatalf("support %d: mined %d entries, naive %d",
 				support, mined.Counts.Len(), naive.Len())
@@ -153,7 +162,7 @@ func stringKeyedMine(c *corpus.Corpus, opt Options) *Result {
 			}
 		}
 		res.LevelCandidates = append(res.LevelCandidates, level.Len())
-		level.Prune(eps)
+		level = pruned(level, eps)
 		if level.Len() > 0 {
 			res.MaxPhraseLen = n
 		}

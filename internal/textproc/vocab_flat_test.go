@@ -2,7 +2,6 @@ package textproc
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -31,12 +30,8 @@ func TestVocabFlatMatchesGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
 	var viaGob Vocab
-	if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
+	if err := viaGob.GobDecode(legacyGob(t, v)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(flat, &viaGob) {
@@ -52,12 +47,8 @@ func TestVocabFlatMatchesGob(t *testing.T) {
 // the next stem's.
 func TestVocabArenaRowsAreCapped(t *testing.T) {
 	v := flatTestVocab()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
 	var viaGob Vocab
-	if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
+	if err := viaGob.GobDecode(legacyGob(t, v)); err != nil {
 		t.Fatal(err)
 	}
 	flat, err := DecodeFlatVocab(v.AppendFlat(nil))

@@ -1,19 +1,15 @@
 package textproc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sort"
 
 	"topmine/internal/secfile"
 )
 
-// vocabWire is the gob wire form of a Vocab. The stem index is not
-// transmitted (it is rebuilt on decode from the word list), and each
-// stem's surface-form votes are flattened to parallel slices sorted by
-// form — gob encodes maps in random iteration order, and a sorted wire
-// form keeps serialisation byte-deterministic for identical inputs.
+// vocabWire is the gob wire form of a Vocab that earlier builds wrote
+// into .tpc and version-1 snapshot files: the stems in id order, their
+// counts, and each stem's surface-form votes as parallel slices sorted
+// by form. Nothing writes it any more; GobDecode reads it.
 type vocabWire struct {
 	Words         []string
 	Counts        []int64
@@ -21,44 +17,7 @@ type vocabWire struct {
 	SurfaceCounts [][]int
 }
 
-// GobEncode serialises the vocabulary (stems, frequencies, surface-form
-// votes) so corpora and pipeline snapshots can be persisted. Identical
-// vocabularies encode to identical bytes.
-func (v *Vocab) GobEncode() ([]byte, error) {
-	words := make([]string, v.Size())
-	for id := range words {
-		words[id] = v.Word(int32(id))
-	}
-	w := vocabWire{
-		Words:         words,
-		Counts:        v.counts,
-		SurfaceForms:  make([][]string, len(v.surface)),
-		SurfaceCounts: make([][]int, len(v.surface)),
-	}
-	for id, votes := range v.surface {
-		if len(votes) == 0 {
-			continue
-		}
-		sorted := make([]surfaceVote, len(votes))
-		copy(sorted, votes)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a].form < sorted[b].form })
-		forms := make([]string, len(sorted))
-		counts := make([]int, len(sorted))
-		for i, sv := range sorted {
-			forms[i] = sv.form
-			counts[i] = sv.n
-		}
-		w.SurfaceForms[id] = forms
-		w.SurfaceCounts[id] = counts
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("textproc: encoding vocab: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode restores a vocabulary serialised by GobEncode through the
+// GobDecode restores a vocabulary from its gob wire form through the
 // flat decoder's constructor (vocabFromColumns): the stems are copied
 // into one arena and indexed, and the surface votes land in one arena.
 func (v *Vocab) GobDecode(data []byte) error {

@@ -3,8 +3,36 @@ package textproc
 import (
 	"bytes"
 	"encoding/gob"
+	"slices"
+	"strings"
 	"testing"
 )
+
+// legacyGob encodes v in the gob wire form earlier builds wrote, which
+// GobDecode still reads.
+func legacyGob(t testing.TB, v *Vocab) []byte {
+	t.Helper()
+	var w vocabWire
+	for id := range v.Size() {
+		votes := slices.Clone(v.surface[id])
+		slices.SortFunc(votes, func(a, b surfaceVote) int { return strings.Compare(a.form, b.form) })
+		var forms []string
+		var counts []int
+		for _, sv := range votes {
+			forms = append(forms, sv.form)
+			counts = append(counts, sv.n)
+		}
+		w.Words = append(w.Words, v.Word(int32(id)))
+		w.Counts = append(w.Counts, v.Count(int32(id)))
+		w.SurfaceForms = append(w.SurfaceForms, forms)
+		w.SurfaceCounts = append(w.SurfaceCounts, counts)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 func TestVocabGobRoundTrip(t *testing.T) {
 	v := NewVocab()
@@ -14,12 +42,8 @@ func TestVocabGobRoundTrip(t *testing.T) {
 	v.Intern("topic", "topics")
 	v.Intern("phrase", "phrase")
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
 	var got Vocab
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&got); err != nil {
+	if err := got.GobDecode(legacyGob(t, v)); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 
@@ -47,36 +71,27 @@ func TestVocabGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVocabGobDeterministic(t *testing.T) {
-	build := func() *Vocab {
+// TestVocabFlatDeterministic: equal vocabularies whose surface votes
+// arrived in different orders encode to the same flat bytes.
+func TestVocabFlatDeterministic(t *testing.T) {
+	build := func(forms ...string) *Vocab {
 		v := NewVocab()
-		v.Intern("mine", "mining")
-		v.Intern("mine", "mined")
-		v.Intern("mine", "mines")
+		for _, f := range forms {
+			v.Intern("mine", f)
+		}
 		v.Intern("text", "texts")
 		return v
 	}
-	enc := func(v *Vocab) []byte {
-		b, err := v.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	a, b := enc(build()), enc(build())
+	a := build("mining", "mined", "mines").AppendFlat(nil)
+	b := build("mines", "mining", "mined").AppendFlat(nil)
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical vocabularies encoded to different bytes")
 	}
 }
 
 func TestVocabGobEmptyAndCorrupt(t *testing.T) {
-	var empty Vocab
-	data, err := empty.GobEncode()
-	if err != nil {
-		t.Fatalf("encode empty: %v", err)
-	}
 	var got Vocab
-	if err := got.GobDecode(data); err != nil {
+	if err := got.GobDecode(legacyGob(t, NewVocab())); err != nil {
 		t.Fatalf("decode empty: %v", err)
 	}
 	if got.Size() != 0 {

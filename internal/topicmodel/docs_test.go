@@ -214,10 +214,10 @@ func TestLoadLegacySave(t *testing.T) {
 	docs, _, v := synthPhraseDocs(t, "20conf", 120)
 	m := Train(docs, v, Options{K: 4, Iterations: 15, Seed: 9, OptimizeHyper: true, HyperEvery: 5, BurnIn: 1})
 	var a, b bytes.Buffer
-	if err := loaded.Save(&a); err != nil {
+	if err := gobSave(&a, loaded); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(&b); err != nil {
+	if err := gobSave(&b, m); err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded.Docs) == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {

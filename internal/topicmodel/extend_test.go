@@ -122,7 +122,7 @@ func TestExtendAfterLoad(t *testing.T) {
 	// Extend must work on a freshly decoded model (arenas unarmed).
 	m := Train(twoTopicDocs(4, 10), 10, Options{K: 2, Iterations: 5, Seed: 3})
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := gobSave(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&buf, 0)

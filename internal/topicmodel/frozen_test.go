@@ -189,7 +189,7 @@ func TestFrozenModelMatchesMaterialized(t *testing.T) {
 		{"Validate", func(m *Model) any { return m.Validate() }},
 		{"Save", func(m *Model) any {
 			var buf bytes.Buffer
-			err := m.Save(&buf)
+			err := gobSave(&buf, m)
 			return []any{buf.Bytes(), err}
 		}},
 		{"Perplexity", func(m *Model) any { return fmt.Sprint(Perplexity(m, nil)) }},

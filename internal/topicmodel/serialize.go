@@ -5,35 +5,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 
 	"topmine/internal/xrand"
 )
-
-// Save serialises the model (counts, assignments, priors, documents)
-// with encoding/gob. The sampler's RNG position is not saved; a loaded
-// model resumes from a fresh seed.
-func (m *Model) Save(w io.Writer) error {
-	m.Materialize()
-	if err := gob.NewEncoder(w).Encode(m); err != nil {
-		return fmt.Errorf("topicmodel: encoding model: %w", err)
-	}
-	return nil
-}
-
-// SaveFile writes the model to path.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("topicmodel: %w", err)
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
 
 // ResetSampler re-arms the unexported sampler state (RNG, scratch
 // buffers, flat count arenas) that gob does not transmit. It must be
@@ -55,8 +30,9 @@ func (m *Model) ResetSampler(seed uint64) {
 	m.compactCounts()
 }
 
-// Load reads a model serialised by Save and re-arms its sampler with
-// the given seed so training can continue deterministically. Decoded
+// Load reads a model gob-encoded by the Model.Save of earlier builds
+// (nothing writes that form any more) and re-arms its sampler with the
+// given seed so training can continue deterministically. Decoded
 // models are validated before the samplers arm — shapes, value
 // ranges, and (for models carrying training state) a full recount of
 // the matrices against the assignments — so a corrupt but gob-valid

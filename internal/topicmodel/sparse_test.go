@@ -373,7 +373,7 @@ func TestSparseSamplerAfterLoad(t *testing.T) {
 	docs, _, v := synthPhraseDocs(t, "dblp-abstracts", 100)
 	m := Train(docs, v, Options{K: 5, Iterations: 10, Seed: 23})
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := gobSave(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := Load(&buf, 42)
@@ -397,7 +397,7 @@ func TestLoadRejectsCorruptCounts(t *testing.T) {
 	m.Nwk[0][0]++ // desync counts from assignments
 	m.Nk[0]++
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := gobSave(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(&buf, 1); err == nil {
@@ -451,7 +451,7 @@ func TestOldDenseSnapshotLoadsAndTrains(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(&cur); err != nil {
+	if err := gobSave(&cur, m); err != nil {
 		t.Fatal(err)
 	}
 	a, err := Load(&old, 41)

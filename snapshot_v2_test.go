@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"topmine/internal/counter"
 	"topmine/internal/secfile"
 	"topmine/internal/textproc"
 )
@@ -32,9 +33,25 @@ func encodeSnapshotV1(t testing.TB, r *Result) []byte {
 		m = &Model{K: m.K, V: m.V, Alpha: m.Alpha, AlphaSum: m.AlphaSum,
 			Beta: m.Beta, BetaSum: m.BetaSum, Nwk: m.Nwk, Nk: m.Nk}
 	}
+	// The payload's field names and shapes are snapshotPayload's, with the
+	// vocabulary and phrase counts in the gob wire forms they had then.
+	type minedV1 struct {
+		Counts                                gobEncoded
+		TotalTokens, MinSupport, MaxPhraseLen int
+		LevelCandidates                       []int
+	}
+	mined := r.Mined
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(snapshotPayload{Options: r.Options, CorpusOpts: r.Corpus.BuildOpts,
-		Vocab: r.Corpus.Vocab, Mined: r.Mined, Model: m, Topics: r.Topics}); err != nil {
+	if err := gob.NewEncoder(&body).Encode(struct {
+		Options    Options
+		CorpusOpts CorpusOptions
+		Vocab      gobEncoded
+		Mined      minedV1
+		Model      *Model
+		Topics     []TopicSummary
+	}{r.Options, r.Corpus.BuildOpts, legacyVocabGob(t, r.Corpus.Vocab),
+		minedV1{legacyCountsGob(t, mined.Counts), mined.TotalTokens, mined.MinSupport, mined.MaxPhraseLen, mined.LevelCandidates},
+		m, r.Topics}); err != nil {
 		t.Fatal(err)
 	}
 	out := []byte(snapshotMagic)
@@ -42,6 +59,74 @@ func encodeSnapshotV1(t testing.TB, r *Result) []byte {
 	out = binary.BigEndian.AppendUint64(out, uint64(body.Len()))
 	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body.Bytes()))
 	return append(out, body.Bytes()...)
+}
+
+// gobEncoded is a value gob writes as the opaque bytes of a GobEncoder,
+// as it wrote a Vocab or a phrase counter in earlier builds.
+type gobEncoded []byte
+
+func (b gobEncoded) GobEncode() ([]byte, error) { return b, nil }
+
+// legacyVocabGob encodes v in the gob wire form earlier builds wrote:
+// the stems, their counts, and each stem's surface votes sorted by
+// form, read back from v's flat encoding.
+func legacyVocabGob(t testing.TB, v *textproc.Vocab) gobEncoded {
+	t.Helper()
+	var w struct {
+		Words         []string
+		Counts        []int64
+		SurfaceForms  [][]string
+		SurfaceCounts [][]int
+	}
+	r := secfile.NewReader(v.AppendFlat(nil))
+	n := r.Uvarint()
+	r.Uvarint() // total votes
+	for range n {
+		stem := string(r.Bytes(int(r.Uvarint())))
+		w.Words = append(w.Words, stem)
+		w.Counts = append(w.Counts, int64(r.Uvarint()))
+		var forms []string
+		var tallies []int
+		for range r.Uvarint() {
+			form := stem
+			if tag := r.Uvarint(); tag > 0 {
+				form = string(r.Bytes(int(tag - 1)))
+			}
+			forms = append(forms, form)
+			tallies = append(tallies, int(r.Uvarint()))
+		}
+		w.SurfaceForms = append(w.SurfaceForms, forms)
+		w.SurfaceCounts = append(w.SurfaceCounts, tallies)
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return gobEncode(t, w)
+}
+
+// legacyCountsGob encodes c in the gob wire form earlier builds wrote:
+// keys in ascending byte order with their counts.
+func legacyCountsGob(t testing.TB, c *counter.NGrams) gobEncoded {
+	t.Helper()
+	var w struct {
+		Keys   []string
+		Counts []int64
+	}
+	c.Each(func(key string, _ int64) { w.Keys = append(w.Keys, key) })
+	slices.Sort(w.Keys)
+	for _, k := range w.Keys {
+		w.Counts = append(w.Counts, c.Get(k))
+	}
+	return gobEncode(t, w)
+}
+
+func gobEncode(t testing.TB, v any) gobEncoded {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // withSection re-emits a version-2 snapshot with section id's payload

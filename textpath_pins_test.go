@@ -108,7 +108,7 @@ func checkTPCPinned(t *testing.T, workerCounts ...int) {
 	raw := corpusFileTestDocs(t)
 	raw = append(append(pins, raw...), pins...)
 	const (
-		wantTPC     = "f86b76db6a88d15649c3a2ca26e0e721ce8bc4a384b148da2c1de00d39742cc8"
+		wantTPC     = "0f23f760bf6a4600d25840a331cb52b11259c62dc7c3045813e9610cc556dc25"
 		wantContent = "55c0b112f135ab9814cc952cf85f8bbb744f3e73b73782d8b815166816934f5d"
 	)
 	for _, workers := range workerCounts {
